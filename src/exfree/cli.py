@@ -195,6 +195,8 @@ def load_config(path, experiment: Optional[str] = None) -> RunConfig:
     if cfg.method == "trotter" and cfg.trotter_dt is None:
         raise ConfigError("trotter method needs trotter_dt_us")
     cfg.rtol = float(raw.get("rtol", 1e-8))
+    if cfg.rtol <= 0:
+        raise ConfigError("rtol must be positive")
 
     cfg.options = {
         k: raw[k]

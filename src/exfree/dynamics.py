@@ -1,7 +1,11 @@
 """Numerical time evolution: exact unitary, first-order split-step, Lindblad.
 
-All propagators are deterministic; post-selection is computed exactly via
-projectors rather than by sampling.
+The exact propagator diagonalizes H block by block.  A split-step trajectory
+builds its step matrix once and steps from one sample time to the next.  The
+Lindblad path integrates a sparse Liouvillian with RK45, restricted to the
+coherence sectors the initial matrix touches.  All propagators are
+deterministic; post-selection is computed exactly via projectors rather than
+by sampling.
 """
 
 from __future__ import annotations
@@ -114,20 +118,27 @@ def evolve_unitary(H: OperatorMatrix, psi: StateVector, t: float) -> StateVector
 def evolve_trotter(
     params: SystemParams,
     psi: StateVector,
-    t: float,
+    times: Sequence[float],
     dt: float,
     order: tuple[str, ...] = ("S1S2", "S3S2", "detune"),
-) -> StateVector:
-    """First-order split-step evolution of the full Hamiltonian.
+) -> list[StateVector]:
+    """First-order split-step trajectory of the full Hamiltonian, sampled at
+    the sorted `times`.
 
     One step applies exp(-i H_a dt) for each factor in `order`; the default
     order is pair coupling S1-S2, then S3-S2, then the bus detuning.  The
-    number of steps is round(t/dt); dt should divide t.
+    step matrix is built once; sample k lies round(t_k/dt) steps from the
+    start and is reached from sample k-1, so a trajectory costs as many steps
+    as its last sample.  dt should divide every sample time.
     """
     if dt <= 0:
         raise InvalidParameterError("dt must be positive")
-    n_steps = int(round(t / dt))
-    if n_steps == 0 and t > 0:
+    times = np.asarray(times, dtype=float)
+    counts = np.rint(times / dt).astype(int)
+    steps = np.diff(counts, prepend=0)  # between consecutive samples
+    if np.any(steps < 0):
+        raise InvalidParameterError("sample times must be nonnegative and sorted")
+    if np.any((counts == 0) & (times > 0)):
         raise InvalidParameterError("dt larger than t")
     builders = {
         "S1S2": lambda: build_h_tms(params, "S1S2"),
@@ -140,10 +151,12 @@ def evolve_trotter(
         raise InvalidParameterError(f"unknown split factor {exc.args[0]!r}") from exc
     step = np.linalg.multi_dot(factors) if len(factors) > 1 else factors[0]
     vec = psi.amplitudes
-    for _ in range(n_steps):
-        vec = step @ vec
-    vec = vec / np.linalg.norm(vec)
-    return StateVector(vec, psi.dims)
+    out = []
+    for n_steps in steps:
+        for _ in range(n_steps):
+            vec = step @ vec
+        out.append(StateVector(vec / np.linalg.norm(vec), psi.dims))
+    return out
 
 
 def evolve_lindblad(
@@ -155,8 +168,8 @@ def evolve_lindblad(
     """Master-equation evolution, sampled at spec.sample_times.
 
     drho/dt = -i[H, rho] + sum_k (L rho L^dag - {L^dag L, rho}/2), integrated
-    with an adaptive explicit Runge-Kutta scheme on the vectorized density
-    matrix.  Raises ConvergenceError if the integrator fails.
+    by `propagate_lindblad_matrix`.  Raises ConvergenceError if the
+    integrator fails.
     """
     mats = propagate_lindblad_matrix(
         H, collapse_ops, rho.elements, spec.sample_times or (spec.total_time,), spec.rtol
@@ -168,6 +181,23 @@ def evolve_lindblad(
     return out
 
 
+def _liouvillian(
+    H: OperatorMatrix, collapse_ops: Sequence[OperatorMatrix]
+) -> sparse.csr_matrix:
+    """Sparse Lindblad generator on the row-major vectorized matrix,
+    vec(A rho B) = (A kron B^T) vec rho."""
+    eye = sparse.identity(H.dims.total, dtype=complex, format="csr")
+    h = sparse.csr_matrix(H.elements)
+    out = -1j * (sparse.kron(h, eye) - sparse.kron(eye, h.T))
+    for op in collapse_ops:
+        c = sparse.csr_matrix(op.elements)
+        cdc = (c.conj().T @ c).tocsr()
+        out = out + sparse.kron(c, c.conj()) - 0.5 * (
+            sparse.kron(cdc, eye) + sparse.kron(eye, cdc.T)
+        )
+    return out.tocsr()
+
+
 def propagate_lindblad_matrix(
     H: OperatorMatrix,
     collapse_ops: Sequence[OperatorMatrix],
@@ -176,30 +206,32 @@ def propagate_lindblad_matrix(
     rtol: float = 1e-8,
 ) -> list[np.ndarray]:
     """Linear Lindblad propagation of an arbitrary (not necessarily Hermitian)
-    matrix; used both for states and for channel basis elements."""
+    matrix; used both for states and for channel basis elements.
+
+    Only the connected components of the Liouvillian's nonzero pattern that
+    touch the support of rho0 are integrated; every other entry stays zero.
+    With collapse operators a, a^dag and n these are the coherence sectors
+    of the charge Q, so a channel matrix unit moves in one sector.  The block
+    is integrated with adaptive RK45 (atol = rtol * 1e-2) and scattered back.
+    """
     if not H.is_hermitian(tol=1e-10):
         raise InvalidOperatorError("Hamiltonian must be Hermitian")
+    if rtol <= 0:
+        raise InvalidParameterError("integrator tolerance must be positive")
     d = H.dims.total
-    Hm = H.elements
-    Ls = [L.elements for L in collapse_ops]
-    Lds = [L.conj().T for L in Ls]
-    LdLs = [Ld @ L for L, Ld in zip(Ls, Lds)]
-
-    def rhs(_t, y):
-        r = y.reshape(d, d)
-        dr = -1j * (Hm @ r - r @ Hm)
-        for L, Ld, LdL in zip(Ls, Lds, LdLs):
-            dr += L @ r @ Ld - 0.5 * (LdL @ r + r @ LdL)
-        return dr.ravel()
-
+    rho0 = np.asarray(rho0, dtype=complex)
     times = [float(t) for t in times]
     t_end = max(times)
     if t_end == 0.0:
-        return [np.asarray(rho0, dtype=complex).copy() for _ in times]
+        return [rho0.copy() for _ in times]
+    gen = _liouvillian(H, collapse_ops)
+    _, labels = connected_components(gen != 0, directed=False)
+    keep = np.flatnonzero(np.isin(labels, labels[np.flatnonzero(rho0)]))
+    block = gen[keep][:, keep]
     sol = solve_ivp(
-        rhs,
+        lambda _t, y: block @ y,
         (0.0, t_end),
-        np.asarray(rho0, dtype=complex).ravel(),
+        rho0.ravel()[keep],
         t_eval=times,
         rtol=rtol,
         atol=rtol * 1e-2,
@@ -207,7 +239,12 @@ def propagate_lindblad_matrix(
     )
     if not sol.success:
         raise ConvergenceError(f"Lindblad integrator failed: {sol.message}")
-    return [sol.y[:, k].reshape(d, d) for k in range(sol.y.shape[1])]
+    out = []
+    for k in range(sol.y.shape[1]):
+        full = np.zeros(d * d, dtype=complex)
+        full[keep] = sol.y[:, k]
+        out.append(full.reshape(d, d))
+    return out
 
 
 def post_select(rho: DensityMatrix, projector: OperatorMatrix):

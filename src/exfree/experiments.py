@@ -97,7 +97,7 @@ def _evolve_trajectory(
         prop = UnitaryPropagator(build_h_full(params))
         return [prop.apply(psi0, t) for t in times]
     if spec.method == "trotter":
-        return [evolve_trotter(params, psi0, t, spec.trotter_dt) for t in times]
+        return evolve_trotter(params, psi0, times, spec.trotter_dt)
     if spec.method == "lindblad":
         run_spec = EvolutionSpec(
             total_time=float(times[-1]),

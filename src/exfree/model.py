@@ -7,6 +7,7 @@ files quote frequencies as f/2pi in kHz; use `khz_to_angular` to convert.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
 from math import sqrt
 from typing import Optional
 
@@ -108,9 +109,20 @@ def require_oscillatory(params: SystemParams) -> None:
         )
 
 
-def _mode_ops(dims: ModeDims):
-    a = [embed_op(annihilation_op(n), k, dims) for k, n in enumerate(dims)]
-    return a
+def _two_mode_term(params: SystemParams, g: float, left: tuple, right: tuple) -> OperatorMatrix:
+    """g * (T + T^dag) for T the product of two single-mode operators.
+
+    left and right are (mode, "a" or "adag") on distinct modes.  T is formed
+    as one kron of the single-mode factors, identity elsewhere, which gives
+    the same entries as the product of the two embedded operators without a
+    product of two full-space matrices.
+    """
+    factors = [np.eye(n, dtype=complex) for n in params.dims]
+    for mode, kind in (left, right):
+        a = annihilation_op(params.dims[mode]).elements
+        factors[mode] = a.conj().T if kind == "adag" else a
+    term = reduce(np.kron, factors)
+    return OperatorMatrix(g * (term + term.conj().T), params.dims)
 
 
 def build_h_tms(params: SystemParams, pair: str) -> OperatorMatrix:
@@ -118,16 +130,13 @@ def build_h_tms(params: SystemParams, pair: str) -> OperatorMatrix:
 
     pair is "S1S2" (x = mode 0, strength g1) or "S3S2" (x = mode 2, g2).
     """
-    dims = params.dims
-    a = _mode_ops(dims)
     if pair == "S1S2":
         x, g = 0, params.g1
     elif pair == "S3S2":
         x, g = 2, params.g2
     else:
         raise InvalidParameterError(f"pair must be 'S1S2' or 'S3S2', got {pair!r}")
-    term = a[x].dag @ a[1].dag
-    return g * (term + term.dag)
+    return _two_mode_term(params, g, (x, "adag"), (1, "adag"))
 
 
 def build_h_detune(params: SystemParams) -> OperatorMatrix:
@@ -148,9 +157,7 @@ def build_h_eff(params: SystemParams) -> OperatorMatrix:
     if params.delta == 0:
         raise InvalidParameterError("effective coupling g1*g2/delta undefined at delta=0")
     g_eff = params.g1 * params.g2 / params.delta
-    a = _mode_ops(params.dims)
-    term = a[0].dag @ a[2]
-    return g_eff * (term + term.dag)
+    return _two_mode_term(params, g_eff, (0, "adag"), (2, "a"))
 
 
 def build_h_bs_reference(params: SystemParams) -> OperatorMatrix:
@@ -159,10 +166,11 @@ def build_h_bs_reference(params: SystemParams) -> OperatorMatrix:
     g1*(a1^dag a2 + h.c.) + g2*(a3^dag a2 + h.c.) + delta*n_2; conserves the
     total photon number.
     """
-    a = _mode_ops(params.dims)
-    t1 = a[0].dag @ a[1]
-    t2 = a[2].dag @ a[1]
-    return params.g1 * (t1 + t1.dag) + params.g2 * (t2 + t2.dag) + build_h_detune(params)
+    return (
+        _two_mode_term(params, params.g1, (0, "adag"), (1, "a"))
+        + _two_mode_term(params, params.g2, (2, "adag"), (1, "a"))
+        + build_h_detune(params)
+    )
 
 
 def collapse_operators(params: SystemParams) -> list[OperatorMatrix]:

@@ -182,7 +182,7 @@ def test_criterion_05_trotter_convergence():
     exact = evolve_unitary(build_h_full(p), psi, t)
     errs = []
     for n in (250, 500, 1000, 2000, 4000):
-        approx = evolve_trotter(p, psi, t, t / n)
+        approx = evolve_trotter(p, psi, [t], t / n)[0]
         errs.append(float(np.linalg.norm(approx.amplitudes - exact.amplitudes)))
     ratios = [errs[i] / errs[i + 1] for i in range(len(errs) - 1)]
     passed = all(1.5 <= r <= 3.0 for r in ratios)

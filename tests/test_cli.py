@@ -98,6 +98,12 @@ class TestDispatch:
         res = CliRunner().invoke(main, ["qst", "--config", cfg_path])
         assert res.exit_code == EXIT_CONFIG
 
+    def test_nonpositive_rtol_exit_code(self, tmp_path):
+        payload = {**BASE, "experiment": "purified-qst", "method": "lindblad", "rtol": -1}
+        cfg_path = write(tmp_path, "c.yaml", payload)
+        res = CliRunner().invoke(main, ["purified-qst", "--config", cfg_path])
+        assert res.exit_code == EXIT_CONFIG
+
     def test_dims_override(self, tmp_path):
         cfg_path = write(tmp_path, "c.yaml", {**BASE, "dims": [6, 5, 6]})
         res = CliRunner().invoke(

@@ -11,6 +11,7 @@ from exfree.dynamics import (
     evolve_trotter,
     evolve_unitary,
     post_select,
+    propagate_lindblad_matrix,
     truncation_convergence_check,
     vacuum_projector,
 )
@@ -24,6 +25,7 @@ from exfree.fock import (
     OperatorMatrix,
     StateVector,
     annihilation_op,
+    embed_op,
     fock_state,
     mode_populations,
     number_op,
@@ -31,6 +33,7 @@ from exfree.fock import (
 from exfree.model import (
     SystemParams,
     build_h_bs_reference,
+    build_h_detune,
     build_h_full,
     build_h_tms,
     collapse_operators,
@@ -130,7 +133,7 @@ class TestTrotter:
         exact = evolve_unitary(build_h_full(params), psi, t)
         errs = []
         for n in (400, 800):
-            approx = evolve_trotter(params, psi, t, t / n)
+            approx = evolve_trotter(params, psi, [t], t / n)[0]
             errs.append(np.linalg.norm(approx.amplitudes - exact.amplitudes))
         # first-order scheme: halving dt roughly halves the error
         assert 1.5 < errs[0] / errs[1] < 3.0
@@ -138,14 +141,37 @@ class TestTrotter:
     def test_invalid_dt(self, params):
         psi = fock_state(params.dims, (1, 0, 0))
         with pytest.raises(InvalidParameterError):
-            evolve_trotter(params, psi, 1.0, 0.0)
+            evolve_trotter(params, psi, [1.0], 0.0)
         with pytest.raises(InvalidParameterError):
-            evolve_trotter(params, psi, 1.0, 10.0)
+            evolve_trotter(params, psi, [1.0], 10.0)
+
+    def test_unsorted_times(self, params):
+        psi = fock_state(params.dims, (1, 0, 0))
+        with pytest.raises(InvalidParameterError):
+            evolve_trotter(params, psi, [1.0, 0.5], 0.1)
 
     def test_unknown_factor(self, params):
         psi = fock_state(params.dims, (1, 0, 0))
         with pytest.raises(InvalidParameterError):
-            evolve_trotter(params, psi, 1.0, 0.1, order=("S1S2", "bogus"))
+            evolve_trotter(params, psi, [1.0], 0.1, order=("S1S2", "bogus"))
+
+    def test_trajectory_matches_per_sample_evolution(self):
+        # non-uniform samples, t = 0 included; each reference steps from t = 0
+        p = SystemParams.from_khz(80, 60, 475)
+        dt = 0.05
+        times = dt * np.array([0, 1, 7, 8, 30, 101])
+        psi = fock_state(p.dims, (1, 0, 0))
+        step = (
+            expm(-1j * dt * build_h_tms(p, "S1S2").elements)
+            @ expm(-1j * dt * build_h_tms(p, "S3S2").elements)
+            @ expm(-1j * dt * build_h_detune(p).elements)
+        )
+        out = evolve_trotter(p, psi, times, dt)
+        assert len(out) == len(times)
+        for t, state in zip(times, out):
+            ref = np.linalg.matrix_power(step, int(round(t / dt))) @ psi.amplitudes
+            ref /= np.linalg.norm(ref)
+            assert np.max(np.abs(state.amplitudes - ref)) < 1e-10
 
 
 class TestLindblad:
@@ -173,12 +199,62 @@ class TestLindblad:
             assert np.trace(rho.elements).real == pytest.approx(1.0, abs=1e-6)
             assert rho.min_eigenvalue() > -1e-6
 
+    @pytest.mark.parametrize("collapse", ["model", "sector-mixing"])
+    def test_matches_dense_liouvillian_expm(self, collapse):
+        # the initial matrix spans several coherence sectors; a1 + i a2 changes
+        # Q = n2 - n1 - n3 by +1 or -1 and joins the sectors into one component,
+        # and its complex phase makes L^dag L differ from its transpose
+        p = SystemParams.from_khz(
+            80, 60, 475, dims=(3, 2, 3), t1=(20.0, 15.0, 25.0), tphi=(30.0, None, 40.0),
+            n_th=(0.05, 0.0, 0.1),
+        )
+        dims = p.dims
+        if collapse == "model":
+            c_ops = collapse_operators(p)
+        else:
+            a1 = embed_op(annihilation_op(3), 0, dims)
+            a2 = embed_op(annihilation_op(2), 1, dims)
+            c_ops = [float(np.sqrt(1.0 / 20.0)) * (a1 + 1j * a2)]
+        H = build_h_full(p)
+        vec = np.zeros(dims.total, dtype=complex)
+        for occ in ((0, 0, 0), (1, 0, 0), (0, 1, 0)):
+            vec[dims.flat_index(occ)] = 1.0 / np.sqrt(3.0)
+        rho0 = np.outer(vec, vec.conj())
+        times = (0.0, 1.3, 4.0)
+        out = propagate_lindblad_matrix(H, c_ops, rho0, times, rtol=1e-8)
+        gen = _dense_generator(H.elements, [c.elements for c in c_ops])
+        for t, rho in zip(times, out):
+            ref = (expm(gen * t) @ rho0.ravel()).reshape(rho0.shape)
+            assert np.max(np.abs(rho - ref)) < 1e-6
+
+    def test_rejects_nonpositive_rtol(self, params):
+        rho0 = fock_state(params.dims, (1, 0, 0)).to_density().elements
+        with pytest.raises(InvalidParameterError):
+            propagate_lindblad_matrix(build_h_full(params), [], rho0, (1.0,), rtol=0.0)
+
     def test_reduces_to_unitary_without_collapse(self, params):
         psi = fock_state(params.dims, (1, 0, 0))
         spec = EvolutionSpec(total_time=2.0, method="lindblad", sample_times=(2.0,))
         rho = evolve_lindblad(build_h_full(params), [], psi.to_density(), spec)[-1]
         expect = evolve_unitary(build_h_full(params), psi, 2.0).to_density()
         assert np.max(np.abs(rho.elements - expect.elements)) < 1e-6
+
+
+def _dense_generator(H, c_ops):
+    """Master-equation generator built column by column from its action on
+    each matrix unit, in the row-major vectorization."""
+    d = H.shape[0]
+    cols = []
+    for k in range(d * d):
+        r = np.zeros(d * d, dtype=complex)
+        r[k] = 1.0
+        r = r.reshape(d, d)
+        dr = -1j * (H @ r - r @ H)
+        for c in c_ops:
+            cdc = c.conj().T @ c
+            dr += c @ r @ c.conj().T - 0.5 * (cdc @ r + r @ cdc)
+        cols.append(dr.ravel())
+    return np.array(cols).T
 
 
 class TestConditioning:

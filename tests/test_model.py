@@ -108,6 +108,35 @@ class TestHamiltonians:
         amp = h[dims.flat_index((1, 0, 0)), dims.flat_index((0, 0, 1))]
         assert amp == pytest.approx(params.g1 * params.g2 / params.delta)
 
+    def test_builders_match_embedded_products(self):
+        # asymmetric dims and couplings expose a wrong kron order
+        from exfree.fock import annihilation_op, embed_op
+
+        p = SystemParams.from_khz(80, 60, 475, dims=(2, 3, 4))
+        a = [embed_op(annihilation_op(n), k, p.dims).elements for k, n in enumerate(p.dims)]
+        ad = [m.conj().T for m in a]
+        n2 = ad[1] @ a[1]
+
+        def pair(g, t):
+            return g * (t + t.conj().T)
+
+        expect = {
+            "S1S2": pair(p.g1, ad[0] @ ad[1]),
+            "S3S2": pair(p.g2, ad[2] @ ad[1]),
+            "eff": pair(p.g1 * p.g2 / p.delta, ad[0] @ a[2]),
+            "bs": pair(p.g1, ad[0] @ a[1]) + pair(p.g2, ad[2] @ a[1]) + p.delta * n2,
+        }
+        expect["full"] = expect["S1S2"] + expect["S3S2"] + p.delta * n2
+        built = {
+            "S1S2": build_h_tms(p, "S1S2"),
+            "S3S2": build_h_tms(p, "S3S2"),
+            "eff": build_h_eff(p),
+            "bs": build_h_bs_reference(p),
+            "full": build_h_full(p),
+        }
+        for name, h in built.items():
+            assert np.max(np.abs(h.elements - expect[name])) < 1e-12, name
+
     def test_eff_rejects_zero_delta(self):
         p = SystemParams(g1=0.5, g2=0.5, delta=0.0)
         with pytest.raises(InvalidParameterError):
