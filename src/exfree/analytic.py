@@ -13,7 +13,7 @@ from math import cos, cosh, pi, sin, sqrt, tanh
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import InvalidParameterError, RegimeError
+from .errors import InvalidParameterError
 from .model import REGIME_FACTOR, SystemParams, require_oscillatory
 
 
@@ -205,16 +205,3 @@ def bs_reference_timing(params: SystemParams) -> tuple[float, float]:
         pi / (sqrt(2.0) * om2 - params.delta / 2.0),
         (g / (sqrt(2.0) * om2)) ** 2,
     )
-
-
-def swap_time_vs_g_sweep(delta_over_g: float, g_values) -> list[tuple[float, float]]:
-    """(g, tau_ST) pairs at fixed delta/g ratio; tau_ST scales as 1/g."""
-    if delta_over_g <= REGIME_FACTOR:
-        raise RegimeError(
-            f"delta/g = {delta_over_g} is not above 2*sqrt(2); no oscillatory solution"
-        )
-    rows = []
-    for g in g_values:
-        params = SystemParams(g1=g, g2=g, delta=delta_over_g * g)
-        rows.append((float(g), tau_st(params)))
-    return rows

@@ -23,19 +23,6 @@ UNBOUNDED_SCALE = 1e6
 
 
 @dataclass(frozen=True)
-class CalibrationParams:
-    """Detuning bookkeeping: delta = delta_d (intentional) + delta_0 (Stark)."""
-
-    delta_d: float
-    delta_0: float
-    delta_ac: float | None = None
-
-    @property
-    def delta(self) -> float:
-        return self.delta_d + self.delta_0
-
-
-@dataclass(frozen=True)
 class FitResult:
     estimates: dict[str, float]
     uncertainties: dict[str, float]

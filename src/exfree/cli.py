@@ -129,11 +129,7 @@ def _triple(value, name, default):
 
 
 def load_config(path, experiment: Optional[str] = None) -> RunConfig:
-    """Parse and validate a YAML run configuration.
-
-    `experiment` (usually from the command line) overrides the file's own
-    `experiment` key.  All frequencies in the file are f/2pi in kHz.
-    """
+    """Read a YAML run configuration file and validate it (`parse_config`)."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -141,6 +137,15 @@ def load_config(path, experiment: Optional[str] = None) -> RunConfig:
         raw = yaml.safe_load(path.read_text())
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
+    return parse_config(raw, experiment)
+
+
+def parse_config(raw: dict, experiment: Optional[str] = None) -> RunConfig:
+    """Validate a run configuration mapping.
+
+    `experiment` (usually from the command line) overrides the mapping's own
+    `experiment` key.  All frequencies are f/2pi in kHz.
+    """
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping")
 
@@ -422,8 +427,11 @@ def _dispatch(cfg: RunConfig) -> int:
             raw["delta_over_2pi_khz"] = float(d_khz)
             raw["experiment"] = inner_name
             raw["label"] = f"delta-{float(d_khz):g}"
-            sub = _config_from_raw(raw, inner_name)
+            sub = parse_config(raw, inner_name)
+            # keep the command-line overrides already applied to the sweep
             sub.out_dir = cfg.out_dir / "sweep"
+            sub.method = cfg.method
+            sub.params = sub.params.with_dims(cfg.params.dims)
             result = run_experiment(sub)
             dest = write_artifacts(result, sub)
             _print_summary(result, dest)
@@ -432,19 +440,6 @@ def _dispatch(cfg: RunConfig) -> int:
     dest = write_artifacts(result, cfg)
     _print_summary(result, dest)
     return EXIT_OK
-
-
-def _config_from_raw(raw: dict, experiment: str) -> RunConfig:
-    import tempfile
-
-    # reuse the validating loader on an in-memory copy
-    with tempfile.NamedTemporaryFile("w", suffix=".yaml", delete=False) as fh:
-        yaml.safe_dump(raw, fh)
-        tmp = fh.name
-    try:
-        return load_config(tmp, experiment)
-    finally:
-        Path(tmp).unlink(missing_ok=True)
 
 
 @click.command(name="exfree-qst")

@@ -18,7 +18,6 @@ from .analytic import (
     n2_amplitude,
     tau_st,
 )
-from .calibration import FitResult  # noqa: F401  (re-exported for CLI use)
 from .dynamics import (
     EvolutionSpec,
     UnitaryPropagator,
@@ -46,6 +45,7 @@ from .metrics import (
     parity_split,
     pauli_table_02,
     process_fidelity_qubit_subspace,
+    qubit_pair_02,
     wigner,
 )
 from .model import (
@@ -192,9 +192,6 @@ def transfer_channel(
     rows = np.zeros((2, d), dtype=complex)
     rows[0, dims.flat_index((0, 0, 0))] = 1.0
     rows[1, dims.flat_index((1, 0, 0))] = 1.0
-    out_rows = np.zeros((2, d), dtype=complex)
-    out_rows[0, dims.flat_index((0, 0, 0))] = 1.0
-    out_rows[1, dims.flat_index((0, 0, 1))] = 1.0
 
     proj = vacuum_projector(dims, 1).elements if condition_bus_vacuum else None
 
@@ -290,20 +287,6 @@ def run_purified_qst(
     return ProtocolResult(name="purified-qst", scalars=scalars)
 
 
-def _project_02(rho13: np.ndarray, dims2: tuple[int, int]):
-    """(renormalized 4x4 qubit pair, weight) in the {|0>,|2>} encoding."""
-    def rows(n):
-        q = np.zeros((2, n), dtype=complex)
-        q[0, 0] = 1.0
-        q[1, 2] = 1.0
-        return q
-
-    k = np.kron(rows(dims2[0]), rows(dims2[1]))
-    q = k @ rho13 @ k.conj().T
-    w = float(np.trace(q).real)
-    return (q / w if w > 1e-12 else q), w
-
-
 def run_hom(
     params: SystemParams,
     spec: Optional[EvolutionSpec] = None,
@@ -362,9 +345,9 @@ def run_hom(
     target[dims13.flat_index((2, 0))] = 1j / sqrt(2.0)
     fid, phi = optimize_mode_phase(rho13, np.outer(target, target.conj()), mode=0)
 
-    qubit_pair, weight = _project_02(rho13.elements, (dims[0], dims[2]))
+    qubit_pair, weight = qubit_pair_02(rho13)
     neg = negativity(qubit_pair, (2, 2))
-    table = pauli_table_02(rho13, (dims[0], dims[2]))
+    table = pauli_table_02(rho13)
 
     diag_a = joint_probs(rho_a)
     scalars = {

@@ -7,11 +7,12 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import expm, sqrtm
+from scipy.linalg import sqrtm
 from scipy.optimize import minimize_scalar
+from scipy.special import eval_genlaguerre, gammaln
 
 from .errors import DimensionError, InvalidOperatorError, InvalidParameterError
-from .fock import DensityMatrix, ModeDims, StateVector, annihilation_op
+from .fock import DensityMatrix, ModeDims, StateVector
 
 QubitChannel = Callable[[np.ndarray], np.ndarray]
 
@@ -50,11 +51,6 @@ def state_fidelity(a, b) -> float:
     root = sqrtm(ra)
     inner = sqrtm(root @ rb @ root)
     return float(np.real(np.trace(inner)) ** 2)
-
-
-def number_phase_matrix(n_levels: int, phi: float) -> np.ndarray:
-    """Single-mode phase-space rotation exp(i*phi*n) as a diagonal matrix."""
-    return np.diag(np.exp(1j * phi * np.arange(n_levels)))
 
 
 def optimize_mode_phase(
@@ -221,45 +217,31 @@ def negativity(rho, dims2: tuple[int, int]) -> float:
     return float(-eigs[eigs < 0].sum())
 
 
-def displacement_matrix(alpha: complex, n_levels: int, guard: int = 4) -> np.ndarray:
-    """Displacement operator on n_levels, exponentiated with a guard band of
-    extra levels to bound truncation bias, then projected back."""
-    big = n_levels + guard
-    a = annihilation_op(big).elements
-    d_big = expm(alpha * a.conj().T - np.conj(alpha) * a)
-    return d_big[:n_levels, :n_levels]
+def wigner(rho_single_mode, alphas) -> np.ndarray:
+    """Wigner function W(alpha) = (2/pi) Tr[D(alpha)^dag rho D(alpha) P],
+    with P the photon-number parity.
 
-
-def parity_matrix(n_levels: int) -> np.ndarray:
-    return np.diag((-1.0 + 0j) ** np.arange(n_levels))
-
-
-def wigner(rho_single_mode, alphas, guard: int = 4) -> np.ndarray:
-    """Displaced-parity Wigner function W(alpha) = (2/pi) Tr[D rho D^dag P].
-
+    Evaluated from the displaced-parity Laguerre sum (Cahill & Glauber,
+    Phys. Rev. 177, 1882 (1969)), exact for a state held in its n levels:
+    W = (2/pi) e^{-2|alpha|^2} sum_{m<=k} (2 - delta_mk)
+        Re[rho_mk (-1)^m (2 alpha)^(k-m) sqrt(m!/k!) L_m^(k-m)(4|alpha|^2)].
     `alphas` is any array of complex phase-space points; returns real values
-    of the same shape.  The guard band grows with |alpha| so that the
-    displaced state still fits the working truncation; `guard` is the
-    minimum number of extra levels.
+    of the same shape.
     """
     rho = _as_matrix(rho_single_mode)
     n = rho.shape[0]
     alphas = np.asarray(alphas, dtype=complex)
-    flat = alphas.ravel()
-    out = np.empty(flat.shape, dtype=float)
-    cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for k, al in enumerate(flat):
-        r = abs(al)
-        big = n + guard + int(np.ceil(r * r + 4.0 * r))
-        if big not in cache:
-            par = parity_matrix(big)
-            padded = np.zeros((big, big), dtype=complex)
-            padded[:n, :n] = rho
-            cache[big] = (par, padded)
-        par, padded = cache[big]
-        d = displacement_matrix(al, big, guard=0)
-        out[k] = (2.0 / np.pi) * np.real(np.trace(d @ padded @ d.conj().T @ par))
-    return out.reshape(alphas.shape)
+    x = 4.0 * np.abs(alphas) ** 2
+    total = np.zeros(alphas.shape)
+    # one pass per off-diagonal k - m = d, summing over m for the whole grid
+    for d in range(n):
+        m = np.arange(n - d)
+        sqrt_ratio = np.exp(0.5 * (gammaln(m + 1) - gammaln(m + d + 1)))
+        coef = rho[m, m + d] * (-1.0) ** m * sqrt_ratio
+        lag = eval_genlaguerre(m[:, None], d, x.ravel())
+        term = (coef @ lag).reshape(alphas.shape) * (2.0 * alphas) ** d
+        total += (1.0 if d == 0 else 2.0) * term.real
+    return (2.0 / np.pi) * np.exp(-0.5 * x) * total
 
 
 def parity_split(rho, mode: int = 0):
@@ -271,28 +253,18 @@ def parity_split(rho, mode: int = 0):
     """
     m = _as_matrix(rho)
     dims = rho.dims if hasattr(rho, "dims") else ModeDims((m.shape[0],))
-    even_diag = [
-        1.0 if (idx % 2 == 0) else 0.0 for idx in range(dims[mode])
-    ]
-    factors = [
-        np.diag(even_diag).astype(complex) if k == mode else np.eye(n, dtype=complex)
-        for k, n in enumerate(dims)
-    ]
-    p_even_op = factors[0]
-    for f in factors[1:]:
-        p_even_op = np.kron(p_even_op, f)
-    p_odd_op = np.eye(dims.total, dtype=complex) - p_even_op
+    even = np.indices(tuple(dims))[mode].ravel() % 2 == 0
 
-    def branch(proj):
-        sub = proj @ m @ proj
+    def branch(mask):
+        sub = np.where(np.outer(mask, mask), m, 0.0)
         w = float(np.trace(sub).real)
         if w <= 1e-12:
             return w, None
         sub = sub / w
         return w, DensityMatrix(0.5 * (sub + sub.conj().T), dims)
 
-    p_even, rho_even = branch(p_even_op)
-    p_odd, rho_odd = branch(p_odd_op)
+    p_even, rho_even = branch(even)
+    p_odd, rho_odd = branch(~even)
     return p_even, rho_even, rho_odd
 
 
@@ -324,30 +296,34 @@ class PauliTable:
         return self.values[key]
 
 
-def pauli_table_02(rho_two_mode, dims2: Optional[tuple[int, int]] = None) -> PauliTable:
-    """Project a two-mode state onto span{|0>,|2>} x span{|0>,|2>} and report
-    all two-qubit Pauli expectations of the renormalized qubit pair."""
+def qubit_pair_02(rho_two_mode, dims2: Optional[tuple[int, int]] = None):
+    """Project a two-mode state onto span{|0>,|2>} x span{|0>,|2>}.
+
+    Returns (renormalized 4x4 qubit-pair matrix, in-subspace weight).
+    `dims2` is required for a bare matrix.
+    """
     m = _as_matrix(rho_two_mode)
     if dims2 is None:
         if not hasattr(rho_two_mode, "dims") or rho_two_mode.dims.n_modes != 2:
             raise DimensionError("provide dims2 for a bare matrix")
         dims2 = tuple(rho_two_mode.dims)
     da, db = dims2
+    if m.shape[0] != da * db:
+        raise DimensionError("bipartition does not match matrix size")
     if min(da, db) < 3:
         raise DimensionError("the {|0>,|2>} encoding needs at least 3 levels per mode")
-
-    def embed_rows(n):
-        q = np.zeros((2, n), dtype=complex)
-        q[0, 0] = 1.0
-        q[1, 2] = 1.0
-        return q
-
-    k = np.kron(embed_rows(da), embed_rows(db))
-    qubit = k @ m @ k.conj().T
+    idx = [i * db + j for i in (0, 2) for j in (0, 2)]
+    qubit = m[np.ix_(idx, idx)]
     weight = float(np.trace(qubit).real)
     if weight < 1e-6:
         raise InvalidOperatorError("state has negligible weight in the {0,2} subspaces")
-    qubit = qubit / weight
+    return qubit / weight, weight
+
+
+def pauli_table_02(rho_two_mode, dims2: Optional[tuple[int, int]] = None) -> PauliTable:
+    """All two-qubit Pauli expectations of the renormalized {|0>,|2>} qubit
+    pair of a two-mode state (see `qubit_pair_02`)."""
+    qubit, weight = qubit_pair_02(rho_two_mode, dims2)
     values = {
         pair: float(np.real(np.trace(qubit @ np.kron(_PAULI[pair[0]], _PAULI[pair[1]]))))
         for pair in PAULI_PAIRS

@@ -87,17 +87,8 @@ class SystemParams:
         return replace(self, dims=ModeDims(tuple(dims)))
 
 
-@dataclass(frozen=True)
-class RegimeFlag:
-    oscillatory: bool
-
-    @classmethod
-    def of(cls, params: SystemParams) -> "RegimeFlag":
-        return cls(oscillatory=params.delta > REGIME_FACTOR * params.g)
-
-
 def is_oscillatory(params: SystemParams) -> bool:
-    return RegimeFlag.of(params).oscillatory
+    return params.delta > REGIME_FACTOR * params.g
 
 
 def require_oscillatory(params: SystemParams) -> None:

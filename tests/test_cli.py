@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from exfree.cli import (
     load_config,
     main,
 )
+
+CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.yaml"))
 
 BASE = {
     "experiment": "qst",
@@ -77,15 +80,20 @@ class TestDispatch:
         summary = json.loads((dest / "summary.json").read_text())
         assert summary["scalars"]["swap_time_analytic"] == pytest.approx(17.434, abs=1e-3)
 
-    def test_data_files_deterministic(self, tmp_path):
-        cfg_path = write(tmp_path, "c.yaml", BASE)
+    @pytest.mark.parametrize("cfg_path", CONFIGS, ids=lambda p: p.stem)
+    def test_data_files_deterministic(self, tmp_path, cfg_path):
+        experiment = yaml.safe_load(cfg_path.read_text())["experiment"]
         outs = []
         for d in ("a", "b"):
             res = CliRunner().invoke(
-                main, ["qst", "--config", cfg_path, "--out", str(tmp_path / d)]
+                main, [experiment, "--config", str(cfg_path), "--out", str(tmp_path / d)]
             )
-            assert res.exit_code == EXIT_OK
-            outs.append((tmp_path / d / "qst" / "t" / "trajectory.csv").read_bytes())
+            assert res.exit_code == EXIT_OK, res.output
+            files = sorted(
+                p for p in (tmp_path / d).rglob("*") if p.is_file() and p.name != "manifest.json"
+            )
+            assert files
+            outs.append({p.relative_to(tmp_path / d): p.read_bytes() for p in files})
         assert outs[0] == outs[1]
 
     def test_regime_error_exit_code(self, tmp_path):
@@ -175,6 +183,26 @@ class TestDispatch:
         base = tmp_path / "runs" / "sweep" / "qst"
         assert (base / "delta-475" / "summary.json").exists()
         assert (base / "delta-775" / "summary.json").exists()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [["--dims", "3,2,3"], ["--dims", "3,2,3", "--method", "lindblad"]],
+        ids=["dims", "dims-method"],
+    )
+    def test_sweep_keeps_overrides(self, tmp_path, overrides):
+        sweep_path = write(
+            tmp_path,
+            "s.yaml",
+            {**BASE, "experiment": "sweep", "delta_over_2pi_khz_values": [475]},
+        )
+        single_path = write(tmp_path, "q.yaml", BASE)
+        out = ["--out", str(tmp_path / "runs"), *overrides]
+        for experiment, path in (("sweep", sweep_path), ("qst", single_path)):
+            res = CliRunner().invoke(main, [experiment, "--config", path, *out])
+            assert res.exit_code == EXIT_OK, res.output
+        swept = tmp_path / "runs" / "sweep" / "qst" / "delta-475" / "trajectory.csv"
+        single = tmp_path / "runs" / "qst" / "t" / "trajectory.csv"
+        assert swept.read_bytes() == single.read_bytes()
 
     def test_hom_summary_fields(self, tmp_path):
         cfg_path = write(

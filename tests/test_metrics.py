@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from exfree.errors import DimensionError, InvalidOperatorError, InvalidParameterError
 from exfree.fock import DensityMatrix, ModeDims, StateVector, binomial_code_state, fock_state
@@ -190,6 +191,25 @@ class TestWigner:
         re, im = np.meshgrid(axis, axis)
         assert np.max(np.abs(wigner(psi, re + 1j * im))) <= 2 / np.pi + 1e-9
 
+    def test_matches_displaced_parity_definition(self):
+        # (2/pi) Tr[D(alpha)^dag rho D(alpha) P] with D exponentiated on n + 100
+        # levels; a dense rho has odd-difference coherences, so W(-alpha) != W(alpha)
+        n, big = 9, 109
+        rng = np.random.default_rng(3)
+        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        rho = g @ g.conj().T
+        rho /= np.trace(rho)
+        padded = np.zeros((big, big), dtype=complex)
+        padded[:n, :n] = rho
+        a = np.diag(np.sqrt(np.arange(1.0, big)), 1)
+        parity = np.diag((-1.0) ** np.arange(big))
+        alphas = np.array([0.0, 0.4 - 0.9j, -1.3 + 0.2j, 2.1j, -2.5 - 2.4j, 3.5])
+        expect = []
+        for al in alphas:
+            d = expm(al * a.conj().T - np.conj(al) * a)
+            expect.append(2 / np.pi * np.trace(d.conj().T @ padded @ d @ parity).real)
+        assert np.allclose(wigner(rho, alphas), expect, rtol=0, atol=1e-10)
+
 
 class TestParitySplit:
     def test_even_codeword(self):
@@ -236,3 +256,7 @@ class TestPauliTable:
     def test_needs_three_levels(self):
         with pytest.raises(DimensionError):
             pauli_table_02(np.eye(4) / 4.0, (2, 2))
+
+    def test_dims_must_match_matrix(self):
+        with pytest.raises(DimensionError):
+            pauli_table_02(np.eye(16) / 16.0, (3, 3))
