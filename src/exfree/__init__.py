@@ -60,7 +60,7 @@ from .experiments import (
     run_hom,
     run_purified_qst,
     run_single_photon_qst,
-    transfer_channel,
+    transfer_choi,
 )
 from .fock import (
     DensityMatrix,
@@ -89,6 +89,7 @@ from .metrics import (
     pauli_table_02,
     process_fidelity,
     process_fidelity_qubit_subspace,
+    process_matrix,
     state_fidelity,
     wigner,
 )

@@ -140,15 +140,50 @@ def load_config(path, experiment: Optional[str] = None) -> RunConfig:
     return parse_config(raw, experiment)
 
 
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
+#: Conversion of each experiment option; a null value counts as absent.
+_OPTIONS = {
+    "purification": str,
+    "gamma_q": float,
+    "code_label": str,
+    "loss_after_transfer": _flag,
+    "wigner_extent": float,
+    "wigner_points": int,
+    "budget": lambda v: {str(k): float(x) for k, x in dict(v).items()},
+    "ablate_cavity": _flag,
+    "delta_over_2pi_khz_values": lambda v: [float(x) for x in v],
+    "g_truth_over_2pi_khz": float,
+    "delta0_over_2pi_khz": float,
+    "delta_d_over_2pi_khz": lambda v: [float(x) for x in v],
+    "noise_sigma": float,
+    "seed": int,
+    "t_max_us": float,
+    "n_points": int,
+    "sweep_experiment": str,
+}
+
+
 def parse_config(raw: dict, experiment: Optional[str] = None) -> RunConfig:
     """Validate a run configuration mapping.
 
     `experiment` (usually from the command line) overrides the mapping's own
-    `experiment` key.  All frequencies are f/2pi in kHz.
+    `experiment` key.  All frequencies are f/2pi in kHz.  Every value is
+    converted here, so a value of the wrong type is a `ConfigError`.
     """
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping")
+    try:
+        return _parse_mapping(raw, experiment)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid config value: {exc}") from exc
 
+
+def _parse_mapping(raw: dict, experiment: Optional[str]) -> RunConfig:
     exp = experiment or raw.get("experiment")
     if exp not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {exp!r}; choose from {EXPERIMENTS}")
@@ -204,27 +239,7 @@ def parse_config(raw: dict, experiment: Optional[str] = None) -> RunConfig:
         raise ConfigError("rtol must be positive")
 
     cfg.options = {
-        k: raw[k]
-        for k in (
-            "purification",
-            "gamma_q",
-            "code_label",
-            "loss_after_transfer",
-            "wigner_extent",
-            "wigner_points",
-            "budget",
-            "ablate_cavity",
-            "delta_over_2pi_khz_values",
-            "g_truth_over_2pi_khz",
-            "delta0_over_2pi_khz",
-            "delta_d_over_2pi_khz",
-            "noise_sigma",
-            "seed",
-            "t_max_us",
-            "n_points",
-            "sweep_experiment",
-        )
-        if k in raw
+        k: convert(raw[k]) for k, convert in _OPTIONS.items() if raw.get(k) is not None
     }
     return cfg
 
@@ -242,9 +257,9 @@ def _spec_for(cfg: RunConfig, default_total: float) -> EvolutionSpec:
 
 def _run_calibrate_g(cfg: RunConfig) -> ProtocolResult:
     opts = cfg.options
-    g_truth = khz_to_angular(float(opts.get("g_truth_over_2pi_khz", 80.0)))
-    t_max = float(opts.get("t_max_us", 2.0 / g_truth))
-    n = int(opts.get("n_points", 64))
+    g_truth = khz_to_angular(opts.get("g_truth_over_2pi_khz", 80.0))
+    t_max = opts.get("t_max_us", 2.0 / g_truth)
+    n = opts.get("n_points", 64)
     t = np.linspace(0.0, t_max, n)
     p0 = generate_tmsv_trace(
         g_truth, t, noise_sigma=opts.get("noise_sigma"), seed=opts.get("seed")
@@ -268,10 +283,10 @@ def _run_calibrate_g(cfg: RunConfig) -> ProtocolResult:
 
 def _run_calibrate_delta0(cfg: RunConfig) -> ProtocolResult:
     opts = cfg.options
-    g = khz_to_angular(float(opts.get("g_truth_over_2pi_khz", 80.0)))
-    d0_truth = khz_to_angular(float(opts.get("delta0_over_2pi_khz", 275.0)))
+    g = khz_to_angular(opts.get("g_truth_over_2pi_khz", 80.0))
+    d0_truth = khz_to_angular(opts.get("delta0_over_2pi_khz", 275.0))
     dd_khz = opts.get("delta_d_over_2pi_khz", [100.0, 200.0, 300.0, 400.0, 500.0])
-    dd = np.array([khz_to_angular(float(x)) for x in dd_khz])
+    dd = np.array([khz_to_angular(x) for x in dd_khz])
     tau = bus_period_model(dd, d0_truth, g)
     fit = fit_stark_detuning(dd, tau, g)
     result = ProtocolResult(name="calibrate-delta0", times=dd, series={"tau_s2": tau})
@@ -303,7 +318,7 @@ def run_experiment(cfg: RunConfig) -> ProtocolResult:
             t=cfg.total_time,
             method=cfg.method,
             purification=cfg.options.get("purification", "qubit+cavity"),
-            gamma_q=float(cfg.options.get("gamma_q", DEFAULT_GAMMA_Q)),
+            gamma_q=cfg.options.get("gamma_q", DEFAULT_GAMMA_Q),
             rtol=cfg.rtol,
         )
     if cfg.experiment == "hom":
@@ -312,26 +327,26 @@ def run_experiment(cfg: RunConfig) -> ProtocolResult:
     if cfg.experiment == "binomial":
         return run_binomial_transfer(
             cfg.params,
-            label=str(cfg.options.get("code_label", "0L")),
+            label=cfg.options.get("code_label", "0L"),
             t=cfg.total_time,
             method=cfg.method,
-            loss_after_transfer=bool(cfg.options.get("loss_after_transfer", False)),
+            loss_after_transfer=cfg.options.get("loss_after_transfer", False),
             wigner_extent=cfg.options.get("wigner_extent"),
-            wigner_points=int(cfg.options.get("wigner_points", 41)),
+            wigner_points=cfg.options.get("wigner_points", 41),
             rtol=cfg.rtol,
         )
     if cfg.experiment == "budget":
         return error_budget_report(
             params=cfg.params,
             budget=cfg.options.get("budget"),
-            ablate_cavity=bool(cfg.options.get("ablate_cavity", False)),
+            ablate_cavity=cfg.options.get("ablate_cavity", False),
             rtol=cfg.rtol,
         )
     if cfg.experiment == "compare-bs":
         deltas_khz = cfg.options.get(
             "delta_over_2pi_khz_values", [373.0, 463.0, 475.0, 675.0, 775.0]
         )
-        deltas = [khz_to_angular(float(d)) for d in deltas_khz]
+        deltas = [khz_to_angular(d) for d in deltas_khz]
         return compare_tms_vs_bs(cfg.params.g1, deltas)
     if cfg.experiment == "calibrate-g":
         return _run_calibrate_g(cfg)
@@ -424,9 +439,9 @@ def _dispatch(cfg: RunConfig) -> int:
             raise ConfigError(f"cannot sweep experiment {inner_name!r}")
         for d_khz in deltas_khz:
             raw = dict(cfg.raw)
-            raw["delta_over_2pi_khz"] = float(d_khz)
+            raw["delta_over_2pi_khz"] = d_khz
             raw["experiment"] = inner_name
-            raw["label"] = f"delta-{float(d_khz):g}"
+            raw["label"] = f"delta-{d_khz:g}"
             sub = parse_config(raw, inner_name)
             # keep the command-line overrides already applied to the sweep
             sub.out_dir = cfg.out_dir / "sweep"

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import exp, pi, sqrt
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .dynamics import (
     evolve_lindblad,
     evolve_trotter,
     propagate_lindblad_matrix,
-    vacuum_projector,
 )
 from .errors import InvalidParameterError
 from .fock import (
@@ -45,6 +44,7 @@ from .metrics import (
     parity_split,
     pauli_table_02,
     process_fidelity_qubit_subspace,
+    process_matrix,
     qubit_pair_02,
     wigner,
 )
@@ -172,59 +172,43 @@ def run_single_photon_qst(
     return result
 
 
-def transfer_channel(
+def transfer_choi(
     params: SystemParams,
     t: float,
     method: str = "exact-unitary",
-    condition_bus_vacuum: bool = False,
     rtol: float = 1e-8,
-) -> Callable[[np.ndarray], np.ndarray]:
-    """The S1 -> S3 qubit-subspace channel of a transfer of duration t.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unnormalized Choi matrices (raw, conditioned) of the S1 -> S3
+    qubit-subspace channel of a transfer of duration t.
 
-    Maps a 2x2 operator on span{|0>,|1>} of the source mode to the
-    corresponding block on the target mode.  Output traces below 1 measure
-    leakage (and, with conditioning, the discarded bus-occupied branch).
-    The returned map is linear, so it can propagate matrix units as well as
-    density matrices.
+    Block (i, j) of each 4x4 matrix is the {|0>,|1>} block of S3 after
+    propagating |i00><j00|; `conditioned` keeps only the bus-vacuum (n2 = 0)
+    rows and columns of the propagated matrix.  Traces below 2 measure
+    leakage and, with conditioning, the discarded bus-occupied branch.
     """
-    dims = params.dims
-    d = dims.total
-    rows = np.zeros((2, d), dtype=complex)
-    rows[0, dims.flat_index((0, 0, 0))] = 1.0
-    rows[1, dims.flat_index((1, 0, 0))] = 1.0
-
-    proj = vacuum_projector(dims, 1).elements if condition_bus_vacuum else None
-
-    if method == "exact-unitary":
-        U = UnitaryPropagator(build_h_full(params)).matrix(t)
-
-        def propagate(full):
-            return U @ full @ U.conj().T
-
-    elif method == "lindblad":
-        H = build_h_full(params)
-        c_ops = collapse_operators(params)
-
-        def propagate(full):
-            return propagate_lindblad_matrix(H, c_ops, full, (t,), rtol=rtol)[0]
-
-    else:
+    if method not in ("exact-unitary", "lindblad"):
         raise InvalidParameterError(
             f"channel construction supports exact-unitary or lindblad, got {method!r}"
         )
-
-    def channel(op2: np.ndarray) -> np.ndarray:
-        full = rows.conj().T @ np.asarray(op2, dtype=complex) @ rows
-        full = propagate(full)
-        if proj is not None:
-            full = proj @ full @ proj
-        reduced = partial_trace(full, dims, keep=[2])
-        q = np.zeros((2, dims[2]), dtype=complex)
-        q[0, 0] = 1.0
-        q[1, 1] = 1.0
-        return q @ reduced @ q.conj().T
-
-    return channel
+    dims = params.dims
+    H = build_h_full(params)
+    inputs = [fock_state(dims, (i, 0, 0)) for i in range(2)]
+    if method == "exact-unitary":
+        prop = UnitaryPropagator(H)
+        out = [prop.apply(psi, t).amplitudes for psi in inputs]
+        units = [[np.outer(a, b.conj()) for b in out] for a in out]
+    else:
+        c_ops = collapse_operators(params)
+        vecs = [psi.amplitudes for psi in inputs]
+        units = [
+            [propagate_lindblad_matrix(H, c_ops, np.outer(a, b), (t,), rtol=rtol)[0] for b in vecs]
+            for a in vecs
+        ]
+    # axes (i, j, n1, n2, n3, n1', n2', n3'), output restricted to n3, n3' < 2
+    full = np.array(units).reshape((2, 2) + tuple(dims) * 2)[..., :2, :, :, :2]
+    raw = np.einsum("ijabkabl->ikjl", full).reshape(4, 4)
+    conditioned = np.einsum("ijakal->ikjl", full[:, :, :, 0, :, :, 0, :]).reshape(4, 4)
+    return raw, conditioned
 
 
 PURIFICATION_LEVELS = ("none", "qubit", "qubit+cavity")
@@ -252,8 +236,8 @@ def run_purified_qst(
     if t is None:
         t = tau_st(params)
 
-    raw = transfer_channel(params, t, method=method, rtol=rtol)
-    f_raw, phi_raw = process_fidelity_qubit_subspace(raw, require_tp=False)
+    raw, conditioned = transfer_choi(params, t, method=method, rtol=rtol)
+    f_raw, phi_raw = process_fidelity_qubit_subspace(process_matrix(raw))
     scalars = {"fidelity_heralded": f_raw, "phase": phi_raw, "transfer_time": t}
 
     qubit_failure = 1.0 - exp(-gamma_q * t)
@@ -267,14 +251,10 @@ def run_purified_qst(
         scalars["fidelity"] = f_raw
         scalars["success_probability"] = 1.0 - qubit_failure
     else:
-        conditioned = transfer_channel(
-            params, t, method=method, condition_bus_vacuum=True, rtol=rtol
-        )
-        f_cav, phi_cav = process_fidelity_qubit_subspace(conditioned, require_tp=False)
+        f_cav, phi_cav = process_fidelity_qubit_subspace(process_matrix(conditioned))
         # cavity-stage discard probability for the average qubit input
-        half = 0.5 * np.eye(2, dtype=complex)
-        kept = float(np.trace(conditioned(half)).real)
-        total = float(np.trace(raw(half)).real)
+        kept = float(np.trace(conditioned).real)
+        total = float(np.trace(raw).real)
         cavity_failure = max(0.0, 1.0 - kept / total) if total > 0 else 1.0
         scalars.update(
             {
@@ -326,16 +306,8 @@ def run_hom(
     series = {k: np.array(v) for k, v in series.items()}
 
     # entanglement analysis at the requested time
-    if spec.method == "exact-unitary":
-        psi_a = UnitaryPropagator(build_h_full(params)).apply(psi0, analysis_time)
-        rho_a = psi_a.to_density()
-    else:
-        a_spec = EvolutionSpec(
-            total_time=analysis_time, method=spec.method,
-            trotter_dt=spec.trotter_dt, rtol=spec.rtol,
-        )
-        state_a = _evolve_trajectory(params, psi0, a_spec, np.array([analysis_time]))[-1]
-        rho_a = state_a.to_density() if isinstance(state_a, StateVector) else state_a
+    state_a = _evolve_trajectory(params, psi0, spec, np.array([analysis_time]))[0]
+    rho_a = state_a.to_density() if isinstance(state_a, StateVector) else state_a
     r13 = partial_trace(rho_a.elements, dims, keep=[0, 2])
     dims13 = ModeDims((dims[0], dims[2]))
     rho13 = DensityMatrix(0.5 * (r13 + r13.conj().T), dims13)
@@ -474,13 +446,11 @@ def cavity_decoherence_ablation(
     """
     if t is None:
         t = tau_st(params)
-    ideal = transfer_channel(params, t, method="exact-unitary", condition_bus_vacuum=True)
-    f_ideal, _ = process_fidelity_qubit_subspace(ideal, require_tp=False)
+    _, ideal = transfer_choi(params, t)
+    f_ideal, _ = process_fidelity_qubit_subspace(process_matrix(ideal))
     noisy_params = with_cavity_decoherence(params, thermal=thermal)
-    noisy = transfer_channel(
-        noisy_params, t, method="lindblad", condition_bus_vacuum=True, rtol=rtol
-    )
-    f_noisy, _ = process_fidelity_qubit_subspace(noisy, require_tp=False)
+    _, noisy = transfer_choi(noisy_params, t, method="lindblad", rtol=rtol)
+    f_noisy, _ = process_fidelity_qubit_subspace(process_matrix(noisy))
     share = 1.0 - (f_noisy - 0.25) / (f_ideal - 0.25)
     return {
         "fidelity_without_decoherence": f_ideal,

@@ -121,35 +121,44 @@ IDEAL_CHOI = 0.5 * np.array(
 )
 
 
+def process_matrix(choi) -> ProcessMatrix:
+    """Normalized process matrix of an unnormalized 4x4 Choi matrix.
+
+    Hermitizes the matrix and divides it by its trace, which must be
+    positive; a post-selected channel is renormalized this way.
+    """
+    m = np.asarray(choi, dtype=complex)
+    if m.shape != (4, 4):
+        raise DimensionError("Choi matrix must be 4x4")
+    m = 0.5 * (m + m.conj().T)
+    tr = np.trace(m).real
+    if tr <= 1e-12:
+        raise InvalidOperatorError("channel output has vanishing weight")
+    return ProcessMatrix(m / tr)
+
+
 def choi_from_channel(channel: QubitChannel, require_tp: bool = True) -> ProcessMatrix:
     """Build the (normalized) Choi matrix by propagating the 4 matrix units.
 
     With require_tp the map must preserve trace to 1e-6; post-selected
     channels set require_tp=False and the Choi is renormalized.
     """
-    blocks = {}
+    choi = np.zeros((4, 4), dtype=complex)
     for i in range(2):
         for j in range(2):
             unit = np.zeros((2, 2), dtype=complex)
             unit[i, j] = 1.0
-            blocks[(i, j)] = np.asarray(channel(unit), dtype=complex)
+            choi[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = channel(unit)
     if require_tp:
         tp_defect = max(
-            abs(np.trace(blocks[(0, 0)]).real - 1.0), abs(np.trace(blocks[(1, 1)]).real - 1.0)
+            abs(np.trace(choi[:2, :2]).real - 1.0), abs(np.trace(choi[2:, 2:]).real - 1.0)
         )
         if tp_defect > 1e-6:
             raise InvalidOperatorError(
                 f"channel is not trace preserving (defect {tp_defect:.2e}); "
                 "declare post-selection explicitly"
             )
-    choi = np.zeros((4, 4), dtype=complex)
-    for (i, j), out in blocks.items():
-        choi[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = out
-    choi = 0.5 * (choi + choi.conj().T)
-    tr = np.trace(choi).real
-    if tr <= 1e-12:
-        raise InvalidOperatorError("channel output has vanishing weight")
-    return ProcessMatrix(choi / tr)
+    return process_matrix(choi)
 
 
 def process_fidelity(actual: ProcessMatrix, ideal: Optional[np.ndarray] = None) -> float:
@@ -163,18 +172,15 @@ def process_fidelity(actual: ProcessMatrix, ideal: Optional[np.ndarray] = None) 
 
 
 def process_fidelity_qubit_subspace(
-    channel: QubitChannel,
-    optimize_phase: bool = True,
-    require_tp: bool = True,
+    pm: ProcessMatrix, optimize_phase: bool = True
 ) -> tuple[float, float]:
     """Process fidelity of a qubit-subspace channel to the identity.
 
     Optionally optimizes a single deterministic output phase diag(1, e^{i phi});
     F(phi) is exactly sinusoidal so three evaluations fix the maximum.
-    Returns (fidelity, optimal_phase).  The channel is propagated once; the
-    rotation acts on the stored Choi matrix.
+    Returns (fidelity, optimal_phase).  The rotation acts on the stored Choi
+    matrix.
     """
-    pm = choi_from_channel(channel, require_tp=require_tp)
 
     def fid_at(phi):
         v = np.kron(np.eye(2), np.diag([1.0, np.exp(1j * phi)]))

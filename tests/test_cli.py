@@ -106,6 +106,23 @@ class TestDispatch:
         res = CliRunner().invoke(main, ["qst", "--config", cfg_path])
         assert res.exit_code == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {**BASE, "n_samples": "many"},
+            {**BASE, "g_over_2pi_khz": "eighty"},
+            {**BASE, "rtol": [1]},
+            {**BASE, "experiment": "binomial", "wigner_points": "lots"},
+            {**BASE, "experiment": "binomial", "loss_after_transfer": "no"},
+        ],
+        ids=["n_samples", "g", "rtol", "wigner_points", "loss_after_transfer"],
+    )
+    def test_mistyped_value_exit_code(self, tmp_path, payload):
+        cfg_path = write(tmp_path, "c.yaml", payload)
+        res = CliRunner().invoke(main, [payload["experiment"], "--config", cfg_path])
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert "config error:" in res.output
+
     def test_nonpositive_rtol_exit_code(self, tmp_path):
         payload = {**BASE, "experiment": "purified-qst", "method": "lindblad", "rtol": -1}
         cfg_path = write(tmp_path, "c.yaml", payload)

@@ -15,10 +15,11 @@ from exfree.experiments import (
     run_hom,
     run_purified_qst,
     run_single_photon_qst,
-    transfer_channel,
+    transfer_choi,
 )
-from exfree.metrics import choi_from_channel, process_fidelity
-from exfree.model import SystemParams
+from exfree.fock import partial_trace
+from exfree.metrics import process_fidelity, process_fidelity_qubit_subspace, process_matrix
+from exfree.model import SystemParams, build_h_full
 
 
 @pytest.fixture(scope="module")
@@ -79,30 +80,51 @@ class TestSinglePhotonQst:
 
 class TestTransferChannel:
     def test_sweet_point_channel_is_nearly_ideal(self, sweet7):
-        from exfree.metrics import process_fidelity_qubit_subspace
-
         p = sweet7.with_dims((8, 6, 8))
-        chan = transfer_channel(p, tau_st(p))
-        fid, phi = process_fidelity_qubit_subspace(chan, require_tp=False)
+        raw, _ = transfer_choi(p, tau_st(p))
+        fid, phi = process_fidelity_qubit_subspace(process_matrix(raw))
         assert fid > 0.999
         # the swap imprints a pi phase per photon (a1 -> -a3)
         assert np.cos(phi) == pytest.approx(-1.0, abs=1e-2)
 
     def test_unoptimized_fidelity_sees_the_transfer_phase(self, sweet7):
         p = sweet7.with_dims((8, 6, 8))
-        pm = choi_from_channel(transfer_channel(p, tau_st(p)), require_tp=False)
-        assert process_fidelity(pm) < 0.1
+        raw, _ = transfer_choi(p, tau_st(p))
+        assert process_fidelity(process_matrix(raw)) < 0.1
 
     def test_conditioning_reduces_weight(self, params):
         t = 0.4 * tau_st(params)  # bus partly occupied mid-pulse
-        raw = transfer_channel(params, t)
-        cond = transfer_channel(params, t, condition_bus_vacuum=True)
-        half = 0.5 * np.eye(2, dtype=complex)
-        assert np.trace(cond(half)).real < np.trace(raw(half)).real
+        raw, cond = transfer_choi(params, t)
+        assert np.trace(cond).real < np.trace(raw).real
 
     def test_unknown_method(self, params):
         with pytest.raises(InvalidParameterError):
-            transfer_channel(params, 1.0, method="trotter")
+            transfer_choi(params, 1.0, method="trotter")
+
+    def test_matches_dense_expm_reference(self, params):
+        from scipy.linalg import expm
+
+        p = params.with_dims((3, 3, 3))
+        t = 0.4 * tau_st(p)  # bus partly occupied, so conditioning matters
+        dims = p.dims
+        U = expm(-1j * t * build_h_full(p).elements)
+        bus_vacuum = np.diag(
+            [1.0 if n2 == 0 else 0.0 for n1 in range(3) for n2 in range(3) for n3 in range(3)]
+        )
+        src = [dims.flat_index((0, 0, 0)), dims.flat_index((1, 0, 0))]
+        ref_raw = np.zeros((4, 4), dtype=complex)
+        ref_cond = np.zeros((4, 4), dtype=complex)
+        for i in range(2):
+            for j in range(2):
+                out = np.outer(U[:, src[i]], U[:, src[j]].conj())
+                for ref, m in ((ref_raw, out), (ref_cond, bus_vacuum @ out @ bus_vacuum)):
+                    ref[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = partial_trace(
+                        m, dims, keep=[2]
+                    )[:2, :2]
+        raw, cond = transfer_choi(p, t)
+        assert np.abs(raw - ref_raw).max() < 1e-10
+        assert np.abs(cond - ref_cond).max() < 1e-10
+        assert np.abs(cond - raw).max() > 1e-3
 
 
 class TestPurifiedQst:
@@ -124,6 +146,14 @@ class TestPurifiedQst:
     def test_invalid_level(self, sweet7):
         with pytest.raises(InvalidParameterError):
             run_purified_qst(sweet7, purification="extra")
+
+    def test_lindblad_without_dissipation_matches_exact(self, sweet7):
+        p = sweet7.with_dims((3, 2, 3))
+        exact = run_purified_qst(p).scalars
+        lindblad = run_purified_qst(p, method="lindblad", rtol=1e-8).scalars
+        assert exact.keys() == lindblad.keys()
+        for key, value in exact.items():
+            assert lindblad[key] == pytest.approx(value, abs=1e-6), key
 
 
 @pytest.fixture(scope="module")

@@ -122,7 +122,7 @@ class TestProcessMatrix:
     def test_phase_optimized_identity_with_phase(self):
         v = np.diag([1.0, np.exp(0.6j)])
         chan = lambda x: v @ x @ v.conj().T
-        fid, phi = process_fidelity_qubit_subspace(chan)
+        fid, phi = process_fidelity_qubit_subspace(choi_from_channel(chan))
         assert fid == pytest.approx(1.0, abs=1e-12)
         assert np.exp(1j * (phi + 0.6)) == pytest.approx(1.0, abs=1e-9)
 
