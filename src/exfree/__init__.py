@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .analytic import (
     CoeffSet,
-    TimingInfo,
     bs_reference_timing,
     g_eff,
     heisenberg_coeffs,
@@ -33,9 +32,7 @@ from .dynamics import (
     evolve_lindblad,
     evolve_trotter,
     evolve_unitary,
-    post_select,
     truncation_convergence_check,
-    vacuum_projector,
 )
 from .errors import (
     ConvergenceError,

@@ -121,23 +121,6 @@ def timing_ratio(params: SystemParams) -> float:
     return sqrt(2.0) * om / (params.delta / 2.0 - sqrt(2.0) * om)
 
 
-@dataclass(frozen=True)
-class TimingInfo:
-    omega: float
-    tau_st: float
-    tau_s2: float
-    ratio: float
-
-    @classmethod
-    def of(cls, params: SystemParams) -> "TimingInfo":
-        return cls(
-            omega=omega(params),
-            tau_st=tau_st(params),
-            tau_s2=tau_s2(params),
-            ratio=timing_ratio(params),
-        )
-
-
 def sweet_point_detuning(g: float, k: int) -> float:
     """Detuning where tau_ST = k * tau_S2, so the bus empties exactly at swap.
 

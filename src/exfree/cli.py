@@ -103,17 +103,25 @@ class RunConfig:
     options: dict[str, Any] = field(default_factory=dict)
 
 
+def _whole(value) -> int:
+    """An int or an integral float; anything else, booleans included, is a
+    ValueError rather than a silent truncation."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
+        raise ValueError(f"expected a whole number, got {value!r}")
+    return int(value)
+
+
 def _coerce_dims(value) -> tuple[int, int, int]:
-    if isinstance(value, str):
-        parts = value.split(",")
-    else:
-        parts = list(value)
-    if len(parts) != 3:
-        raise ConfigError(f"dims must have 3 entries, got {value!r}")
     try:
-        dims = tuple(int(p) for p in parts)
+        # the --dims override arrives as text, "N1,N2,N3"
+        parts = [int(p) for p in value.split(",")] if isinstance(value, str) else list(value)
+        dims = tuple(_whole(p) for p in parts)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid dims {value!r}") from exc
+    if len(dims) != 3:
+        raise ConfigError(f"dims must have 3 entries, got {value!r}")
     return dims
 
 
@@ -153,7 +161,7 @@ _OPTIONS = {
     "code_label": str,
     "loss_after_transfer": _flag,
     "wigner_extent": float,
-    "wigner_points": int,
+    "wigner_points": _whole,
     "budget": lambda v: {str(k): float(x) for k, x in dict(v).items()},
     "ablate_cavity": _flag,
     "delta_over_2pi_khz_values": lambda v: [float(x) for x in v],
@@ -161,9 +169,9 @@ _OPTIONS = {
     "delta0_over_2pi_khz": float,
     "delta_d_over_2pi_khz": lambda v: [float(x) for x in v],
     "noise_sigma": float,
-    "seed": int,
+    "seed": _whole,
     "t_max_us": float,
-    "n_points": int,
+    "n_points": _whole,
     "sweep_experiment": str,
 }
 
@@ -227,7 +235,7 @@ def _parse_mapping(raw: dict, experiment: Optional[str]) -> RunConfig:
         cfg.total_time = float(raw["total_time_us"])
         if cfg.total_time <= 0:
             raise ConfigError("total_time_us must be positive")
-    cfg.n_samples = int(raw.get("n_samples", 801))
+    cfg.n_samples = _whole(raw.get("n_samples", 801))
     if cfg.n_samples < 2:
         raise ConfigError("n_samples must be at least 2")
     if raw.get("trotter_dt_us") is not None:

@@ -4,14 +4,13 @@ The exact propagator diagonalizes H block by block.  A split-step trajectory
 builds its step matrix once and steps from one sample time to the next.  The
 Lindblad path integrates a sparse Liouvillian with RK45, restricted to the
 coherence sectors the initial matrix touches.  All propagators are
-deterministic; post-selection is computed exactly via projectors rather than
-by sampling.
+deterministic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -26,7 +25,6 @@ from .errors import (
 )
 from .fock import (
     DensityMatrix,
-    ModeDims,
     OperatorMatrix,
     StateVector,
     annihilation_op,
@@ -163,22 +161,17 @@ def evolve_lindblad(
     H: OperatorMatrix,
     collapse_ops: Sequence[OperatorMatrix],
     rho: DensityMatrix,
-    spec: EvolutionSpec,
+    times: Sequence[float],
+    rtol: float = 1e-8,
 ) -> list[DensityMatrix]:
-    """Master-equation evolution, sampled at spec.sample_times.
+    """Master-equation evolution, sampled at the sorted `times`.
 
     drho/dt = -i[H, rho] + sum_k (L rho L^dag - {L^dag L, rho}/2), integrated
     by `propagate_lindblad_matrix`.  Raises ConvergenceError if the
     integrator fails.
     """
-    mats = propagate_lindblad_matrix(
-        H, collapse_ops, rho.elements, spec.sample_times or (spec.total_time,), spec.rtol
-    )
-    out = []
-    for m in mats:
-        m = 0.5 * (m + m.conj().T)
-        out.append(DensityMatrix(m, rho.dims))
-    return out
+    mats = propagate_lindblad_matrix(H, collapse_ops, rho.elements, times, rtol)
+    return [DensityMatrix(0.5 * (m + m.conj().T), rho.dims) for m in mats]
 
 
 def _liouvillian(
@@ -247,30 +240,6 @@ def propagate_lindblad_matrix(
     return out
 
 
-def post_select(rho: DensityMatrix, projector: OperatorMatrix):
-    """Condition on a projective outcome: returns (rho | outcome, probability)."""
-    P = projector.elements
-    if np.linalg.norm(P @ P - P) > 1e-10 * max(1.0, np.linalg.norm(P)):
-        raise InvalidOperatorError("projector must be idempotent")
-    if np.linalg.norm(P - P.conj().T) > 1e-10 * max(1.0, np.linalg.norm(P)):
-        raise InvalidOperatorError("projector must be Hermitian")
-    conditioned = P @ rho.elements @ P
-    prob = float(np.trace(conditioned).real)
-    if prob <= 1e-12:
-        raise ImpossibleOutcomeError("post-selection outcome has zero probability")
-    conditioned = conditioned / prob
-    conditioned = 0.5 * (conditioned + conditioned.conj().T)
-    return DensityMatrix(conditioned, rho.dims), prob
-
-
-def vacuum_projector(dims, mode: int) -> OperatorMatrix:
-    """Projector onto |0> of one mode (identity on the rest)."""
-    dims = dims if isinstance(dims, ModeDims) else ModeDims(dims)
-    p = np.zeros((dims[mode], dims[mode]), dtype=complex)
-    p[0, 0] = 1.0
-    return embed_op(OperatorMatrix(p, ModeDims((dims[mode],))), mode, dims)
-
-
 def apply_jump(state, mode: int):
     """Apply single-photon loss a_mode and renormalize.
 
@@ -302,26 +271,6 @@ class TruncationReport:
     passed: bool
 
 
-def truncation_convergence(
-    h_builder: Callable[[ModeDims], OperatorMatrix],
-    state_builder: Callable[[ModeDims], StateVector],
-    dims,
-    t: float,
-    grow: int = 2,
-    tol: float = 1e-6,
-) -> TruncationReport:
-    """Repeat a unitary evolution with `grow` extra levels per mode and compare
-    per-mode populations at time t."""
-    dims = dims if isinstance(dims, ModeDims) else ModeDims(dims)
-    big = dims.grown(grow)
-    pops = []
-    for d in (dims, big):
-        psi = evolve_unitary(h_builder(d), state_builder(d), t)
-        pops.append(mode_populations(psi))
-    diff = float(np.max(np.abs(pops[0] - pops[1])))
-    return TruncationReport(tuple(dims), tuple(big), diff, diff < tol)
-
-
 def truncation_convergence_check(
     params: SystemParams,
     occupations: Sequence[int],
@@ -329,12 +278,13 @@ def truncation_convergence_check(
     grow: int = 2,
     tol: float = 1e-6,
 ) -> TruncationReport:
-    """Convergence check for the full three-mode Hamiltonian from a Fock start."""
-    return truncation_convergence(
-        lambda d: build_h_full(params.with_dims(d)),
-        lambda d: fock_state(d, occupations),
-        params.dims,
-        t,
-        grow=grow,
-        tol=tol,
-    )
+    """Repeat the exact evolution of the full three-mode Hamiltonian from a
+    Fock start with `grow` extra levels per mode and compare per-mode
+    populations at time t."""
+    big = params.dims.grown(grow)
+    pops = []
+    for d in (params.dims, big):
+        psi = evolve_unitary(build_h_full(params.with_dims(d)), fock_state(d, occupations), t)
+        pops.append(mode_populations(psi))
+    diff = float(np.max(np.abs(pops[0] - pops[1])))
+    return TruncationReport(tuple(params.dims), tuple(big), diff, diff < tol)

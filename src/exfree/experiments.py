@@ -99,14 +99,10 @@ def _evolve_trajectory(
     if spec.method == "trotter":
         return evolve_trotter(params, psi0, times, spec.trotter_dt)
     if spec.method == "lindblad":
-        run_spec = EvolutionSpec(
-            total_time=float(times[-1]),
-            method="lindblad",
-            rtol=spec.rtol,
-            sample_times=tuple(times),
-        )
+        a = psi0.amplitudes
+        rho0 = DensityMatrix(np.outer(a, a.conj()), psi0.dims)
         return evolve_lindblad(
-            build_h_full(params), collapse_operators(params), psi0.to_density(), run_spec
+            build_h_full(params), collapse_operators(params), rho0, times, spec.rtol
         )
     raise InvalidParameterError(f"unknown method {spec.method!r}")
 
@@ -287,28 +283,22 @@ def run_hom(
         analysis_time = 0.5 * t_swap
     times = _sample_grid(spec)
     dims = params.dims
-    psi0 = fock_state(dims, (1, 0, 1))
-    states = _evolve_trajectory(params, psi0, spec, times)
-    pops = np.array([mode_populations(s) for s in states])
-
-    def joint_probs(state):
-        rho = state.to_density() if isinstance(state, StateVector) else state
-        r13 = partial_trace(rho.elements, dims, keep=[0, 2])
-        diag = np.real(np.diag(r13)).reshape(dims[0], dims[2])
-        return diag
-
-    series = {"P11": [], "P20": [], "P02": []}
-    for s in states:
-        diag = joint_probs(s)
-        series["P11"].append(diag[1, 1])
-        series["P20"].append(diag[2, 0])
-        series["P02"].append(diag[0, 2])
-    series = {k: np.array(v) for k, v in series.items()}
+    # one propagation serves the sampled trajectory and the analysis time
+    all_times = np.union1d(times, [analysis_time])
+    states = _evolve_trajectory(params, fock_state(dims, (1, 0, 1)), spec, all_times)
+    sampled = np.searchsorted(all_times, times)
+    pops = np.array([mode_populations(states[k]) for k in sampled])
+    joint = np.real([np.diag(partial_trace(s, keep=[0, 2])) for s in states])
+    joint = joint.reshape(-1, dims[0], dims[2])
+    series = {
+        "P11": joint[sampled, 1, 1],
+        "P20": joint[sampled, 2, 0],
+        "P02": joint[sampled, 0, 2],
+    }
 
     # entanglement analysis at the requested time
-    state_a = _evolve_trajectory(params, psi0, spec, np.array([analysis_time]))[0]
-    rho_a = state_a.to_density() if isinstance(state_a, StateVector) else state_a
-    r13 = partial_trace(rho_a.elements, dims, keep=[0, 2])
+    k_a = int(np.searchsorted(all_times, analysis_time))
+    r13 = partial_trace(states[k_a], keep=[0, 2])
     dims13 = ModeDims((dims[0], dims[2]))
     rho13 = DensityMatrix(0.5 * (r13 + r13.conj().T), dims13)
 
@@ -321,7 +311,7 @@ def run_hom(
     neg = negativity(qubit_pair, (2, 2))
     table = pauli_table_02(rho13)
 
-    diag_a = joint_probs(rho_a)
+    diag_a = joint[k_a]
     scalars = {
         "analysis_time": float(analysis_time),
         "P11": float(diag_a[1, 1]),
@@ -376,14 +366,15 @@ def run_binomial_transfer(
 
     spec = EvolutionSpec(total_time=t, method=method, rtol=rtol)
     state = _evolve_trajectory(params, psi0, spec, np.array([t]))[-1]
-    rho = state.to_density() if isinstance(state, StateVector) else state
 
     scalars = {"transfer_time": t, "loss_applied": float(loss_after_transfer)}
+    dims3 = ModeDims((dims[2],))
+    rho3 = DensityMatrix(partial_trace(state, keep=[2]), dims3)
     if loss_after_transfer:
-        rho, _ = apply_jump(rho, 2)
-
-    r3 = partial_trace(rho.elements, dims, keep=[2])
-    rho3 = DensityMatrix(0.5 * (r3 + r3.conj().T), ModeDims((dims[2],)))
+        # exact on the reduced state: a3 acts only on the kept mode, so
+        # Tr_12[a3 rho a3^dag] = a3 Tr_12[rho] a3^dag
+        rho3, _ = apply_jump(rho3, 0)
+    rho3 = DensityMatrix(0.5 * (rho3.elements + rho3.elements.conj().T), dims3)
     target = binomial_code_state(label, dims[2])
 
     fid, phi = optimize_mode_phase(rho3, target)

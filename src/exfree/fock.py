@@ -7,7 +7,7 @@ n1*N2*N3 + n2*N3 + n3.  All other modules share this convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Sequence
 
@@ -248,17 +248,13 @@ def product_state(dims, single_mode_states: Sequence[np.ndarray]) -> StateVector
     return StateVector(joint, dims)
 
 
-def mode_populations(state, dims=None) -> np.ndarray:
+def mode_populations(state) -> np.ndarray:
     """Mean photon number of each mode for a StateVector or DensityMatrix."""
     if isinstance(state, StateVector):
-        dims = state.dims
         probs = np.abs(state.amplitudes) ** 2
-    elif isinstance(state, DensityMatrix):
-        dims = state.dims
-        probs = np.real(np.diag(state.elements))
     else:
-        probs = np.abs(np.asarray(state).ravel()) ** 2
-        dims = _as_dims(dims)
+        probs = np.real(np.diag(state.elements))
+    dims = state.dims
     occ = probs.reshape(tuple(dims))
     pops = []
     for k, n in enumerate(dims):
@@ -267,15 +263,23 @@ def mode_populations(state, dims=None) -> np.ndarray:
     return np.array(pops)
 
 
-def partial_trace(rho: np.ndarray, dims, keep: Sequence[int]) -> np.ndarray:
-    """Trace out all modes not in `keep`; returns a plain ndarray."""
-    dims = _as_dims(dims)
+def partial_trace(state, keep: Sequence[int]) -> np.ndarray:
+    """Reduced matrix of the modes in `keep` of a StateVector or
+    DensityMatrix; returns a plain ndarray.
+
+    A pure state is contracted from its amplitude tensor, so no full-space
+    density matrix is formed.
+    """
+    dims = state.dims
     keep = sorted(keep)
     nm = dims.n_modes
-    shaped = np.asarray(rho).reshape(tuple(dims) * 2)
     drop = [k for k in range(nm) if k not in keep]
+    d_keep = int(np.prod([dims[k] for k in keep])) if keep else 1
+    if isinstance(state, StateVector):
+        psi = state.amplitudes.reshape(tuple(dims))
+        return np.tensordot(psi, psi.conj(), axes=(drop, drop)).reshape(d_keep, d_keep)
+    shaped = state.elements.reshape(tuple(dims) * 2)
     for offset, k in enumerate(drop):
         ax = k - offset
         shaped = np.trace(shaped, axis1=ax, axis2=ax + (nm - offset))
-    d_keep = int(np.prod([dims[k] for k in keep])) if keep else 1
     return shaped.reshape(d_keep, d_keep)

@@ -114,8 +114,20 @@ class TestDispatch:
             {**BASE, "rtol": [1]},
             {**BASE, "experiment": "binomial", "wigner_points": "lots"},
             {**BASE, "experiment": "binomial", "loss_after_transfer": "no"},
+            {**BASE, "n_samples": 101.9},
+            {**BASE, "dims": [6.7, 5, 6]},
+            {**BASE, "experiment": "binomial", "wigner_points": 20.5},
         ],
-        ids=["n_samples", "g", "rtol", "wigner_points", "loss_after_transfer"],
+        ids=[
+            "n_samples",
+            "g",
+            "rtol",
+            "wigner_points",
+            "loss_after_transfer",
+            "fractional_n_samples",
+            "fractional_dims",
+            "fractional_wigner_points",
+        ],
     )
     def test_mistyped_value_exit_code(self, tmp_path, payload):
         cfg_path = write(tmp_path, "c.yaml", payload)

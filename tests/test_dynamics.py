@@ -10,10 +10,8 @@ from exfree.dynamics import (
     evolve_lindblad,
     evolve_trotter,
     evolve_unitary,
-    post_select,
     propagate_lindblad_matrix,
     truncation_convergence_check,
-    vacuum_projector,
 )
 from exfree.errors import (
     ImpossibleOutcomeError,
@@ -182,8 +180,7 @@ class TestLindblad:
         c = float(np.sqrt(1.0 / t1)) * annihilation_op(6)
         rho0 = fock_state(dims, (3,)).to_density()
         times = (5.0, 10.0, 20.0)
-        spec = EvolutionSpec(total_time=20.0, method="lindblad", sample_times=times)
-        out = evolve_lindblad(h, [c], rho0, spec)
+        out = evolve_lindblad(h, [c], rho0, times)
         for t, rho in zip(times, out):
             n_mean = float(np.real(np.trace(number_op(6).elements @ rho.elements)))
             assert n_mean == pytest.approx(3.0 * np.exp(-t / t1), rel=1e-5)
@@ -191,10 +188,9 @@ class TestLindblad:
     def test_trace_preserved_with_hamiltonian(self, params):
         p = SystemParams.from_khz(80, 80, 475, t1=(100.0, 80.0, 120.0))
         rho0 = fock_state(p.dims, (1, 0, 0)).to_density()
-        spec = EvolutionSpec(
-            total_time=3.0, method="lindblad", rtol=1e-7, sample_times=(1.5, 3.0)
+        out = evolve_lindblad(
+            build_h_full(p), collapse_operators(p), rho0, (1.5, 3.0), rtol=1e-7
         )
-        out = evolve_lindblad(build_h_full(p), collapse_operators(p), rho0, spec)
         for rho in out:
             assert np.trace(rho.elements).real == pytest.approx(1.0, abs=1e-6)
             assert rho.min_eigenvalue() > -1e-6
@@ -234,8 +230,7 @@ class TestLindblad:
 
     def test_reduces_to_unitary_without_collapse(self, params):
         psi = fock_state(params.dims, (1, 0, 0))
-        spec = EvolutionSpec(total_time=2.0, method="lindblad", sample_times=(2.0,))
-        rho = evolve_lindblad(build_h_full(params), [], psi.to_density(), spec)[-1]
+        rho = evolve_lindblad(build_h_full(params), [], psi.to_density(), (2.0,))[-1]
         expect = evolve_unitary(build_h_full(params), psi, 2.0).to_density()
         assert np.max(np.abs(rho.elements - expect.elements)) < 1e-6
 
@@ -258,29 +253,6 @@ def _dense_generator(H, c_ops):
 
 
 class TestConditioning:
-    def test_vacuum_projector_idempotent(self, params):
-        p = vacuum_projector(params.dims, 1).elements
-        assert np.allclose(p @ p, p)
-        assert np.trace(p).real == pytest.approx(36)
-
-    def test_post_select_certain_outcome(self, params):
-        rho = fock_state(params.dims, (1, 0, 0)).to_density()
-        out, prob = post_select(rho, vacuum_projector(params.dims, 1))
-        assert prob == pytest.approx(1.0)
-        assert np.allclose(out.elements, rho.elements)
-
-    def test_post_select_impossible_outcome(self, params):
-        rho = fock_state(params.dims, (0, 2, 0)).to_density()
-        with pytest.raises(ImpossibleOutcomeError):
-            post_select(rho, vacuum_projector(params.dims, 1))
-
-    def test_post_select_rejects_non_projector(self, params):
-        from exfree.fock import identity_op
-
-        with pytest.raises(InvalidOperatorError):
-            rho = fock_state(params.dims, (0, 0, 0)).to_density()
-            post_select(rho, 0.5 * identity_op(params.dims))
-
     def test_apply_jump_lowers_fock(self, params):
         psi = fock_state(params.dims, (0, 0, 3))
         out, weight = apply_jump(psi, 2)

@@ -4,6 +4,7 @@ import pytest
 from exfree.analytic import sweet_point_detuning, tau_st
 from exfree.dynamics import EvolutionSpec
 from exfree.errors import InvalidParameterError
+from exfree.fock import StateVector
 from exfree.experiments import (
     DEVICE_ERROR_BUDGET,
     combined_budget_fidelity,
@@ -17,7 +18,6 @@ from exfree.experiments import (
     run_single_photon_qst,
     transfer_choi,
 )
-from exfree.fock import partial_trace
 from exfree.metrics import process_fidelity, process_fidelity_qubit_subspace, process_matrix
 from exfree.model import SystemParams, build_h_full
 
@@ -118,9 +118,9 @@ class TestTransferChannel:
             for j in range(2):
                 out = np.outer(U[:, src[i]], U[:, src[j]].conj())
                 for ref, m in ((ref_raw, out), (ref_cond, bus_vacuum @ out @ bus_vacuum)):
-                    ref[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = partial_trace(
-                        m, dims, keep=[2]
-                    )[:2, :2]
+                    # S3 block: trace S1 and S2 out of the (3,3,3) x (3,3,3) tensor
+                    r3 = np.einsum("abcabd->cd", m.reshape((3,) * 6))
+                    ref[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = r3[:2, :2]
         raw, cond = transfer_choi(p, t)
         assert np.abs(raw - ref_raw).max() < 1e-10
         assert np.abs(cond - ref_cond).max() < 1e-10
@@ -156,6 +156,18 @@ class TestPurifiedQst:
             assert lindblad[key] == pytest.approx(value, abs=1e-6), key
 
 
+def _assert_scalars_match(exact, other, tol=1e-6):
+    """Scalars agree to tol; a phase only modulo pi, since F(phi) of a state
+    on even photon-number differences has period pi and either maximum may
+    be reported."""
+    assert exact.keys() == other.keys()
+    for key, value in exact.items():
+        diff = other[key] - value
+        if key == "phase":
+            diff = (diff + np.pi / 2) % np.pi - np.pi / 2
+        assert abs(diff) < tol, key
+
+
 @pytest.fixture(scope="module")
 def hom_result():
     p = SystemParams.from_khz(80, 80, 775)
@@ -184,6 +196,40 @@ class TestHom:
         assert set(hom_result.series) >= {"P11", "P20", "P02"}
         assert hom_result.series["P11"].shape == hom_result.times.shape
 
+    def test_lindblad_without_dissipation_matches_exact(self):
+        p = SystemParams.from_khz(80, 80, 775, dims=(3, 3, 3))
+        total = 2.0 * tau_st(p)
+        times = tuple(np.linspace(0.0, total, 11))
+        t_a = 0.37 * tau_st(p)  # off the sample grid
+        exact = run_hom(p, EvolutionSpec(total_time=total, sample_times=times), t_a)
+        lindblad = run_hom(
+            p,
+            EvolutionSpec(total_time=total, method="lindblad", rtol=1e-8, sample_times=times),
+            t_a,
+        )
+        _assert_scalars_match(exact.scalars, lindblad.scalars)
+        for key, value in exact.series.items():
+            assert np.abs(lindblad.series[key] - value).max() < 1e-6, key
+        assert np.abs(lindblad.populations - exact.populations).max() < 1e-6
+
+
+def test_runners_never_form_a_full_space_density(monkeypatch, sweet7):
+    def refuse(self):
+        raise AssertionError("full-space density formed from a pure state")
+
+    monkeypatch.setattr(StateVector, "to_density", refuse)
+    p = sweet7.with_dims((5, 3, 5))
+    total = tau_st(p)
+    times = tuple(np.linspace(0.0, total, 5))
+    run_hom(p, EvolutionSpec(total_time=total, sample_times=times))
+    run_hom(
+        p,
+        EvolutionSpec(
+            total_time=total, method="trotter", trotter_dt=total / 40, sample_times=times
+        ),
+    )
+    run_binomial_transfer(p, label="+iL", loss_after_transfer=True)
+
 
 class TestBinomialTransfer:
     def test_codeword_arrives(self, sweet7):
@@ -198,6 +244,13 @@ class TestBinomialTransfer:
         res = run_binomial_transfer(p, label="+iL", loss_after_transfer=True)
         assert res.scalars["p_even"] < 0.05
         assert res.scalars["fidelity_odd_error"] > 0.99
+
+    def test_lindblad_without_dissipation_matches_exact(self, sweet7):
+        p = sweet7.with_dims((5, 3, 5))
+        kw = {"label": "+iL", "loss_after_transfer": True}
+        exact = run_binomial_transfer(p, **kw).scalars
+        lindblad = run_binomial_transfer(p, method="lindblad", rtol=1e-8, **kw).scalars
+        _assert_scalars_match(exact, lindblad)
 
     def test_wigner_map_emitted(self, sweet7):
         res = run_binomial_transfer(

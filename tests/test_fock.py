@@ -149,7 +149,7 @@ class TestReductions:
 
     def test_partial_trace_pure_product(self):
         psi = fock_state(DIMS, (1, 0, 2))
-        r13 = partial_trace(psi.to_density().elements, DIMS, keep=[0, 2])
+        r13 = partial_trace(psi, keep=[0, 2])
         expect = fock_state(ModeDims((6, 6)), (1, 2)).to_density().elements
         assert np.allclose(r13, expect)
 
@@ -157,7 +157,7 @@ class TestReductions:
         v = np.zeros(180, dtype=complex)
         v[DIMS.flat_index((1, 0, 0))] = 1 / np.sqrt(2)
         v[DIMS.flat_index((0, 0, 1))] = 1 / np.sqrt(2)
-        r1 = partial_trace(StateVector(v, DIMS).to_density().elements, DIMS, keep=[0])
+        r1 = partial_trace(StateVector(v, DIMS), keep=[0])
         assert np.trace(r1).real == pytest.approx(1.0)
         assert np.trace(r1 @ r1).real == pytest.approx(0.5)
 
@@ -168,8 +168,13 @@ class TestReductions:
         dims = ModeDims((3, 2, 3))
         m = rng.normal(size=(18, 18)) + 1j * rng.normal(size=(18, 18))
         rho = m @ m.conj().T
-        rho /= np.trace(rho)
+        rho = DensityMatrix(rho / np.trace(rho), dims)
+        v = rng.normal(size=18) + 1j * rng.normal(size=18)
+        psi = StateVector(v / np.linalg.norm(v), dims)
         for keep in ([0], [1], [2], [0, 2], [0, 1]):
-            red = partial_trace(rho, dims, keep=keep)
+            red = partial_trace(rho, keep=keep)
             assert np.trace(red).real == pytest.approx(1.0)
             assert np.allclose(red, red.conj().T)
+            # a pure state reduces from its amplitudes as its density matrix does
+            pure = partial_trace(psi, keep=keep)
+            assert np.abs(pure - partial_trace(psi.to_density(), keep=keep)).max() < 1e-12
