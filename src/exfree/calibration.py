@@ -8,8 +8,8 @@ initializations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import cosh, pi, sqrt
+from dataclasses import dataclass
+from math import pi
 
 import numpy as np
 from scipy.optimize import least_squares

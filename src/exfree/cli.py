@@ -336,12 +336,10 @@ def run_experiment(cfg: RunConfig) -> ProtocolResult:
         return run_binomial_transfer(
             cfg.params,
             label=cfg.options.get("code_label", "0L"),
-            t=cfg.total_time,
-            method=cfg.method,
+            spec=_spec_for(cfg, tau_st(cfg.params)),
             loss_after_transfer=cfg.options.get("loss_after_transfer", False),
             wigner_extent=cfg.options.get("wigner_extent"),
             wigner_points=cfg.options.get("wigner_points", 41),
-            rtol=cfg.rtol,
         )
     if cfg.experiment == "budget":
         return error_budget_report(

@@ -170,7 +170,7 @@ def evolve_lindblad(
     by `propagate_lindblad_matrix`.  Raises ConvergenceError if the
     integrator fails.
     """
-    mats = propagate_lindblad_matrix(H, collapse_ops, rho.elements, times, rtol)
+    mats = propagate_lindblad_matrix(H, collapse_ops, [rho.elements], times, rtol)[0]
     return [DensityMatrix(0.5 * (m + m.conj().T), rho.dims) for m in mats]
 
 
@@ -194,49 +194,51 @@ def _liouvillian(
 def propagate_lindblad_matrix(
     H: OperatorMatrix,
     collapse_ops: Sequence[OperatorMatrix],
-    rho0: np.ndarray,
+    rho0s: Sequence[np.ndarray],
     times: Sequence[float],
     rtol: float = 1e-8,
-) -> list[np.ndarray]:
-    """Linear Lindblad propagation of an arbitrary (not necessarily Hermitian)
-    matrix; used both for states and for channel basis elements.
+) -> list[list[np.ndarray]]:
+    """Linear Lindblad propagation of arbitrary (not necessarily Hermitian)
+    matrices, used both for states and for channel basis elements; returns
+    one list of matrices at `times` per initial matrix in `rho0s`.
 
-    Only the connected components of the Liouvillian's nonzero pattern that
-    touch the support of rho0 are integrated; every other entry stays zero.
-    With collapse operators a, a^dag and n these are the coherence sectors
-    of the charge Q, so a channel matrix unit moves in one sector.  The block
-    is integrated with adaptive RK45 (atol = rtol * 1e-2) and scattered back.
+    The Liouvillian and the connected components of its nonzero pattern are
+    built once.  Only the components that touch the support of an initial
+    matrix are integrated; every other entry stays zero.  With collapse
+    operators a, a^dag and n these are the coherence sectors of the charge
+    Q, so a channel matrix unit moves in one sector.  Each block is
+    integrated with adaptive RK45 (atol = rtol * 1e-2) and scattered back.
     """
     if not H.is_hermitian(tol=1e-10):
         raise InvalidOperatorError("Hamiltonian must be Hermitian")
     if rtol <= 0:
         raise InvalidParameterError("integrator tolerance must be positive")
     d = H.dims.total
-    rho0 = np.asarray(rho0, dtype=complex)
+    rho0s = [np.asarray(rho0, dtype=complex) for rho0 in rho0s]
     times = [float(t) for t in times]
     t_end = max(times)
     if t_end == 0.0:
-        return [rho0.copy() for _ in times]
+        return [[rho0.copy() for _ in times] for rho0 in rho0s]
     gen = _liouvillian(H, collapse_ops)
     _, labels = connected_components(gen != 0, directed=False)
-    keep = np.flatnonzero(np.isin(labels, labels[np.flatnonzero(rho0)]))
-    block = gen[keep][:, keep]
-    sol = solve_ivp(
-        lambda _t, y: block @ y,
-        (0.0, t_end),
-        rho0.ravel()[keep],
-        t_eval=times,
-        rtol=rtol,
-        atol=rtol * 1e-2,
-        method="RK45",
-    )
-    if not sol.success:
-        raise ConvergenceError(f"Lindblad integrator failed: {sol.message}")
     out = []
-    for k in range(sol.y.shape[1]):
-        full = np.zeros(d * d, dtype=complex)
-        full[keep] = sol.y[:, k]
-        out.append(full.reshape(d, d))
+    for rho0 in rho0s:
+        keep = np.flatnonzero(np.isin(labels, labels[np.flatnonzero(rho0)]))
+        block = gen[keep][:, keep]
+        sol = solve_ivp(
+            lambda _t, y: block @ y,
+            (0.0, t_end),
+            rho0.ravel()[keep],
+            t_eval=times,
+            rtol=rtol,
+            atol=rtol * 1e-2,
+            method="RK45",
+        )
+        if not sol.success:
+            raise ConvergenceError(f"Lindblad integrator failed: {sol.message}")
+        full = np.zeros((len(times), d * d), dtype=complex)
+        full[:, keep] = sol.y.T
+        out.append(list(full.reshape(-1, d, d)))
     return out
 
 

@@ -8,7 +8,7 @@ merit in a `ProtocolResult`.  All runners are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import exp, pi, sqrt
+from math import exp, sqrt
 from typing import Optional, Sequence
 
 import numpy as np
@@ -50,7 +50,6 @@ from .metrics import (
 )
 from .model import (
     SystemParams,
-    build_h_bs_reference,
     build_h_full,
     collapse_operators,
     is_oscillatory,
@@ -191,15 +190,15 @@ def transfer_choi(
     inputs = [fock_state(dims, (i, 0, 0)) for i in range(2)]
     if method == "exact-unitary":
         prop = UnitaryPropagator(H)
-        out = [prop.apply(psi, t).amplitudes for psi in inputs]
-        units = [[np.outer(a, b.conj()) for b in out] for a in out]
-    else:
+        inputs = [prop.apply(psi, t) for psi in inputs]
+    a, b = (psi.amplitudes for psi in inputs)
+    u00, u01, u11 = (np.outer(x, y.conj()) for x, y in ((a, a), (a, b), (b, b)))
+    if method == "lindblad":
         c_ops = collapse_operators(params)
-        vecs = [psi.amplitudes for psi in inputs]
-        units = [
-            [propagate_lindblad_matrix(H, c_ops, np.outer(a, b), (t,), rtol=rtol)[0] for b in vecs]
-            for a in vecs
-        ]
+        mats = propagate_lindblad_matrix(H, c_ops, [u00, u01, u11], (t,), rtol)
+        u00, u01, u11 = (m[0] for m in mats)
+    # both maps commute with Hermitian conjugation: unit (1,0) is (0,1)^dag
+    units = [[u00, u01], [u01.conj().T, u11]]
     # axes (i, j, n1, n2, n3, n1', n2', n3'), output restricted to n3, n3' < 2
     full = np.array(units).reshape((2, 2) + tuple(dims) * 2)[..., :2, :, :, :2]
     raw = np.einsum("ijabkabl->ikjl", full).reshape(4, 4)
@@ -340,22 +339,22 @@ _LOSS_PARTNER = {"0L": "0E", "+iL": "+iE"}
 def run_binomial_transfer(
     params: SystemParams,
     label: str = "0L",
-    t: Optional[float] = None,
-    method: str = "exact-unitary",
+    spec: Optional[EvolutionSpec] = None,
     loss_after_transfer: bool = False,
     wigner_extent: Optional[float] = None,
     wigner_points: int = 41,
-    rtol: float = 1e-8,
 ) -> ProtocolResult:
     """Transfer of a binomial codeword with parity-based error detection.
 
-    Evolves |label> x |0> x |0> for one swap time, reduces to the target
-    mode, and splits by photon-number parity: the even branch should match
-    the codeword and — after a photon loss — the odd branch should match the
-    corresponding error state.  Fidelities are phase-optimized.
+    Evolves |label> x |0> x |0> under `spec` (default: exact, one swap
+    time), reduces to the target mode, and splits by photon-number parity:
+    the even branch should match the codeword and — after a photon loss —
+    the odd branch should match the corresponding error state.  Fidelities
+    are phase-optimized.
     """
-    if t is None:
-        t = tau_st(params)
+    if spec is None:
+        spec = EvolutionSpec(total_time=tau_st(params))
+    t = spec.total_time
     dims = params.dims
     code = binomial_code_state(label, dims[0])
     vac1 = np.zeros(dims[1])
@@ -363,8 +362,6 @@ def run_binomial_transfer(
     vac2 = np.zeros(dims[2])
     vac2[0] = 1.0
     psi0 = product_state(dims, [code.amplitudes, vac1, vac2])
-
-    spec = EvolutionSpec(total_time=t, method=method, rtol=rtol)
     state = _evolve_trajectory(params, psi0, spec, np.array([t]))[-1]
 
     scalars = {"transfer_time": t, "loss_applied": float(loss_after_transfer)}

@@ -25,7 +25,10 @@ class ModeDims:
     dims: tuple[int, ...]
 
     def __init__(self, dims: Iterable[int]):
-        dims = tuple(int(n) for n in dims)
+        given = tuple(dims)
+        dims = tuple(int(n) for n in given)
+        if dims != given:
+            raise DimensionError(f"mode sizes must be whole numbers, got {given}")
         if not dims:
             raise DimensionError("need at least one mode")
         if any(n < 2 for n in dims):

@@ -8,7 +8,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.linalg import sqrtm
-from scipy.optimize import minimize_scalar
 from scipy.special import eval_genlaguerre, gammaln
 
 from .errors import DimensionError, InvalidOperatorError, InvalidParameterError
@@ -53,9 +52,33 @@ def state_fidelity(a, b) -> float:
     return float(np.real(np.trace(inner)) ** 2)
 
 
-def optimize_mode_phase(
-    state, target, mode: Optional[int] = None, n_grid: int = 720
-) -> tuple[float, float]:
+def _best_phase(ks, coeffs) -> tuple[float, float]:
+    """Exact global maximum (F, phi) of F(phi) = Re sum_k c_k e^{i k phi}.
+
+    With m the gcd of the k whose c_k is exactly nonzero (the zeros come from
+    the target's support), F depends on phi only through w = e^{i m phi}.  F
+    is evaluated at phi = 0 and at the roots of sum_j j d_j w^(j+J), found by
+    `np.roots`, with j = k/m, J = max |j| and d_j = c_j + conj(c_-j): the
+    unit-circle roots are its stationary points.  phi lies in (-pi/m, pi/m].
+    """
+    c = np.asarray(coeffs, dtype=complex)
+    ks, c = np.asarray(ks)[c != 0], c[c != 0]
+    if not np.any(ks):
+        return float(c.sum().real), 0.0
+    m = int(np.gcd.reduce(np.abs(ks)))
+    J = int(np.abs(ks).max()) // m
+    d = np.zeros(2 * J + 1, dtype=complex)
+    np.add.at(d, J + ks // m, c)
+    d = d + d[::-1].conj()
+    angles = np.angle(np.roots((np.arange(-J, J + 1) * d)[::-1]))
+    angles[angles == -np.pi] = np.pi  # arctan2 gives -pi for a -0.0 imaginary part
+    phis = np.concatenate(([0.0], angles / m))
+    f = (np.exp(1j * np.outer(phis, ks)) @ c).real
+    best = int(np.argmax(f))
+    return float(f[best]), float(phis[best])
+
+
+def optimize_mode_phase(state, target, mode: Optional[int] = None) -> tuple[float, float]:
     """Maximize fidelity over a deterministic phase rotation exp(i*phi*n).
 
     `mode` selects which mode of `state` the rotation acts on (None for a
@@ -72,25 +95,12 @@ def optimize_mode_phase(
     tgt = _as_matrix(target)
 
     # F(phi) = sum_ij e^{i phi (n_i - n_j)} rho_ij tgt_ji is a short Fourier
-    # series in phi; collect its coefficients once and maximize cheaply.
+    # series in phi with one coefficient per photon-number difference
     occ = np.indices(tuple(dims))[mode].ravel()
     g = rho * tgt.T
     diffs = occ[:, None] - occ[None, :]
-    coeffs = {}
-    for delta in range(-(dims[mode] - 1), dims[mode]):
-        s = complex(g[diffs == delta].sum())
-        if s != 0:
-            coeffs[delta] = s
-
-    def neg_fid(phi):
-        return -float(np.real(sum(c * np.exp(1j * phi * d) for d, c in coeffs.items())))
-
-    grid = np.linspace(0.0, 2.0 * np.pi, n_grid, endpoint=False)
-    coarse = float(grid[np.argmin([neg_fid(p) for p in grid])])
-    span = 2.0 * np.pi / n_grid
-    res = minimize_scalar(neg_fid, bounds=(coarse - span, coarse + span), method="bounded")
-    phi = float(res.x)
-    return -float(res.fun), phi
+    ks = np.arange(-(dims[mode] - 1), dims[mode])
+    return _best_phase(ks, [g[diffs == k].sum() for k in ks])
 
 
 @dataclass(frozen=True)
@@ -171,28 +181,16 @@ def process_fidelity(actual: ProcessMatrix, ideal: Optional[np.ndarray] = None) 
     return float(np.real(np.trace(ideal_m @ actual.choi)))
 
 
-def process_fidelity_qubit_subspace(
-    pm: ProcessMatrix, optimize_phase: bool = True
-) -> tuple[float, float]:
-    """Process fidelity of a qubit-subspace channel to the identity.
+def process_fidelity_qubit_subspace(pm: ProcessMatrix) -> tuple[float, float]:
+    """Process fidelity of a qubit-subspace channel to the identity, maximized
+    over a deterministic output phase diag(1, e^{i phi}).
 
-    Optionally optimizes a single deterministic output phase diag(1, e^{i phi});
-    F(phi) is exactly sinusoidal so three evaluations fix the maximum.
-    Returns (fidelity, optimal_phase).  The rotation acts on the stored Choi
-    matrix.
+    With v = diag(1, e^{i phi}, 1, e^{i phi}) acting on the stored Choi
+    matrix C, Tr(IDEAL v C v^dag) = (C00 + C33 + C03 e^{-i phi} + C30 e^{i phi})/2,
+    maximized exactly by `_best_phase`.  Returns (fidelity, optimal_phase).
     """
-
-    def fid_at(phi):
-        v = np.kron(np.eye(2), np.diag([1.0, np.exp(1j * phi)]))
-        return float(np.real(np.trace(IDEAL_CHOI @ v @ pm.choi @ v.conj().T)))
-
-    if not optimize_phase:
-        return fid_at(0.0), 0.0
-    f0, f1, f2 = fid_at(0.0), fid_at(np.pi / 2.0), fid_at(np.pi)
-    a = 0.5 * (f0 + f2)
-    b, c = f0 - a, f1 - a
-    phi = float(np.arctan2(c, b))
-    return a + float(np.hypot(b, c)), phi
+    c = pm.choi
+    return _best_phase((-1, 0, 1), (0.5 * c[0, 3], 0.5 * (c[0, 0] + c[3, 3]), 0.5 * c[3, 0]))
 
 
 def depolarizing_budget(infidelities: Sequence[float]) -> float:

@@ -244,7 +244,8 @@ def test_criterion_08_binomial_code():
     noisy = with_cavity_decoherence(
         SystemParams(g1=G, g2=G, delta=delta, dims=ModeDims((6, 5, 6)))
     )
-    dec = run_binomial_transfer(noisy, label="0L", method="lindblad", rtol=1e-6).scalars
+    spec = EvolutionSpec(total_time=tau_st(noisy), method="lindblad", rtol=1e-6)
+    dec = run_binomial_transfer(noisy, label="0L", spec=spec).scalars
     ordering = dec["fidelity_even"] > dec["fidelity_received"]
     passed = all(f >= 0.99 for f in fids.values()) and ordering
     report(

@@ -161,6 +161,22 @@ class TestDispatch:
         )
         assert manifest["config"]["dims"] == [6, 5, 6]  # echo of the file, not override
 
+    def test_binomial_runs_trotter(self, tmp_path):
+        payload = {
+            "experiment": "binomial",
+            "g_over_2pi_khz": 80,
+            "delta_over_2pi_khz": 467.39,
+            "dims": [7, 5, 7],
+            "code_label": "0L",
+            "method": "trotter",
+            "trotter_dt_us": 0.01,
+        }
+        cfg_path = write(tmp_path, "c.yaml", payload)
+        res = CliRunner().invoke(
+            main, ["binomial", "--config", cfg_path, "--out", str(tmp_path / "runs")]
+        )
+        assert res.exit_code == EXIT_OK, res.output
+
     def test_budget_runs_without_params(self, tmp_path):
         cfg_path = write(tmp_path, "c.yaml", {"experiment": "budget", "label": "t"})
         res = CliRunner().invoke(

@@ -217,7 +217,7 @@ class TestLindblad:
             vec[dims.flat_index(occ)] = 1.0 / np.sqrt(3.0)
         rho0 = np.outer(vec, vec.conj())
         times = (0.0, 1.3, 4.0)
-        out = propagate_lindblad_matrix(H, c_ops, rho0, times, rtol=1e-8)
+        out = propagate_lindblad_matrix(H, c_ops, [rho0], times, rtol=1e-8)[0]
         gen = _dense_generator(H.elements, [c.elements for c in c_ops])
         for t, rho in zip(times, out):
             ref = (expm(gen * t) @ rho0.ravel()).reshape(rho0.shape)
@@ -226,7 +226,7 @@ class TestLindblad:
     def test_rejects_nonpositive_rtol(self, params):
         rho0 = fock_state(params.dims, (1, 0, 0)).to_density().elements
         with pytest.raises(InvalidParameterError):
-            propagate_lindblad_matrix(build_h_full(params), [], rho0, (1.0,), rtol=0.0)
+            propagate_lindblad_matrix(build_h_full(params), [], [rho0], (1.0,), rtol=0.0)
 
     def test_reduces_to_unitary_without_collapse(self, params):
         psi = fock_state(params.dims, (1, 0, 0))

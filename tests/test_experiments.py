@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from exfree import dynamics
 from exfree.analytic import sweet_point_detuning, tau_st
 from exfree.dynamics import EvolutionSpec
 from exfree.errors import InvalidParameterError
@@ -19,7 +20,7 @@ from exfree.experiments import (
     transfer_choi,
 )
 from exfree.metrics import process_fidelity, process_fidelity_qubit_subspace, process_matrix
-from exfree.model import SystemParams, build_h_full
+from exfree.model import SystemParams, build_h_full, with_cavity_decoherence
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +101,17 @@ class TestTransferChannel:
     def test_unknown_method(self, params):
         with pytest.raises(InvalidParameterError):
             transfer_choi(params, 1.0, method="trotter")
+
+    def test_lindblad_builds_one_liouvillian(self, params, monkeypatch):
+        build = dynamics._liouvillian
+        calls = []
+        monkeypatch.setattr(
+            dynamics, "_liouvillian", lambda *args: calls.append(args) or build(*args)
+        )
+        p = with_cavity_decoherence(params.with_dims((4, 3, 4)))
+        raw, _ = transfer_choi(p, 0.4 * tau_st(p), method="lindblad", rtol=1e-6)
+        assert len(calls) == 1
+        assert np.abs(raw[2:, :2] - raw[:2, 2:].conj().T).max() < 1e-14
 
     def test_matches_dense_expm_reference(self, params):
         from scipy.linalg import expm
@@ -249,8 +261,19 @@ class TestBinomialTransfer:
         p = sweet7.with_dims((5, 3, 5))
         kw = {"label": "+iL", "loss_after_transfer": True}
         exact = run_binomial_transfer(p, **kw).scalars
-        lindblad = run_binomial_transfer(p, method="lindblad", rtol=1e-8, **kw).scalars
+        spec = EvolutionSpec(total_time=tau_st(p), method="lindblad", rtol=1e-8)
+        lindblad = run_binomial_transfer(p, spec=spec, **kw).scalars
         _assert_scalars_match(exact, lindblad)
+
+    def test_trotter_converges_to_exact(self, sweet7):
+        p = sweet7.with_dims((8, 6, 8))
+        t = tau_st(p)
+        exact = run_binomial_transfer(p, label="0L").scalars
+        spec = EvolutionSpec(total_time=t, method="trotter", trotter_dt=t / 1000)
+        trotter = run_binomial_transfer(p, label="0L", spec=spec).scalars
+        assert trotter["fidelity_received"] == pytest.approx(
+            exact["fidelity_received"], abs=5e-3
+        )
 
     def test_wigner_map_emitted(self, sweet7):
         res = run_binomial_transfer(

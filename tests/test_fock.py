@@ -44,10 +44,14 @@ class TestModeDims:
     def test_grown(self):
         assert tuple(DIMS.grown(2)) == (8, 7, 8)
 
-    @pytest.mark.parametrize("bad", [(), (1,), (0, 3), (3, -1)])
+    @pytest.mark.parametrize("bad", [(), (1,), (0, 3), (3, -1), (6.7, 5, 6)])
     def test_rejects_degenerate(self, bad):
         with pytest.raises((DimensionError, InvalidParameterError)):
             ModeDims(bad)
+
+    def test_accepts_whole_numbers(self):
+        dims = ModeDims((6.0, np.int64(5), 6)).dims
+        assert dims == (6, 5, 6) and all(type(n) is int for n in dims)
 
     @given(
         st.tuples(

@@ -10,6 +10,7 @@ from exfree.metrics import (
     IDEAL_CHOI,
     PAULI_PAIRS,
     ProcessMatrix,
+    _best_phase,
     choi_from_channel,
     depolarizing_budget,
     negativity,
@@ -81,7 +82,7 @@ class TestPhaseOptimization:
         )
         fid, phi = optimize_mode_phase(rotated, psi)
         assert fid == pytest.approx(1.0, abs=1e-10)
-        assert np.exp(1j * (phi + phi_true)) == pytest.approx(1.0, abs=1e-5)
+        assert np.exp(1j * (phi + phi_true)) == pytest.approx(1.0, abs=1e-12)
 
     def test_multi_mode_needs_mode_index(self):
         psi = fock_state(ModeDims((3, 3)), (1, 0))
@@ -92,6 +93,40 @@ class TestPhaseOptimization:
         dims = ModeDims((4,))
         fid, _ = optimize_mode_phase(fock_state(dims, (1,)), fock_state(dims, (2,)))
         assert fid == pytest.approx(0.0, abs=1e-12)
+
+    def test_maximizer_edge_cases(self):
+        # maximum at e^{2i phi} = -1, with the root just below the real axis
+        c = -np.exp(-1e-16j)
+        assert _best_phase((-2, 0, 2), (np.conj(c), 0.5, c)) == (2.5, np.pi / 2)
+        # F = 0.3 for every phi: the stationarity polynomial vanishes
+        assert _best_phase((-1, 0, 1), (1j, 0.3, 1j)) == (0.3, 0.0)
+        assert _best_phase((-1, 0, 1), (0.0, 0.3, 0.0)) == (0.3, 0.0)
+        # only the real part counts: Re(i e^{i phi}) = -sin(phi), with no c_-1
+        assert _best_phase((1,), (1j,)) == pytest.approx((1.0, -np.pi / 2), abs=1e-15)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 12), st.integers(0, 10_000))
+    def test_global_maximum_over_a_fine_grid(self, n, seed):
+        rng = np.random.default_rng(seed)
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        rho = m @ m.conj().T
+        rho /= np.trace(rho)
+        psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+        psi[rng.random(n) < 0.4] = 0.0  # sparse targets leave structural zeros
+        psi[0] += 1.0
+        psi /= np.linalg.norm(psi)
+        occ = np.arange(n)
+
+        def fourier_sum(phi):
+            # <psi| R rho R^dag |psi> with R = exp(i phi n)
+            v = np.exp(1j * np.multiply.outer(phi, occ)) * psi.conj()
+            return np.real(np.einsum("...i,ij,...j->...", v, rho, v.conj()))
+
+        fid, phi = optimize_mode_phase(rho, np.outer(psi, psi.conj()))
+        grid = np.linspace(-np.pi, np.pi, 4096, endpoint=False)
+        assert fid >= fourier_sum(grid).max() - 1e-12
+        assert fourier_sum(phi) == pytest.approx(fid, abs=1e-12)
+        assert -np.pi < phi <= np.pi
 
 
 class TestProcessMatrix:
@@ -124,7 +159,27 @@ class TestProcessMatrix:
         chan = lambda x: v @ x @ v.conj().T
         fid, phi = process_fidelity_qubit_subspace(choi_from_channel(chan))
         assert fid == pytest.approx(1.0, abs=1e-12)
-        assert np.exp(1j * (phi + 0.6)) == pytest.approx(1.0, abs=1e-9)
+        assert np.exp(1j * (phi + 0.6)) == pytest.approx(1.0, abs=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_process_phase_is_global_maximum(self, seed):
+        rng = np.random.default_rng(seed)
+        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        choi = m @ m.conj().T
+        pm = ProcessMatrix(choi / np.trace(choi))
+
+        def fid_at(phi):
+            # Tr(IDEAL v C v^dag) with v = diag(1, e^{i phi}, 1, e^{i phi})
+            v = np.exp(1j * np.multiply.outer(phi, [0, 1, 0, 1]))
+            rotated = v[..., :, None] * pm.choi * v[..., None, :].conj()
+            return np.real(np.einsum("ij,...ji->...", IDEAL_CHOI, rotated))
+
+        fid, phi = process_fidelity_qubit_subspace(pm)
+        grid = np.linspace(-np.pi, np.pi, 4096, endpoint=False)
+        assert fid >= fid_at(grid).max() - 1e-12
+        assert fid_at(phi) == pytest.approx(fid, abs=1e-12)
+        assert -np.pi < phi <= np.pi
 
     def test_ideal_choi_is_projector(self):
         assert np.allclose(IDEAL_CHOI @ IDEAL_CHOI, IDEAL_CHOI)
