@@ -8,7 +8,7 @@ initializations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import pi
 
 import numpy as np
@@ -37,7 +37,7 @@ def _multistart_lm(residual_fn, inits, names) -> FitResult:
     for x0 in inits:
         try:
             res = least_squares(residual_fn, np.asarray(x0, dtype=float), method="lm")
-        except Exception:
+        except ValueError:  # non-finite residuals at this start
             continue
         if best is None or res.cost < best.cost:
             best = res
@@ -101,21 +101,10 @@ def fit_tms_strength(t, p0) -> FitResult:
     inits = [(p0.max() - p0.min(), p0.min(), g) for g in g_guesses]
     fit = _multistart_lm(residual, inits, ("a", "b", "g"))
     if fit.converged and abs(fit.estimates.get("g", 0.0)) * t_span < 1e-6:
-        fit = FitResult(
-            fit.estimates,
-            fit.uncertainties,
-            fit.residual_norm,
-            fit.iterations,
-            False,
-            fit.flags + ("degenerate-data",),
-        )
+        fit = replace(fit, converged=False, flags=fit.flags + ("degenerate-data",))
     # sign ambiguity: cosh is even in g
     if fit.estimates.get("g", 0.0) < 0:
-        est = dict(fit.estimates)
-        est["g"] = -est["g"]
-        fit = FitResult(
-            est, fit.uncertainties, fit.residual_norm, fit.iterations, fit.converged, fit.flags
-        )
+        fit = replace(fit, estimates={**fit.estimates, "g": -fit.estimates["g"]})
     return fit
 
 
@@ -209,6 +198,4 @@ def fit_damped_oscillation(t, values) -> FitResult:
     if any(est.get(k, 0.0) > UNBOUNDED_SCALE * span for k in ("tau1", "tau_phi")):
         if "unbounded-parameter" not in flags:
             flags = flags + ("unbounded-parameter",)
-    return FitResult(
-        est, fit.uncertainties, fit.residual_norm, fit.iterations, fit.converged, flags
-    )
+    return replace(fit, estimates=est, flags=flags)

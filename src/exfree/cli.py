@@ -176,15 +176,27 @@ _OPTIONS = {
 }
 
 
+#: Keys `_parse_mapping` reads itself; with `_OPTIONS` the whole vocabulary.
+_KEYS = {
+    "experiment", "label", "out_dir", "method", "g_over_2pi_khz", "g1_over_2pi_khz",
+    "g2_over_2pi_khz", "delta_over_2pi_khz", "dims", "t1_us", "tphi_us", "n_th",
+    "total_time_us", "n_samples", "trotter_dt_us", "rtol",
+}
+
+
 def parse_config(raw: dict, experiment: Optional[str] = None) -> RunConfig:
     """Validate a run configuration mapping.
 
     `experiment` (usually from the command line) overrides the mapping's own
     `experiment` key.  All frequencies are f/2pi in kHz.  Every value is
-    converted here, so a value of the wrong type is a `ConfigError`.
+    converted here, so a value of the wrong type is a `ConfigError`, and so
+    is a key that nothing reads.
     """
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping")
+    unknown = sorted(str(k) for k in raw if k not in _KEYS and k not in _OPTIONS)
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
     try:
         return _parse_mapping(raw, experiment)
     except (TypeError, ValueError) as exc:

@@ -69,9 +69,8 @@ class UnitaryPropagator:
     The blocks are the connected components of H's nonzero pattern: the
     charge sectors Q = n2 - n1 - n3 of the pair-coupling Hamiltonian, the
     photon-number sectors of the exchange baseline, single levels of a
-    diagonal H.  An H without such structure is one block.  Blocks of equal
-    size are stacked, so each size costs one batched `eigh` and one batched
-    product per application.
+    diagonal H.  An H without such structure is one block.  Each block has
+    its own `eigh`.
     """
 
     def __init__(self, H: OperatorMatrix):
@@ -79,55 +78,51 @@ class UnitaryPropagator:
             raise InvalidOperatorError("Hamiltonian must be Hermitian")
         _, labels = connected_components(sparse.csr_matrix(H.elements != 0), directed=False)
         order = np.argsort(labels, kind="stable")
-        members = np.split(order, np.cumsum(np.bincount(labels))[:-1])
-        self._groups = []  # (indices (k, s), eigenvalues (k, s), eigenvectors (k, s, s))
-        for size in sorted({len(m) for m in members}):
-            idx = np.array([m for m in members if len(m) == size])
-            evals, evecs = np.linalg.eigh(H.elements[idx[:, :, None], idx[:, None, :]])
-            self._groups.append((idx, evals, evecs))
+        self._blocks = []  # (indices, eigenvalues, eigenvectors)
+        for idx in np.split(order, np.cumsum(np.bincount(labels))[:-1]):
+            self._blocks.append((idx, *np.linalg.eigh(H.elements[idx[:, None], idx])))
         self.dims = H.dims
 
     def matrix(self, t: float) -> np.ndarray:
         out = np.zeros((self.dims.total, self.dims.total), dtype=complex)
-        for idx, evals, evecs in self._groups:
-            phases = np.exp(-1j * evals * t)[:, None, :]
-            out[idx[:, :, None], idx[:, None, :]] = (
-                (evecs * phases) @ evecs.conj().transpose(0, 2, 1)
-            )
+        for idx, evals, evecs in self._blocks:
+            out[idx[:, None], idx] = (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
         return out
 
-    def apply(self, psi: StateVector, t: float) -> StateVector:
+    def apply(self, psi: StateVector, times: Sequence[float]) -> list[StateVector]:
+        """The states exp(-iHt) psi, one per entry of `times`."""
         if psi.dims.dims != self.dims.dims:
             raise InvalidParameterError("state dims do not match Hamiltonian dims")
-        out = np.empty(self.dims.total, dtype=complex)
-        for idx, evals, evecs in self._groups:
-            # V^dag x as (x^dag V)^*: no conjugated copy of the eigenvectors
-            coeffs = (psi.amplitudes[idx].conj()[:, None, :] @ evecs)[:, 0, :].conj()
-            coeffs *= np.exp(-1j * evals * t)
-            out[idx] = (evecs @ coeffs[:, :, None])[:, :, 0]
-        return StateVector(out, psi.dims)
+        times = np.asarray(times, dtype=float)
+        if times.ndim != 1:
+            raise InvalidParameterError("times must be a sequence")
+        out = np.zeros((times.size, self.dims.total), dtype=complex)
+        for idx, evals, evecs in self._blocks:
+            x = psi.amplitudes[idx]
+            if x.any():  # a block outside the support of psi stays zero
+                phases = np.exp(-1j * np.outer(times, evals))
+                out[:, idx] = (phases * (evecs.conj().T @ x)) @ evecs.T
+        return [StateVector(row, psi.dims) for row in out]
 
 
-def evolve_unitary(H: OperatorMatrix, psi: StateVector, t: float) -> StateVector:
-    """Propagate a pure state under a Hermitian H for time t."""
-    return UnitaryPropagator(H).apply(psi, t)
+def evolve_unitary(
+    H: OperatorMatrix, psi: StateVector, times: Sequence[float]
+) -> list[StateVector]:
+    """Propagate a pure state under a Hermitian H, one state per time."""
+    return UnitaryPropagator(H).apply(psi, times)
 
 
 def evolve_trotter(
-    params: SystemParams,
-    psi: StateVector,
-    times: Sequence[float],
-    dt: float,
-    order: tuple[str, ...] = ("S1S2", "S3S2", "detune"),
+    params: SystemParams, psi: StateVector, times: Sequence[float], dt: float
 ) -> list[StateVector]:
     """First-order split-step trajectory of the full Hamiltonian, sampled at
     the sorted `times`.
 
-    One step applies exp(-i H_a dt) for each factor in `order`; the default
-    order is pair coupling S1-S2, then S3-S2, then the bus detuning.  The
-    step matrix is built once; sample k lies round(t_k/dt) steps from the
-    start and is reached from sample k-1, so a trajectory costs as many steps
-    as its last sample.  dt should divide every sample time.
+    One step applies exp(-i H dt) of the pair coupling S1-S2, then of S3-S2,
+    then of the bus detuning.  The step matrix is built once; sample k lies
+    round(t_k/dt) steps from the start and is reached from sample k-1, so a
+    trajectory costs as many steps as its last sample.  dt should divide
+    every sample time.
     """
     if dt <= 0:
         raise InvalidParameterError("dt must be positive")
@@ -138,16 +133,10 @@ def evolve_trotter(
         raise InvalidParameterError("sample times must be nonnegative and sorted")
     if np.any((counts == 0) & (times > 0)):
         raise InvalidParameterError("dt larger than t")
-    builders = {
-        "S1S2": lambda: build_h_tms(params, "S1S2"),
-        "S3S2": lambda: build_h_tms(params, "S3S2"),
-        "detune": lambda: build_h_detune(params),
-    }
-    try:
-        factors = [UnitaryPropagator(builders[name]()).matrix(dt) for name in order]
-    except KeyError as exc:
-        raise InvalidParameterError(f"unknown split factor {exc.args[0]!r}") from exc
-    step = np.linalg.multi_dot(factors) if len(factors) > 1 else factors[0]
+    hamiltonians = (
+        build_h_tms(params, "S1S2"), build_h_tms(params, "S3S2"), build_h_detune(params)
+    )
+    step = np.linalg.multi_dot([UnitaryPropagator(h).matrix(dt) for h in hamiltonians])
     vec = psi.amplitudes
     out = []
     for n_steps in steps:
@@ -216,6 +205,8 @@ def propagate_lindblad_matrix(
     d = H.dims.total
     rho0s = [np.asarray(rho0, dtype=complex) for rho0 in rho0s]
     times = [float(t) for t in times]
+    if any(t < 0 for t in times) or any(b <= a for a, b in zip(times, times[1:])):
+        raise InvalidParameterError("times must be nonnegative and strictly increasing")
     t_end = max(times)
     if t_end == 0.0:
         return [[rho0.copy() for _ in times] for rho0 in rho0s]
@@ -286,7 +277,7 @@ def truncation_convergence_check(
     big = params.dims.grown(grow)
     pops = []
     for d in (params.dims, big):
-        psi = evolve_unitary(build_h_full(params.with_dims(d)), fock_state(d, occupations), t)
-        pops.append(mode_populations(psi))
+        H = build_h_full(params.with_dims(d))
+        pops.append(mode_populations(evolve_unitary(H, fock_state(d, occupations), (t,))[0]))
     diff = float(np.max(np.abs(pops[0] - pops[1])))
     return TruncationReport(tuple(params.dims), tuple(big), diff, diff < tol)

@@ -24,6 +24,7 @@ from .dynamics import (
     apply_jump,
     evolve_lindblad,
     evolve_trotter,
+    evolve_unitary,
     propagate_lindblad_matrix,
 )
 from .errors import InvalidParameterError
@@ -93,8 +94,7 @@ def _evolve_trajectory(
 ):
     """List of states (pure or density) at the requested times."""
     if spec.method == "exact-unitary":
-        prop = UnitaryPropagator(build_h_full(params))
-        return [prop.apply(psi0, t) for t in times]
+        return evolve_unitary(build_h_full(params), psi0, times)
     if spec.method == "trotter":
         return evolve_trotter(params, psi0, times, spec.trotter_dt)
     if spec.method == "lindblad":
@@ -190,7 +190,7 @@ def transfer_choi(
     inputs = [fock_state(dims, (i, 0, 0)) for i in range(2)]
     if method == "exact-unitary":
         prop = UnitaryPropagator(H)
-        inputs = [prop.apply(psi, t) for psi in inputs]
+        inputs = [prop.apply(psi, (t,))[0] for psi in inputs]
     a, b = (psi.amplitudes for psi in inputs)
     u00, u01, u11 = (np.outer(x, y.conj()) for x, y in ((a, a), (a, b), (b, b)))
     if method == "lindblad":

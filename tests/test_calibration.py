@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from exfree.calibration import (
+    _multistart_lm,
     bus_period_model,
     damped_oscillation_model,
     fit_damped_oscillation,
@@ -100,3 +101,13 @@ class TestDampedOscillationFit:
     def test_too_few_samples(self):
         with pytest.raises(InvalidParameterError):
             fit_damped_oscillation(np.linspace(0, 1, 8), np.ones(8))
+
+
+class TestMultistart:
+    def test_residual_bug_propagates(self):
+        # only a start with non-finite residuals (a ValueError) is skipped
+        def residual(x):
+            return undefined_model(x)  # noqa: F821
+
+        with pytest.raises(NameError):
+            _multistart_lm(residual, [(1.0,), (2.0,)], ("x",))

@@ -117,6 +117,7 @@ class TestDispatch:
             {**BASE, "n_samples": 101.9},
             {**BASE, "dims": [6.7, 5, 6]},
             {**BASE, "experiment": "binomial", "wigner_points": 20.5},
+            {**BASE, "n_sampels": 51},
         ],
         ids=[
             "n_samples",
@@ -127,6 +128,7 @@ class TestDispatch:
             "fractional_n_samples",
             "fractional_dims",
             "fractional_wigner_points",
+            "unknown_key",
         ],
     )
     def test_mistyped_value_exit_code(self, tmp_path, payload):

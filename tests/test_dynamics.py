@@ -62,20 +62,25 @@ class TestEvolutionSpec:
 class TestUnitary:
     def test_norm_preserved(self, params):
         psi = fock_state(params.dims, (1, 0, 0))
-        out = evolve_unitary(build_h_full(params), psi, 5.0)
+        (out,) = evolve_unitary(build_h_full(params), psi, (5.0,))
         assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0)
 
     def test_zero_time_is_identity(self, params):
         psi = fock_state(params.dims, (1, 0, 0))
-        out = evolve_unitary(build_h_full(params), psi, 0.0)
+        (out,) = evolve_unitary(build_h_full(params), psi, (0.0,))
         assert abs(psi.overlap(out)) == pytest.approx(1.0)
 
     def test_propagator_composes(self, params):
         prop = UnitaryPropagator(build_h_full(params))
         psi = fock_state(params.dims, (1, 0, 0))
-        one = prop.apply(prop.apply(psi, 2.0), 3.0)
-        both = prop.apply(psi, 5.0)
+        half, both = prop.apply(psi, (2.0, 5.0))
+        (one,) = prop.apply(half, (3.0,))
         assert abs(one.overlap(both)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_times_must_be_a_sequence(self, params):
+        prop = UnitaryPropagator(build_h_full(params))
+        with pytest.raises(InvalidParameterError):
+            prop.apply(fock_state(params.dims, (1, 0, 0)), 5.0)
 
     def test_requires_hermitian(self, params):
         m = np.zeros((180, 180), dtype=complex)
@@ -89,10 +94,10 @@ class TestUnitary:
         prop = UnitaryPropagator(build_h_full(p))
         psi = fock_state(p.dims, (1, 0, 0))
         worst = 0.0
-        for t in np.linspace(0.0, 2.0 * tau_st(p), 40):
-            pops = mode_populations(prop.apply(psi, t))
+        times = np.linspace(0.0, 2.0 * tau_st(p), 40)
+        for t, state in zip(times, prop.apply(psi, times)):
             expect = mean_photon_numbers(p, t)
-            worst = max(worst, float(np.max(np.abs(pops - np.asarray(expect)))))
+            worst = max(worst, float(np.max(np.abs(mode_populations(state) - np.asarray(expect)))))
         assert worst < 1e-4
 
     @pytest.mark.parametrize(
@@ -113,10 +118,11 @@ class TestUnitary:
         rng = np.random.default_rng(11)
         vec = rng.normal(size=p.dims.total) + 1j * rng.normal(size=p.dims.total)
         psi = StateVector(vec / np.linalg.norm(vec), p.dims)
-        for t in (0.0, 0.7, 13.0):
+        times = (0.0, 0.7, 13.0)
+        for t, state in zip(times, prop.apply(psi, times)):
             U = expm(-1j * H.elements * t)
             assert np.max(np.abs(prop.matrix(t) - U)) < 1e-10
-            assert np.max(np.abs(prop.apply(psi, t).amplitudes - U @ psi.amplitudes)) < 1e-10
+            assert np.max(np.abs(state.amplitudes - U @ psi.amplitudes)) < 1e-10
 
 
 def _random_hermitian(dims, rng):
@@ -128,7 +134,7 @@ class TestTrotter:
     def test_converges_to_exact(self, params):
         psi = fock_state(params.dims, (1, 0, 0))
         t = 4.0
-        exact = evolve_unitary(build_h_full(params), psi, t)
+        (exact,) = evolve_unitary(build_h_full(params), psi, (t,))
         errs = []
         for n in (400, 800):
             approx = evolve_trotter(params, psi, [t], t / n)[0]
@@ -147,11 +153,6 @@ class TestTrotter:
         psi = fock_state(params.dims, (1, 0, 0))
         with pytest.raises(InvalidParameterError):
             evolve_trotter(params, psi, [1.0, 0.5], 0.1)
-
-    def test_unknown_factor(self, params):
-        psi = fock_state(params.dims, (1, 0, 0))
-        with pytest.raises(InvalidParameterError):
-            evolve_trotter(params, psi, [1.0], 0.1, order=("S1S2", "bogus"))
 
     def test_trajectory_matches_per_sample_evolution(self):
         # non-uniform samples, t = 0 included; each reference steps from t = 0
@@ -223,6 +224,13 @@ class TestLindblad:
             ref = (expm(gen * t) @ rho0.ravel()).reshape(rho0.shape)
             assert np.max(np.abs(rho - ref)) < 1e-6
 
+    @pytest.mark.parametrize("times", [[2.0, 1.0], [-1.0, 1.0]], ids=["unsorted", "negative"])
+    def test_rejects_bad_times(self, times):
+        p = SystemParams.from_khz(80, 80, 475, dims=(3, 2, 3), t1=(20.0, 15.0, 25.0))
+        rho0 = fock_state(p.dims, (1, 0, 0)).to_density()
+        with pytest.raises(InvalidParameterError):
+            evolve_lindblad(build_h_full(p), collapse_operators(p), rho0, times)
+
     def test_rejects_nonpositive_rtol(self, params):
         rho0 = fock_state(params.dims, (1, 0, 0)).to_density().elements
         with pytest.raises(InvalidParameterError):
@@ -231,7 +239,7 @@ class TestLindblad:
     def test_reduces_to_unitary_without_collapse(self, params):
         psi = fock_state(params.dims, (1, 0, 0))
         rho = evolve_lindblad(build_h_full(params), [], psi.to_density(), (2.0,))[-1]
-        expect = evolve_unitary(build_h_full(params), psi, 2.0).to_density()
+        expect = evolve_unitary(build_h_full(params), psi, (2.0,))[0].to_density()
         assert np.max(np.abs(rho.elements - expect.elements)) < 1e-6
 
 
@@ -253,15 +261,22 @@ def _dense_generator(H, c_ops):
 
 
 class TestConditioning:
-    def test_apply_jump_lowers_fock(self, params):
+    @pytest.mark.parametrize(
+        "density, weight", [(False, np.sqrt(3.0)), (True, 3.0)], ids=["vector", "density"]
+    )
+    def test_apply_jump_lowers_fock(self, params, density, weight):
         psi = fock_state(params.dims, (0, 0, 3))
-        out, weight = apply_jump(psi, 2)
+        state = psi.to_density() if density else psi
+        out, got = apply_jump(state, 2)
+        assert type(out) is type(state)
         assert np.allclose(mode_populations(out), [0, 0, 2])
-        assert weight == pytest.approx(np.sqrt(3.0))
+        assert got == pytest.approx(weight)
 
-    def test_apply_jump_on_vacuum_fails(self, params):
+    @pytest.mark.parametrize("density", [False, True], ids=["vector", "density"])
+    def test_apply_jump_on_vacuum_fails(self, params, density):
+        psi = fock_state(params.dims, (0, 0, 0))
         with pytest.raises(ImpossibleOutcomeError):
-            apply_jump(fock_state(params.dims, (0, 0, 0)), 2)
+            apply_jump(psi.to_density() if density else psi, 2)
 
 
 class TestTruncation:
