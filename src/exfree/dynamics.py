@@ -1,10 +1,11 @@
 """Numerical time evolution: exact unitary, first-order split-step, Lindblad.
 
-The exact propagator diagonalizes H block by block.  A split-step trajectory
-builds its step matrix once and steps from one sample time to the next.  The
-Lindblad path integrates a sparse Liouvillian with RK45, restricted to the
-coherence sectors the initial matrix touches.  All propagators are
-deterministic.
+Operators are sparse and no dense full-space operator is formed.  Each
+propagator works on the connected blocks of a sparse nonzero pattern
+(`_blocks`): the exact one diagonalizes H per block, a split-step trajectory
+steps one small matrix per block of H that the start state touches, and the
+Lindblad path integrates the sparse Liouvillian with RK45 on the blocks the
+initial matrix touches.  All propagators are deterministic.
 """
 
 from __future__ import annotations
@@ -57,9 +58,17 @@ class EvolutionSpec:
         ts = tuple(float(t) for t in self.sample_times)
         if any(t < -1e-12 or t > self.total_time + 1e-9 for t in ts):
             raise InvalidParameterError("sample_times must lie within [0, total_time]")
-        if list(ts) != sorted(ts):
-            raise InvalidParameterError("sample_times must be sorted")
+        if any(b <= a for a, b in zip(ts, ts[1:])):
+            raise InvalidParameterError("sample_times must be strictly increasing")
         object.__setattr__(self, "sample_times", ts)
+
+
+def _blocks(pattern: sparse.spmatrix) -> list[np.ndarray]:
+    """Sorted index arrays of the connected components of a boolean sparse
+    nonzero pattern (`A != 0`), one per block of A."""
+    _, labels = connected_components(pattern, directed=False)
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(labels))[:-1])
 
 
 class UnitaryPropagator:
@@ -76,18 +85,11 @@ class UnitaryPropagator:
     def __init__(self, H: OperatorMatrix):
         if not H.is_hermitian(tol=1e-10):
             raise InvalidOperatorError("Hamiltonian must be Hermitian")
-        _, labels = connected_components(sparse.csr_matrix(H.elements != 0), directed=False)
-        order = np.argsort(labels, kind="stable")
-        self._blocks = []  # (indices, eigenvalues, eigenvectors)
-        for idx in np.split(order, np.cumsum(np.bincount(labels))[:-1]):
-            self._blocks.append((idx, *np.linalg.eigh(H.elements[idx[:, None], idx])))
+        self._blocks = [  # (indices, eigenvalues, eigenvectors)
+            (idx, *np.linalg.eigh(H.sparse[idx][:, idx].toarray()))
+            for idx in _blocks(H.sparse != 0)
+        ]
         self.dims = H.dims
-
-    def matrix(self, t: float) -> np.ndarray:
-        out = np.zeros((self.dims.total, self.dims.total), dtype=complex)
-        for idx, evals, evecs in self._blocks:
-            out[idx[:, None], idx] = (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
-        return out
 
     def apply(self, psi: StateVector, times: Sequence[float]) -> list[StateVector]:
         """The states exp(-iHt) psi, one per entry of `times`."""
@@ -119,7 +121,9 @@ def evolve_trotter(
     the sorted `times`.
 
     One step applies exp(-i H dt) of the pair coupling S1-S2, then of S3-S2,
-    then of the bus detuning.  The step matrix is built once; sample k lies
+    then of the bus detuning.  Each factor conserves the charge of the full
+    H, so the step is one small product of three factors per block of the
+    full H; blocks outside the support of psi are skipped.  Sample k lies
     round(t_k/dt) steps from the start and is reached from sample k-1, so a
     trajectory costs as many steps as its last sample.  dt should divide
     every sample time.
@@ -133,17 +137,28 @@ def evolve_trotter(
         raise InvalidParameterError("sample times must be nonnegative and sorted")
     if np.any((counts == 0) & (times > 0)):
         raise InvalidParameterError("dt larger than t")
-    hamiltonians = (
+    factors = (
         build_h_tms(params, "S1S2"), build_h_tms(params, "S3S2"), build_h_detune(params)
     )
-    step = np.linalg.multi_dot([UnitaryPropagator(h).matrix(dt) for h in hamiltonians])
-    vec = psi.amplitudes
-    out = []
-    for n_steps in steps:
-        for _ in range(n_steps):
-            vec = step @ vec
-        out.append(StateVector(vec / np.linalg.norm(vec), psi.dims))
-    return out
+    out = np.zeros((times.size, psi.dims.total), dtype=complex)
+    for idx in _blocks(sum(h.sparse for h in factors) != 0):
+        x = psi.amplitudes[idx]
+        if not x.any():
+            continue
+        step = np.linalg.multi_dot(
+            [_expm_hermitian(h.sparse[idx][:, idx].toarray(), dt) for h in factors]
+        )
+        for row, n_steps in zip(out, steps):
+            for _ in range(n_steps):
+                x = step @ x
+            row[idx] = x
+    return [StateVector(row / np.linalg.norm(row), psi.dims) for row in out]
+
+
+def _expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i h t) of a small dense Hermitian matrix."""
+    evals, evecs = np.linalg.eigh(h)
+    return (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
 
 
 def evolve_lindblad(
@@ -169,10 +184,10 @@ def _liouvillian(
     """Sparse Lindblad generator on the row-major vectorized matrix,
     vec(A rho B) = (A kron B^T) vec rho."""
     eye = sparse.identity(H.dims.total, dtype=complex, format="csr")
-    h = sparse.csr_matrix(H.elements)
+    h = H.sparse
     out = -1j * (sparse.kron(h, eye) - sparse.kron(eye, h.T))
     for op in collapse_ops:
-        c = sparse.csr_matrix(op.elements)
+        c = op.sparse
         cdc = (c.conj().T @ c).tocsr()
         out = out + sparse.kron(c, c.conj()) - 0.5 * (
             sparse.kron(cdc, eye) + sparse.kron(eye, cdc.T)
@@ -211,10 +226,14 @@ def propagate_lindblad_matrix(
     if t_end == 0.0:
         return [[rho0.copy() for _ in times] for rho0 in rho0s]
     gen = _liouvillian(H, collapse_ops)
-    _, labels = connected_components(gen != 0, directed=False)
+    blocks = _blocks(gen != 0)
     out = []
     for rho0 in rho0s:
-        keep = np.flatnonzero(np.isin(labels, labels[np.flatnonzero(rho0)]))
+        touched = np.zeros(d * d, dtype=bool)
+        for idx in blocks:
+            if rho0.ravel()[idx].any():
+                touched[idx] = True
+        keep = np.flatnonzero(touched)  # sorted: the RK45 state keeps its order
         block = gen[keep][:, keep]
         sol = solve_ivp(
             lambda _t, y: block @ y,
@@ -239,21 +258,20 @@ def apply_jump(state, mode: int):
     Returns (state_after, weight) where weight is the pre-normalization
     norm (pure state) or trace (density matrix).
     """
+    if not isinstance(state, (StateVector, DensityMatrix)):
+        raise InvalidParameterError("state must be a StateVector or DensityMatrix")
+    a = embed_op(annihilation_op(state.dims[mode]), mode, state.dims)
     if isinstance(state, StateVector):
-        a = embed_op(annihilation_op(state.dims[mode]), mode, state.dims)
-        vec = a.elements @ state.amplitudes
+        vec = a @ state.amplitudes
         weight = float(np.linalg.norm(vec))
         if weight <= 1e-12:
             raise ImpossibleOutcomeError("annihilation of a vacuum-supported state")
         return StateVector(vec / weight, state.dims), weight
-    if isinstance(state, DensityMatrix):
-        a = embed_op(annihilation_op(state.dims[mode]), mode, state.dims)
-        m = a.elements @ state.elements @ a.elements.conj().T
-        weight = float(np.trace(m).real)
-        if weight <= 1e-12:
-            raise ImpossibleOutcomeError("annihilation of a vacuum-supported state")
-        return DensityMatrix(m / weight, state.dims), weight
-    raise InvalidParameterError("state must be a StateVector or DensityMatrix")
+    m = a @ state.elements @ a.dag.sparse
+    weight = float(np.trace(m).real)
+    if weight <= 1e-12:
+        raise ImpossibleOutcomeError("annihilation of a vacuum-supported state")
+    return DensityMatrix(m / weight, state.dims), weight
 
 
 @dataclass(frozen=True)

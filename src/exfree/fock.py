@@ -3,15 +3,19 @@
 Basis convention: modes are ordered (S1, S2, S3) and flattened row-major
 with the last mode fastest, i.e. the amplitude of |n1 n2 n3> sits at index
 n1*N2*N3 + n2*N3 + n3.  All other modules share this convention.
+Operators are sparse CSR matrices, so no dense full-space operator is formed
+unless `OperatorMatrix.elements` is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from math import prod
 from typing import Iterable, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import DimensionError, TruncationError, InvalidParameterError
 
@@ -37,7 +41,7 @@ class ModeDims:
 
     @property
     def total(self) -> int:
-        return int(np.prod(self.dims))
+        return prod(self.dims)
 
     @property
     def n_modes(self) -> int:
@@ -69,40 +73,52 @@ def _as_dims(dims) -> ModeDims:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense complex matrix acting on the truncated joint Fock basis."""
+    """Sparse complex matrix acting on the truncated joint Fock basis.
 
-    elements: np.ndarray
+    Any dense or sparse input is stored as one canonical CSR matrix without
+    explicit zeros, so its stored pattern is the operator's structure.
+    """
+
+    sparse: sp.csr_matrix
     dims: ModeDims
 
     def __post_init__(self):
-        mat = np.asarray(self.elements, dtype=complex)
+        mat = sp.csr_matrix(self.sparse, dtype=complex, copy=True)
         if mat.shape != (self.dims.total, self.dims.total):
             raise DimensionError(
                 f"matrix shape {mat.shape} inconsistent with dims {tuple(self.dims)}"
             )
-        object.__setattr__(self, "elements", mat)
-        self.elements.setflags(write=False)
+        mat.sum_duplicates()
+        mat.eliminate_zeros()
+        for arr in (mat.data, mat.indices, mat.indptr):
+            arr.setflags(write=False)
+        object.__setattr__(self, "sparse", mat)
+
+    @property
+    def elements(self) -> np.ndarray:
+        """Dense copy of the matrix."""
+        return self.sparse.toarray()
 
     @property
     def dag(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.elements.conj().T, self.dims)
+        return OperatorMatrix(self.sparse.conj().T, self.dims)
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return np.linalg.norm(self.elements - self.elements.conj().T) < tol
+        return np.linalg.norm((self.sparse - self.sparse.conj().T).data) < tol
 
     def __matmul__(self, other):
         if isinstance(other, OperatorMatrix):
-            return OperatorMatrix(self.elements @ other.elements, self.dims)
-        return self.elements @ other
+            return OperatorMatrix(self.sparse @ other.sparse, self.dims)
+        return self.sparse @ other
 
     def __add__(self, other):
-        return OperatorMatrix(self.elements + other.elements, self.dims)
+        return OperatorMatrix(self.sparse + other.sparse, self.dims)
 
     def __sub__(self, other):
-        return OperatorMatrix(self.elements - other.elements, self.dims)
+        return OperatorMatrix(self.sparse - other.sparse, self.dims)
 
     def __mul__(self, scalar):
-        return OperatorMatrix(self.elements * scalar, self.dims)
+        return OperatorMatrix(self.sparse * scalar, self.dims)
 
     __rmul__ = __mul__
 
@@ -158,8 +174,8 @@ def annihilation_op(n_levels: int) -> OperatorMatrix:
     """Single-mode lowering operator, <n-1|a|n> = sqrt(n)."""
     if n_levels < 2:
         raise DimensionError(f"need at least 2 levels, got {n_levels}")
-    mat = np.diag(np.sqrt(np.arange(1, n_levels, dtype=float)), k=1)
-    return OperatorMatrix(mat.astype(complex), ModeDims((n_levels,)))
+    diag = np.sqrt(np.arange(1, n_levels, dtype=float))
+    return OperatorMatrix(sp.diags(diag, 1, dtype=complex), ModeDims((n_levels,)))
 
 
 def creation_op(n_levels: int) -> OperatorMatrix:
@@ -169,32 +185,33 @@ def creation_op(n_levels: int) -> OperatorMatrix:
 def number_op(n_levels: int) -> OperatorMatrix:
     if n_levels < 2:
         raise DimensionError(f"need at least 2 levels, got {n_levels}")
-    return OperatorMatrix(np.diag(np.arange(n_levels, dtype=complex)), ModeDims((n_levels,)))
+    return OperatorMatrix(sp.diags(np.arange(n_levels, dtype=complex)), ModeDims((n_levels,)))
 
 
 def identity_op(dims) -> OperatorMatrix:
     dims = _as_dims(dims)
-    return OperatorMatrix(np.eye(dims.total, dtype=complex), dims)
+    return OperatorMatrix(sp.identity(dims.total, dtype=complex), dims)
 
 
 def embed_op(op: OperatorMatrix, mode_index: int, dims) -> OperatorMatrix:
-    """Kronecker-embed a single-mode operator into the joint space.
+    """Embed a single-mode operator into the joint space (identity elsewhere).
 
-    np.kron applied in mode order makes the last mode the fastest index,
-    matching the flattening convention.
+    The joint indices, reshaped to (earlier modes, this mode, later modes),
+    place entry (r, c) of `op` at rows joint[:, r, :] and columns
+    joint[:, c, :]: the Kronecker product in one sparse construction.
     """
     dims = _as_dims(dims)
     if not 0 <= mode_index < dims.n_modes:
         raise DimensionError(f"mode index {mode_index} out of range for {tuple(dims)}")
-    if op.dims.total != dims[mode_index]:
-        raise DimensionError(
-            f"operator dimension {op.dims.total} != mode truncation {dims[mode_index]}"
-        )
-    factors = [
-        op.elements if k == mode_index else np.eye(n, dtype=complex)
-        for k, n in enumerate(dims)
-    ]
-    return OperatorMatrix(reduce(np.kron, factors), dims)
+    n = dims[mode_index]
+    if op.dims.total != n:
+        raise DimensionError(f"operator dimension {op.dims.total} != mode truncation {n}")
+    joint = np.arange(dims.total).reshape(-1, n, prod(dims[mode_index + 1:]))
+    entries = op.sparse.tocoo()
+    rows, cols = joint[:, entries.row, :], joint[:, entries.col, :]
+    values = np.broadcast_to(entries.data[:, None], rows.shape)
+    mat = sp.csr_matrix((values.ravel(), (rows.ravel(), cols.ravel())), shape=(dims.total,) * 2)
+    return OperatorMatrix(mat, dims)
 
 
 def fock_state(dims, occupations: Sequence[int]) -> StateVector:

@@ -7,7 +7,6 @@ files quote frequencies as f/2pi in kHz; use `khz_to_angular` to convert.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import reduce
 from math import sqrt
 from typing import Optional
 
@@ -62,6 +61,8 @@ class SystemParams:
             raise InvalidParameterError("coupling strengths must be positive")
         if not isinstance(self.dims, ModeDims):
             object.__setattr__(self, "dims", ModeDims(self.dims))
+        if any(len(v) != self.dims.n_modes for v in (self.t1, self.tphi, self.n_th)):
+            raise InvalidParameterError("t1, tphi and n_th need one entry per mode")
         for t in (*self.t1, *self.tphi):
             if t is not None and t <= 0:
                 raise InvalidParameterError("coherence times must be positive")
@@ -100,20 +101,9 @@ def require_oscillatory(params: SystemParams) -> None:
         )
 
 
-def _two_mode_term(params: SystemParams, g: float, left: tuple, right: tuple) -> OperatorMatrix:
-    """g * (T + T^dag) for T the product of two single-mode operators.
-
-    left and right are (mode, "a" or "adag") on distinct modes.  T is formed
-    as one kron of the single-mode factors, identity elsewhere, which gives
-    the same entries as the product of the two embedded operators without a
-    product of two full-space matrices.
-    """
-    factors = [np.eye(n, dtype=complex) for n in params.dims]
-    for mode, kind in (left, right):
-        a = annihilation_op(params.dims[mode]).elements
-        factors[mode] = a.conj().T if kind == "adag" else a
-    term = reduce(np.kron, factors)
-    return OperatorMatrix(g * (term + term.conj().T), params.dims)
+def _lowering(params: SystemParams, mode: int) -> OperatorMatrix:
+    """Annihilation operator of one mode, embedded in the joint space."""
+    return embed_op(annihilation_op(params.dims[mode]), mode, params.dims)
 
 
 def build_h_tms(params: SystemParams, pair: str) -> OperatorMatrix:
@@ -127,7 +117,8 @@ def build_h_tms(params: SystemParams, pair: str) -> OperatorMatrix:
         x, g = 2, params.g2
     else:
         raise InvalidParameterError(f"pair must be 'S1S2' or 'S3S2', got {pair!r}")
-    return _two_mode_term(params, g, (x, "adag"), (1, "adag"))
+    pair_creation = _lowering(params, x).dag @ _lowering(params, 1).dag
+    return g * (pair_creation + pair_creation.dag)
 
 
 def build_h_detune(params: SystemParams) -> OperatorMatrix:
@@ -148,7 +139,8 @@ def build_h_eff(params: SystemParams) -> OperatorMatrix:
     if params.delta == 0:
         raise InvalidParameterError("effective coupling g1*g2/delta undefined at delta=0")
     g_eff = params.g1 * params.g2 / params.delta
-    return _two_mode_term(params, g_eff, (0, "adag"), (2, "a"))
+    exchange = _lowering(params, 0).dag @ _lowering(params, 2)
+    return g_eff * (exchange + exchange.dag)
 
 
 def build_h_bs_reference(params: SystemParams) -> OperatorMatrix:
@@ -157,11 +149,10 @@ def build_h_bs_reference(params: SystemParams) -> OperatorMatrix:
     g1*(a1^dag a2 + h.c.) + g2*(a3^dag a2 + h.c.) + delta*n_2; conserves the
     total photon number.
     """
-    return (
-        _two_mode_term(params, params.g1, (0, "adag"), (1, "a"))
-        + _two_mode_term(params, params.g2, (2, "adag"), (1, "a"))
-        + build_h_detune(params)
-    )
+    bus = _lowering(params, 1)
+    hop1 = _lowering(params, 0).dag @ bus
+    hop3 = _lowering(params, 2).dag @ bus
+    return params.g1 * (hop1 + hop1.dag) + params.g2 * (hop3 + hop3.dag) + build_h_detune(params)
 
 
 def collapse_operators(params: SystemParams) -> list[OperatorMatrix]:
@@ -175,17 +166,13 @@ def collapse_operators(params: SystemParams) -> list[OperatorMatrix]:
     for k in range(dims.n_modes):
         t1 = params.t1[k]
         if t1 is not None:
-            if t1 <= 0:
-                raise InvalidParameterError("T1 must be positive")
             nth = params.n_th[k]
-            a_k = embed_op(annihilation_op(dims[k]), k, dims)
+            a_k = _lowering(params, k)
             ops.append(float(np.sqrt((1.0 + nth) / t1)) * a_k)
             if nth > 0:
                 ops.append(float(np.sqrt(nth / t1)) * a_k.dag)
         tphi = params.tphi[k]
         if tphi is not None:
-            if tphi <= 0:
-                raise InvalidParameterError("Tphi must be positive")
             ops.append(float(np.sqrt(2.0 / tphi)) * embed_op(number_op(dims[k]), k, dims))
     return ops
 

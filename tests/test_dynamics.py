@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -57,6 +59,14 @@ class TestEvolutionSpec:
             EvolutionSpec(total_time=1.0, sample_times=(0.5, 2.0))
         with pytest.raises(InvalidParameterError):
             EvolutionSpec(total_time=1.0, sample_times=(0.8, 0.2))
+
+    @pytest.mark.parametrize("method", ["exact-unitary", "trotter", "lindblad"])
+    def test_sample_times_strictly_increasing(self, method):
+        dt = 0.5 if method == "trotter" else None
+        with pytest.raises(InvalidParameterError):
+            EvolutionSpec(
+                total_time=2.0, method=method, trotter_dt=dt, sample_times=(0.0, 1.0, 1.0, 2.0)
+            )
 
 
 class TestUnitary:
@@ -121,13 +131,29 @@ class TestUnitary:
         times = (0.0, 0.7, 13.0)
         for t, state in zip(times, prop.apply(psi, times)):
             U = expm(-1j * H.elements * t)
-            assert np.max(np.abs(prop.matrix(t) - U)) < 1e-10
             assert np.max(np.abs(state.amplitudes - U @ psi.amplitudes)) < 1e-10
 
 
 def _random_hermitian(dims, rng):
     m = rng.normal(size=(dims.total,) * 2) + 1j * rng.normal(size=(dims.total,) * 2)
     return OperatorMatrix(0.5 * (m + m.conj().T), dims)
+
+
+class TestSparseCore:
+    def test_no_full_space_matrix_at_16_levels(self):
+        # a dense H at (16, 16, 16) alone is 4096**2 complex entries, 268 MB
+        p = SystemParams.from_khz(80, 80, 475, dims=(16, 16, 16))
+        psi = fock_state(p.dims, (1, 0, 0))
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            H = build_h_full(p)
+            UnitaryPropagator(H).apply(psi, (0.5, 1.0, 2.0))
+            evolve_trotter(p, psi, [0.01], 0.01)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
 
 
 class TestTrotter:

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from exfree.errors import (
 from exfree.fock import (
     DensityMatrix,
     ModeDims,
+    OperatorMatrix,
     StateVector,
     annihilation_op,
     binomial_code_state,
@@ -91,6 +94,17 @@ class TestLadderOperators:
         psi = fock_state(DIMS, (2, 3, 1))
         out = n_op.elements @ psi.amplitudes
         assert np.allclose(out, 3.0 * psi.amplitudes)
+
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    def test_embed_equals_kron_with_identities(self, mode):
+        # a dense non-Hermitian op on asymmetric dims exposes a wrong placement
+        dims = ModeDims((2, 3, 4))
+        n = dims[mode]
+        rng = np.random.default_rng(5)
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        expect = reduce(np.kron, [m if k == mode else np.eye(nk) for k, nk in enumerate(dims)])
+        got = embed_op(OperatorMatrix(m, ModeDims((n,))), mode, dims)
+        assert np.array_equal(got.elements, expect)
 
     def test_embedded_ops_on_distinct_modes_commute(self):
         a0 = embed_op(annihilation_op(6), 0, DIMS)

@@ -40,6 +40,16 @@ def test_couplings_must_be_positive(g1, g2):
         SystemParams(g1=g1, g2=g2, delta=1.0)
 
 
+@pytest.mark.parametrize(
+    "per_mode",
+    [{"t1": (100.0,)}, {"tphi": (50.0, None)}, {"n_th": (0.0, 0.0, 0.0, 0.0)}],
+    ids=["t1", "tphi", "n_th"],
+)
+def test_per_mode_inputs_need_one_entry_per_mode(per_mode):
+    with pytest.raises(InvalidParameterError):
+        SystemParams.from_khz(80, 80, 475, **per_mode)
+
+
 class TestRegime:
     def test_threshold(self):
         g = khz_to_angular(80.0)
