@@ -27,7 +27,6 @@ from .calibration import (
 )
 from .dynamics import (
     EvolutionSpec,
-    UnitaryPropagator,
     apply_jump,
     evolve_lindblad,
     evolve_trotter,

@@ -1,11 +1,13 @@
 """Numerical time evolution: exact unitary, first-order split-step, Lindblad.
 
 Operators are sparse and no dense full-space operator is formed.  Each
-propagator works on the connected blocks of a sparse nonzero pattern
-(`_blocks`): the exact one diagonalizes H per block, a split-step trajectory
-steps one small matrix per block of H that the start state touches, and the
-Lindblad path integrates the sparse Liouvillian with RK45 on the blocks the
-initial matrix touches.  All propagators are deterministic.
+propagator works only on the sectors its start occupies: the connected
+components of a sparse nonzero pattern on which the start is nonzero
+(`_occupied_sectors`).  The exact one diagonalizes H per occupied sector, a
+split-step trajectory steps one small matrix per occupied sector of H, and
+the Lindblad path integrates the sparse Liouvillian with RK45 on the
+coherence sectors the initial matrix occupies.  All propagators are
+deterministic.
 """
 
 from __future__ import annotations
@@ -63,55 +65,47 @@ class EvolutionSpec:
         object.__setattr__(self, "sample_times", ts)
 
 
-def _blocks(pattern: sparse.spmatrix) -> list[np.ndarray]:
-    """Sorted index arrays of the connected components of a boolean sparse
-    nonzero pattern (`A != 0`), one per block of A."""
+def _occupied_sectors(
+    pattern: sparse.spmatrix, starts: Sequence[np.ndarray]
+) -> list[list[np.ndarray]]:
+    """For each start (a state vector or a flattened matrix), the sorted index
+    arrays of the connected components of the boolean sparse nonzero pattern
+    `pattern` (`A != 0`) on which the start is nonzero.
+
+    Evolution under A never leaves these components, and every other entry
+    stays zero.  The components are labelled once for all starts.
+    """
     _, labels = connected_components(pattern, directed=False)
     order = np.argsort(labels, kind="stable")
-    return np.split(order, np.cumsum(np.bincount(labels))[:-1])
-
-
-class UnitaryPropagator:
-    """exp(-iHt) via Hermitian eigendecomposition of each block of H;
-    reusable across times.
-
-    The blocks are the connected components of H's nonzero pattern: the
-    charge sectors Q = n2 - n1 - n3 of the pair-coupling Hamiltonian, the
-    photon-number sectors of the exchange baseline, single levels of a
-    diagonal H.  An H without such structure is one block.  Each block has
-    its own `eigh`.
-    """
-
-    def __init__(self, H: OperatorMatrix):
-        if not H.is_hermitian(tol=1e-10):
-            raise InvalidOperatorError("Hamiltonian must be Hermitian")
-        self._blocks = [  # (indices, eigenvalues, eigenvectors)
-            (idx, *np.linalg.eigh(H.sparse[idx][:, idx].toarray()))
-            for idx in _blocks(H.sparse != 0)
-        ]
-        self.dims = H.dims
-
-    def apply(self, psi: StateVector, times: Sequence[float]) -> list[StateVector]:
-        """The states exp(-iHt) psi, one per entry of `times`."""
-        if psi.dims.dims != self.dims.dims:
-            raise InvalidParameterError("state dims do not match Hamiltonian dims")
-        times = np.asarray(times, dtype=float)
-        if times.ndim != 1:
-            raise InvalidParameterError("times must be a sequence")
-        out = np.zeros((times.size, self.dims.total), dtype=complex)
-        for idx, evals, evecs in self._blocks:
-            x = psi.amplitudes[idx]
-            if x.any():  # a block outside the support of psi stays zero
-                phases = np.exp(-1j * np.outer(times, evals))
-                out[:, idx] = (phases * (evecs.conj().T @ x)) @ evecs.T
-        return [StateVector(row, psi.dims) for row in out]
+    blocks = np.split(order, np.cumsum(np.bincount(labels))[:-1])
+    return [[blocks[k] for k in np.unique(labels[np.flatnonzero(x)])] for x in starts]
 
 
 def evolve_unitary(
     H: OperatorMatrix, psi: StateVector, times: Sequence[float]
 ) -> list[StateVector]:
-    """Propagate a pure state under a Hermitian H, one state per time."""
-    return UnitaryPropagator(H).apply(psi, times)
+    """The states exp(-iHt) psi of a Hermitian H, one per entry of `times`.
+
+    Each sector of H that psi occupies is diagonalized by one `eigh`.  The
+    sectors are the connected components of H's nonzero pattern: the charge
+    sectors Q = n2 - n1 - n3 of the pair-coupling Hamiltonian, the
+    photon-number sectors of the exchange baseline, single levels of a
+    diagonal H.  An H without such structure is one sector.
+    """
+    if not H.is_hermitian(tol=1e-10):
+        raise InvalidOperatorError("Hamiltonian must be Hermitian")
+    if psi.dims.dims != H.dims.dims:
+        raise InvalidParameterError("state dims do not match Hamiltonian dims")
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise InvalidParameterError("times must be a sequence")
+    out = np.zeros((times.size, H.dims.total), dtype=complex)
+    (sectors,) = _occupied_sectors(H.sparse != 0, [psi.amplitudes])
+    for idx in sectors:
+        evals, evecs = np.linalg.eigh(H.sparse[idx][:, idx].toarray())
+        phases = np.exp(-1j * np.outer(times, evals))
+        out[:, idx] = (phases * (evecs.conj().T @ psi.amplitudes[idx])) @ evecs.T
+    return [StateVector(row, psi.dims) for row in out]
 
 
 def evolve_trotter(
@@ -130,6 +124,8 @@ def evolve_trotter(
     """
     if dt <= 0:
         raise InvalidParameterError("dt must be positive")
+    if psi.dims.dims != params.dims.dims:
+        raise InvalidParameterError("state dims do not match parameter dims")
     times = np.asarray(times, dtype=float)
     counts = np.rint(times / dt).astype(int)
     steps = np.diff(counts, prepend=0)  # between consecutive samples
@@ -141,10 +137,9 @@ def evolve_trotter(
         build_h_tms(params, "S1S2"), build_h_tms(params, "S3S2"), build_h_detune(params)
     )
     out = np.zeros((times.size, psi.dims.total), dtype=complex)
-    for idx in _blocks(sum(h.sparse for h in factors) != 0):
+    (sectors,) = _occupied_sectors(sum(h.sparse for h in factors) != 0, [psi.amplitudes])
+    for idx in sectors:
         x = psi.amplitudes[idx]
-        if not x.any():
-            continue
         step = np.linalg.multi_dot(
             [_expm_hermitian(h.sparse[idx][:, idx].toarray(), dt) for h in factors]
         )
@@ -174,6 +169,8 @@ def evolve_lindblad(
     by `propagate_lindblad_matrix`.  Raises ConvergenceError if the
     integrator fails.
     """
+    if rho.dims.dims != H.dims.dims:
+        raise InvalidParameterError("state dims do not match Hamiltonian dims")
     mats = propagate_lindblad_matrix(H, collapse_ops, [rho.elements], times, rtol)[0]
     return [DensityMatrix(0.5 * (m + m.conj().T), rho.dims) for m in mats]
 
@@ -226,14 +223,10 @@ def propagate_lindblad_matrix(
     if t_end == 0.0:
         return [[rho0.copy() for _ in times] for rho0 in rho0s]
     gen = _liouvillian(H, collapse_ops)
-    blocks = _blocks(gen != 0)
     out = []
-    for rho0 in rho0s:
-        touched = np.zeros(d * d, dtype=bool)
-        for idx in blocks:
-            if rho0.ravel()[idx].any():
-                touched[idx] = True
-        keep = np.flatnonzero(touched)  # sorted: the RK45 state keeps its order
+    for rho0, sectors in zip(rho0s, _occupied_sectors(gen != 0, [r.ravel() for r in rho0s])):
+        # sorted: the RK45 state keeps its order; a zero matrix occupies no sector
+        keep = np.sort(np.concatenate(sectors or [np.zeros(0, dtype=int)]))
         block = gen[keep][:, keep]
         sol = solve_ivp(
             lambda _t, y: block @ y,

@@ -20,7 +20,6 @@ from .analytic import (
 )
 from .dynamics import (
     EvolutionSpec,
-    UnitaryPropagator,
     apply_jump,
     evolve_lindblad,
     evolve_trotter,
@@ -188,9 +187,8 @@ def transfer_choi(
     dims = params.dims
     H = build_h_full(params)
     inputs = [fock_state(dims, (i, 0, 0)) for i in range(2)]
-    if method == "exact-unitary":
-        prop = UnitaryPropagator(H)
-        inputs = [prop.apply(psi, (t,))[0] for psi in inputs]
+    if method == "exact-unitary":  # the two inputs occupy one sector each
+        inputs = [evolve_unitary(H, psi, (t,))[0] for psi in inputs]
     a, b = (psi.amplitudes for psi in inputs)
     u00, u01, u11 = (np.outer(x, y.conj()) for x, y in ((a, a), (a, b), (b, b)))
     if method == "lindblad":

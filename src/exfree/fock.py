@@ -134,6 +134,8 @@ class StateVector:
         vec = np.asarray(self.amplitudes, dtype=complex).ravel()
         if vec.size != self.dims.total:
             raise DimensionError("amplitude length inconsistent with dims")
+        if not np.isfinite(vec).all():
+            raise InvalidParameterError("state has a non-finite amplitude")
         nrm = np.linalg.norm(vec)
         if abs(nrm - 1.0) > NORM_TOL:
             raise InvalidParameterError(f"state norm {nrm} deviates from 1")
@@ -158,6 +160,8 @@ class DensityMatrix:
         mat = np.asarray(self.elements, dtype=complex)
         if mat.shape != (self.dims.total, self.dims.total):
             raise DimensionError("density matrix shape inconsistent with dims")
+        if not np.isfinite(mat).all():
+            raise InvalidParameterError("density matrix has a non-finite entry")
         if np.linalg.norm(mat - mat.conj().T) > 1e-9 * max(1.0, np.linalg.norm(mat)):
             raise InvalidParameterError("density matrix is not Hermitian")
         tr = np.trace(mat).real

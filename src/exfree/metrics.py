@@ -117,6 +117,8 @@ class ProcessMatrix:
         m = np.asarray(self.choi, dtype=complex)
         if m.shape != (4, 4):
             raise DimensionError("Choi matrix must be 4x4")
+        if not np.isfinite(m).all():
+            raise InvalidOperatorError("Choi matrix has a non-finite entry")
         if np.linalg.norm(m - m.conj().T) > 1e-8:
             raise InvalidOperatorError("Choi matrix must be Hermitian")
         if abs(np.trace(m).real - 1.0) > 1e-8:
@@ -140,6 +142,8 @@ def process_matrix(choi) -> ProcessMatrix:
     m = np.asarray(choi, dtype=complex)
     if m.shape != (4, 4):
         raise DimensionError("Choi matrix must be 4x4")
+    if not np.isfinite(m).all():
+        raise InvalidOperatorError("Choi matrix has a non-finite entry")
     m = 0.5 * (m + m.conj().T)
     tr = np.trace(m).real
     if tr <= 1e-12:

@@ -117,8 +117,8 @@ def build_h_tms(params: SystemParams, pair: str) -> OperatorMatrix:
         x, g = 2, params.g2
     else:
         raise InvalidParameterError(f"pair must be 'S1S2' or 'S3S2', got {pair!r}")
-    pair_creation = _lowering(params, x).dag @ _lowering(params, 1).dag
-    return g * (pair_creation + pair_creation.dag)
+    pair_annihilation = _lowering(params, x) @ _lowering(params, 1)
+    return g * (pair_annihilation + pair_annihilation.dag)
 
 
 def build_h_detune(params: SystemParams) -> OperatorMatrix:

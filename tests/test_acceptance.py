@@ -40,7 +40,7 @@ from exfree.calibration import (
     fit_tms_strength,
     generate_tmsv_trace,
 )
-from exfree.dynamics import EvolutionSpec, UnitaryPropagator, evolve_trotter, evolve_unitary
+from exfree.dynamics import EvolutionSpec, evolve_trotter, evolve_unitary
 from exfree.experiments import (
     cavity_decoherence_ablation,
     combined_budget_fidelity,
@@ -70,11 +70,10 @@ def _oracle_error(delta_khz: float, dims) -> tuple[float, float]:
     """(max |numeric - analytic| mean photon number, runtime in s)."""
     p = SystemParams.from_khz(G_KHZ, G_KHZ, delta_khz, dims=dims)
     start = time.perf_counter()
-    prop = UnitaryPropagator(build_h_full(p))
     psi = fock_state(p.dims, (1, 0, 0))
     worst = 0.0
     times = np.linspace(0.0, 2.0 * tau_st(p), 200)
-    for t, state in zip(times, prop.apply(psi, times)):
+    for t, state in zip(times, evolve_unitary(build_h_full(p), psi, times)):
         expect = np.asarray(mean_photon_numbers(p, t))
         worst = max(worst, float(np.max(np.abs(mode_populations(state) - expect))))
     return worst, time.perf_counter() - start
@@ -277,11 +276,10 @@ def test_criterion_09_calibration_roundtrips():
     a = embed_op(annihilation_op(18), 0, dims)
     b = embed_op(annihilation_op(18), 1, dims)
     term = a.dag @ b.dag
-    prop = UnitaryPropagator(G * (term + term.dag))
     vac = fock_state(dims, (0, 0))
     worst_p0 = 0.0
     gts = np.linspace(0.0, 1.0, 21)
-    for gt, psi in zip(gts, prop.apply(vac, gts / G)):
+    for gt, psi in zip(gts, evolve_unitary(G * (term + term.dag), vac, gts / G)):
         probs = np.abs(psi.amplitudes) ** 2
         p0 = probs.reshape(18, 18)[0, :].sum()
         worst_p0 = max(worst_p0, abs(p0 - 1.0 / np.cosh(gt) ** 2))

@@ -7,7 +7,6 @@ from scipy.linalg import expm
 from exfree.analytic import mean_photon_numbers, tau_st
 from exfree.dynamics import (
     EvolutionSpec,
-    UnitaryPropagator,
     apply_jump,
     evolve_lindblad,
     evolve_trotter,
@@ -20,6 +19,7 @@ from exfree.errors import (
     InvalidOperatorError,
     InvalidParameterError,
 )
+from exfree.experiments import transfer_choi
 from exfree.fock import (
     ModeDims,
     OperatorMatrix,
@@ -81,31 +81,30 @@ class TestUnitary:
         assert abs(psi.overlap(out)) == pytest.approx(1.0)
 
     def test_propagator_composes(self, params):
-        prop = UnitaryPropagator(build_h_full(params))
+        H = build_h_full(params)
         psi = fock_state(params.dims, (1, 0, 0))
-        half, both = prop.apply(psi, (2.0, 5.0))
-        (one,) = prop.apply(half, (3.0,))
+        half, both = evolve_unitary(H, psi, (2.0, 5.0))
+        (one,) = evolve_unitary(H, half, (3.0,))
         assert abs(one.overlap(both)) == pytest.approx(1.0, abs=1e-12)
 
     def test_times_must_be_a_sequence(self, params):
-        prop = UnitaryPropagator(build_h_full(params))
         with pytest.raises(InvalidParameterError):
-            prop.apply(fock_state(params.dims, (1, 0, 0)), 5.0)
+            evolve_unitary(build_h_full(params), fock_state(params.dims, (1, 0, 0)), 5.0)
 
     def test_requires_hermitian(self, params):
         m = np.zeros((180, 180), dtype=complex)
         m[0, 1] = 1.0
+        psi = fock_state(params.dims, (1, 0, 0))
         with pytest.raises(InvalidOperatorError):
-            UnitaryPropagator(OperatorMatrix(m, params.dims))
+            evolve_unitary(OperatorMatrix(m, params.dims), psi, (1.0,))
 
     def test_matches_analytic_oracle_at_converged_dims(self):
         # delta/2pi = 675 kHz needs (10, 9, 10) for 1e-4-level agreement
         p = SystemParams.from_khz(80, 80, 675, dims=(10, 9, 10))
-        prop = UnitaryPropagator(build_h_full(p))
         psi = fock_state(p.dims, (1, 0, 0))
         worst = 0.0
         times = np.linspace(0.0, 2.0 * tau_st(p), 40)
-        for t, state in zip(times, prop.apply(psi, times)):
+        for t, state in zip(times, evolve_unitary(build_h_full(p), psi, times)):
             expect = mean_photon_numbers(p, t)
             worst = max(worst, float(np.max(np.abs(mode_populations(state) - np.asarray(expect)))))
         assert worst < 1e-4
@@ -124,14 +123,54 @@ class TestUnitary:
         # g1 != g2; the random H has no zero entry, so it is a single block
         p = SystemParams.from_khz(80, 60, 475)
         H = hamiltonian(p)
-        prop = UnitaryPropagator(H)
         rng = np.random.default_rng(11)
         vec = rng.normal(size=p.dims.total) + 1j * rng.normal(size=p.dims.total)
         psi = StateVector(vec / np.linalg.norm(vec), p.dims)
         times = (0.0, 0.7, 13.0)
-        for t, state in zip(times, prop.apply(psi, times)):
+        for t, state in zip(times, evolve_unitary(H, psi, times)):
             U = expm(-1j * H.elements * t)
             assert np.max(np.abs(state.amplitudes - U @ psi.amplitudes)) < 1e-10
+
+    @pytest.mark.parametrize(
+        "occupations",
+        [
+            [(1, 0, 0)],
+            [(1, 0, 0), (0, 1, 2)],
+            [(1, 0, 0), (0, 0, 0), (0, 3, 1)],
+            [(0, 4, 0), (5, 0, 0), (2, 2, 2), (1, 1, 1)],
+        ],
+        ids=["fock", "one-sector", "three-sectors", "four-sectors"],
+    )
+    def test_diagonalizes_only_occupied_sectors(self, params, occupations, monkeypatch):
+        # one eigh per distinct charge Q = n2 - n1 - n3 of the start, not per
+        # sector of H (15 at (6, 5, 6))
+        vec = np.zeros(params.dims.total, dtype=complex)
+        for occ in occupations:
+            vec[params.dims.flat_index(occ)] = 1.0
+        psi = StateVector(vec / np.linalg.norm(vec), params.dims)
+        H = build_h_full(params)
+        calls = _count_eigh(monkeypatch)
+        evolve_unitary(H, psi, (1.0, 2.0))
+        assert len(calls) == len({n2 - n1 - n3 for n1, n2, n3 in occupations})
+
+    def test_exact_transfer_choi_diagonalizes_two_sectors(self, params, monkeypatch):
+        # the inputs |000> and |100> occupy the sectors Q = 0 and Q = -1
+        calls = _count_eigh(monkeypatch)
+        transfer_choi(params, tau_st(params))
+        assert len(calls) == 2
+
+
+def _count_eigh(monkeypatch) -> list[int]:
+    """Record the matrix size of every later `np.linalg.eigh` call."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(len(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
 
 
 def _random_hermitian(dims, rng):
@@ -148,7 +187,7 @@ class TestSparseCore:
         tracemalloc.reset_peak()
         try:
             H = build_h_full(p)
-            UnitaryPropagator(H).apply(psi, (0.5, 1.0, 2.0))
+            evolve_unitary(H, psi, (0.5, 1.0, 2.0))
             evolve_trotter(p, psi, [0.01], 0.01)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -303,6 +342,20 @@ class TestConditioning:
         psi = fock_state(params.dims, (0, 0, 0))
         with pytest.raises(ImpossibleOutcomeError):
             apply_jump(psi.to_density() if density else psi, 2)
+
+
+@pytest.mark.parametrize("method", ["exact-unitary", "trotter", "lindblad"])
+@pytest.mark.parametrize("start_dims", [(6, 5, 6), (2, 2, 2)], ids=["larger", "smaller"])
+def test_start_dims_must_match(method, start_dims):
+    p = SystemParams.from_khz(80, 80, 475, dims=(3, 2, 3), t1=(20.0, 15.0, 25.0))
+    psi = fock_state(start_dims, (1, 0, 0))
+    with pytest.raises(InvalidParameterError):
+        if method == "exact-unitary":
+            evolve_unitary(build_h_full(p), psi, (1.0,))
+        elif method == "trotter":
+            evolve_trotter(p, psi, [1.0], 0.1)
+        else:
+            evolve_lindblad(build_h_full(p), collapse_operators(p), psi.to_density(), (1.0,))
 
 
 class TestTruncation:

@@ -128,6 +128,8 @@ class TestStates:
     def test_norm_enforced(self):
         with pytest.raises(InvalidParameterError):
             StateVector(np.ones(180), DIMS)
+        with pytest.raises(InvalidParameterError):
+            StateVector(np.full(180, np.nan), DIMS)
 
     def test_product_state_matches_fock(self):
         factors = [np.eye(n)[k] for n, k in zip((6, 5, 6), (1, 0, 2))]
@@ -141,6 +143,8 @@ class TestStates:
         assert rho.min_eigenvalue() >= -1e-12
         with pytest.raises(InvalidParameterError):
             DensityMatrix(2.0 * np.eye(180, dtype=complex), DIMS)
+        with pytest.raises(InvalidParameterError):
+            DensityMatrix(np.full((180, 180), np.nan), DIMS)
 
     @pytest.mark.parametrize(
         "label,support",

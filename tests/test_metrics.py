@@ -20,6 +20,7 @@ from exfree.metrics import (
     pauli_table_02,
     process_fidelity,
     process_fidelity_qubit_subspace,
+    process_matrix,
     state_fidelity,
     wigner,
 )
@@ -153,6 +154,9 @@ class TestProcessMatrix:
     def test_choi_validation(self):
         with pytest.raises(InvalidOperatorError):
             ProcessMatrix(np.eye(4, dtype=complex))  # trace 4, not 1
+        for build in (ProcessMatrix, process_matrix):
+            with pytest.raises(InvalidOperatorError):
+                build(np.full((4, 4), np.nan, dtype=complex))
 
     def test_phase_optimized_identity_with_phase(self):
         v = np.diag([1.0, np.exp(0.6j)])
