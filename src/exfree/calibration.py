@@ -1,9 +1,14 @@
 """Calibration fits: pair-interaction strength, pump-induced Stark detuning,
 and damped population oscillations.
 
-All fits use Levenberg-Marquardt least squares with finite-difference
-Jacobians and a deterministic multi-start over a fixed set of
-initializations.
+Each fit polishes one closed-form start with one Levenberg-Marquardt run
+(finite-difference Jacobian).  Stark detuning: every point inverts to
+delta_0, and the start is their mean.  Pair strength and damped oscillation:
+amplitude and offset are solved linearly on a fixed grid of the remaining
+rate (variable projection: Golub & Pereyra, SIAM J. Numer. Anal. 10, 413
+(1973)); the oscillation's frequency and total decay rate are its complex
+pole pair, from a rank-4 Hankel SVD (matrix pencil: Hua & Sarkar, IEEE
+Trans. ASSP 38, 814 (1990)).
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .errors import InvalidParameterError
-from .model import REGIME_FACTOR
 
 #: Parameter magnitude beyond which an estimate is reported as effectively
 #: unbounded (e.g. a decay time fitted to an undamped trace).
@@ -24,6 +28,9 @@ UNBOUNDED_SCALE = 1e6
 
 @dataclass(frozen=True)
 class FitResult:
+    """Outcome of one calibration fit; `iterations` is the residual
+    evaluation count (`nfev`) of its single Levenberg-Marquardt polish."""
+
     estimates: dict[str, float]
     uncertainties: dict[str, float]
     residual_norm: float
@@ -32,38 +39,58 @@ class FitResult:
     flags: tuple[str, ...] = ()
 
 
-def _multistart_lm(residual_fn, inits, names) -> FitResult:
-    best = None
-    for x0 in inits:
-        try:
-            res = least_squares(residual_fn, np.asarray(x0, dtype=float), method="lm")
-        except ValueError:  # non-finite residuals at this start
-            continue
-        if best is None or res.cost < best.cost:
-            best = res
-    if best is None:
+def _polish(residual_fn, x0, names) -> FitResult:
+    """One Levenberg-Marquardt run from `x0`, with linearized uncertainties."""
+    try:
+        res = least_squares(residual_fn, np.asarray(x0, dtype=float), method="lm")
+    except ValueError:  # non-finite residuals at the start
         return FitResult({}, {}, float("inf"), 0, False, ("nonconvergence",))
     flags = []
-    m, n = best.jac.shape
+    m, n = res.jac.shape
     sigmas = {name: float("nan") for name in names}
     try:
-        jtj_inv = np.linalg.inv(best.jac.T @ best.jac)
-        scale = 2.0 * best.cost / max(m - n, 1)
+        jtj_inv = np.linalg.inv(res.jac.T @ res.jac)
+        scale = 2.0 * res.cost / max(m - n, 1)
         diag = np.diag(jtj_inv) * scale
         sigmas = {name: float(np.sqrt(max(d, 0.0))) for name, d in zip(names, diag)}
     except np.linalg.LinAlgError:
         flags.append("singular-jacobian")
-    if any(abs(v) > UNBOUNDED_SCALE for v in best.x):
+    if any(abs(v) > UNBOUNDED_SCALE for v in res.x):
         flags.append("unbounded-parameter")
-    converged = bool(best.success) and "singular-jacobian" not in flags
+    converged = bool(res.success) and "singular-jacobian" not in flags
     return FitResult(
-        estimates={name: float(v) for name, v in zip(names, best.x)},
+        estimates={name: float(v) for name, v in zip(names, res.x)},
         uncertainties=sigmas,
-        residual_norm=float(np.sqrt(2.0 * best.cost)),
-        iterations=int(best.nfev),
+        residual_norm=float(np.sqrt(2.0 * res.cost)),
+        iterations=int(res.nfev),
         converged=converged,
         flags=tuple(flags),
     )
+
+
+def _profile(shapes: np.ndarray, y: np.ndarray) -> tuple[int, float, float]:
+    """Least squares of y = offset + amplitude * shape for every row of
+    `shapes`; returns the row of least cost with its (amplitude, offset)."""
+    centred = shapes - shapes.mean(axis=1, keepdims=True)
+    y_centred = y - y.mean()
+    cov = centred @ y_centred
+    var = np.einsum("ij,ij->i", centred, centred)
+    amplitude = np.divide(cov, var, out=np.zeros_like(cov), where=var > 0)
+    k = int(np.argmax(amplitude * cov))  # cost = |y_centred|^2 - amplitude * cov
+    return k, float(amplitude[k]), float(y.mean() - amplitude[k] * shapes[k].mean())
+
+
+def _uniform_trace(times, values) -> tuple[np.ndarray, np.ndarray, float]:
+    """A trace as float arrays with its sampling step; at least 16 samples
+    on a uniform grid of increasing times."""
+    t = np.asarray(times, dtype=float)
+    y = np.asarray(values, dtype=float)
+    if t.size < 16:
+        raise InvalidParameterError("need at least 16 samples")
+    dt = t[1] - t[0]
+    if not dt > 0 or not np.allclose(np.diff(t), dt, rtol=1e-9, atol=1e-12):
+        raise InvalidParameterError("trace must be uniformly sampled")
+    return t, y, float(dt)
 
 
 def vacuum_probability(g: float, t) -> np.ndarray:
@@ -97,9 +124,12 @@ def fit_tms_strength(t, p0) -> FitResult:
         return a / np.cosh(g * t) ** 2 + b - p0
 
     t_span = max(t.max() - t.min(), 1e-12)
-    g_guesses = [0.2 / t_span, 0.5 / t_span, 1.0 / t_span, 2.0 / t_span, 5.0 / t_span]
-    inits = [(p0.max() - p0.min(), p0.min(), g) for g in g_guesses]
-    fit = _multistart_lm(residual, inits, ("a", "b", "g"))
+    g_grid = np.geomspace(1e-2, 30.0, 49) / t_span
+    # constant data: the centred covariances in _profile leave a start
+    # amplitude at rounding level, far below the resolution of b, so the
+    # Jacobian's g column vanishes and the fit reports "singular-jacobian"
+    k, a, b = _profile(1.0 / np.cosh(np.outer(g_grid, t)) ** 2, p0)
+    fit = _polish(residual, (a, b, g_grid[k]), ("a", "b", "g"))
     if fit.converged and abs(fit.estimates.get("g", 0.0)) * t_span < 1e-6:
         fit = replace(fit, converged=False, flags=fit.flags + ("degenerate-data",))
     # sign ambiguity: cosh is even in g
@@ -123,6 +153,8 @@ def fit_stark_detuning(delta_d, tau_s2, g: float) -> FitResult:
         raise InvalidParameterError("under-determined: need at least 2 points")
     if delta_d.size < 4:
         raise InvalidParameterError("need at least 4 points for a stable fit")
+    if np.any(tau_s2 <= 0):
+        raise InvalidParameterError("bus periods must be positive")
 
     def residual(x):
         (d0,) = x
@@ -132,9 +164,9 @@ def fit_stark_detuning(delta_d, tau_s2, g: float) -> FitResult:
         arg = np.where(arg > 1e-18, arg, 1e-18)
         return 2.0 * pi / np.sqrt(arg) - tau_s2
 
-    base = REGIME_FACTOR * g
-    inits = [(x,) for x in (0.1 * base, 0.5 * base, base, 2.0 * base, 4.0 * base)]
-    return _multistart_lm(residual, inits, ("delta_0",))
+    # each point inverts the model; the oscillatory regime fixes the root
+    per_point = np.sqrt((2.0 * pi / tau_s2) ** 2 + 8.0 * g**2) - delta_d
+    return _polish(residual, (float(per_point.mean()),), ("delta_0",))
 
 
 def damped_oscillation_model(t, tau1, tau_phi, omega, amplitude, offset):
@@ -151,30 +183,41 @@ def damped_oscillation_model(t, tau1, tau_phi, omega, amplitude, offset):
 
 def fit_damped_oscillation(t, values) -> FitResult:
     """Fit a damped population oscillation; estimates (tau1, tau_phi, omega,
-    amplitude, offset)."""
-    t = np.asarray(t, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if t.size < 16:
-        raise InvalidParameterError("need at least 16 samples")
-    span = max(t.max() - t.min(), 1e-12)
+    amplitude, offset), with omega >= 0.  The trace must be uniformly
+    sampled."""
+    t, values, dt = _uniform_trace(t, values)
+    span = t[-1] - t[0]
 
-    # candidate frequencies: strongest local maxima of the spectrum (the
-    # decay envelope itself leaks into the lowest bins, so one seed is not
-    # reliable)
-    detrended = values - values.mean()
-    freqs = np.fft.rfftfreq(t.size, d=(t[1] - t[0]))
-    mags = np.abs(np.fft.rfft(detrended))
-    mags[0] = 0.0
-    peaks = [
-        k
-        for k in range(1, mags.size - 1)
-        if mags[k] >= mags[k - 1] and mags[k] >= mags[k + 1]
-    ]
-    peaks.sort(key=lambda k: -mags[k])
-    omega_seeds = [2.0 * pi * freqs[k] for k in peaks[:3]] or [2.0 * pi / span]
+    # The model is the sum of four exponentials with poles 1, exp(-dt/tau1)
+    # and exp((-gamma +- i omega) dt), gamma = 1/tau1 + 1/tau_phi.  The
+    # rank-4 row space of the Hankel matrix of the trace is shift invariant,
+    # and the shift's eigenvalues are the poles.
+    hankel = np.lib.stride_tricks.sliding_window_view(values, values.size // 3 + 1)
+    basis = np.linalg.svd(hankel, full_matrices=False)[2][:4].T
+    poles = np.linalg.eigvals(np.linalg.lstsq(basis[:-1], basis[1:], rcond=None)[0])
+    # Weigh the poles on the trace; the one nearest 1 is the offset's.  The
+    # pair weighs half the decay pole, so a far lighter complex pair is noise
+    # and the trace oscillates at 0 or at the Nyquist frequency (pole -1).
+    decaying = poles / np.maximum(np.abs(poles), 1.0)  # the model cannot grow
+    vandermonde = decaying ** np.arange(t.size)[:, None]
+    weights = np.abs(np.linalg.lstsq(vandermonde, values, rcond=None)[0])
+    weights[np.argmin(np.abs(poles - 1.0))] = 0.0
+    oscillating = np.where(poles.imag > 0, weights, 0.0)
+    if oscillating.max() >= 0.1 * weights.max():
+        weights = oscillating
+    pair = poles[np.argmax(weights)]
+    omega = abs(np.angle(pair)) / dt
+    gamma = max(-np.log(max(abs(pair), np.finfo(float).tiny)) / dt, 0.0)
 
-    amp_seed = 0.5 * (values.max() - values.min())
-    off_seed = values.min()
+    # 1/tau1 takes a share of gamma; profile the share on a grid that is
+    # dense at both ends, where one of the two times is unbounded
+    h = np.geomspace(1e-6, 0.5, 24)
+    share = np.concatenate([[0.0], h, 1.0 - h[-2::-1], [1.0]])
+    shapes = np.exp(-np.outer(gamma * share, t)) + np.exp(-gamma * t) * np.cos(omega * t)
+    k, amplitude, offset = _profile(shapes, values)
+    cap = 10.0 * UNBOUNDED_SCALE * span  # beyond the unbounded threshold
+    rates = np.maximum(gamma * np.array([share[k], 1.0 - share[k]]), 1.0 / cap)
+    x0 = (*(1.0 / rates), omega, amplitude, offset)
 
     def residual(x):
         tau1, tau_phi, omega, amplitude, offset = x
@@ -184,18 +227,13 @@ def fit_damped_oscillation(t, values) -> FitResult:
             - values
         )
 
-    inits = [
-        (scale * span, scale * span, om, amp_seed, off_seed)
-        for om in omega_seeds
-        for scale in (0.5, 2.0, 20.0)
-    ]
-    fit = _multistart_lm(residual, inits, ("tau1", "tau_phi", "omega", "amplitude", "offset"))
-    est = dict(fit.estimates)
-    for key in ("tau1", "tau_phi"):
-        if key in est:
-            est[key] = abs(est[key])
+    fit = _polish(residual, x0, ("tau1", "tau_phi", "omega", "amplitude", "offset"))
+    # cos is even in omega, and the model in the times through abs()
+    est = {
+        k: abs(v) if k in ("tau1", "tau_phi", "omega") else v for k, v in fit.estimates.items()
+    }
     flags = fit.flags
-    if any(est.get(k, 0.0) > UNBOUNDED_SCALE * span for k in ("tau1", "tau_phi")):
-        if "unbounded-parameter" not in flags:
-            flags = flags + ("unbounded-parameter",)
+    unbounded = any(est.get(k, 0.0) > UNBOUNDED_SCALE * span for k in ("tau1", "tau_phi"))
+    if unbounded and "unbounded-parameter" not in flags:
+        flags = flags + ("unbounded-parameter",)
     return replace(fit, estimates=est, flags=flags)

@@ -225,22 +225,23 @@ def propagate_lindblad_matrix(
     gen = _liouvillian(H, collapse_ops)
     out = []
     for rho0, sectors in zip(rho0s, _occupied_sectors(gen != 0, [r.ravel() for r in rho0s])):
-        # sorted: the RK45 state keeps its order; a zero matrix occupies no sector
-        keep = np.sort(np.concatenate(sectors or [np.zeros(0, dtype=int)]))
-        block = gen[keep][:, keep]
-        sol = solve_ivp(
-            lambda _t, y: block @ y,
-            (0.0, t_end),
-            rho0.ravel()[keep],
-            t_eval=times,
-            rtol=rtol,
-            atol=rtol * 1e-2,
-            method="RK45",
-        )
-        if not sol.success:
-            raise ConvergenceError(f"Lindblad integrator failed: {sol.message}")
         full = np.zeros((len(times), d * d), dtype=complex)
-        full[:, keep] = sol.y.T
+        if sectors:  # a zero matrix occupies no sector and stays zero
+            # sorted: the RK45 state keeps its order
+            keep = np.sort(np.concatenate(sectors))
+            block = gen[keep][:, keep]
+            sol = solve_ivp(
+                lambda _t, y: block @ y,
+                (0.0, t_end),
+                rho0.ravel()[keep],
+                t_eval=times,
+                rtol=rtol,
+                atol=rtol * 1e-2,
+                method="RK45",
+            )
+            if not sol.success:
+                raise ConvergenceError(f"Lindblad integrator failed: {sol.message}")
+            full[:, keep] = sol.y.T
         out.append(list(full.reshape(-1, d, d)))
     return out
 

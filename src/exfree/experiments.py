@@ -18,6 +18,7 @@ from .analytic import (
     n2_amplitude,
     tau_st,
 )
+from .calibration import _uniform_trace
 from .dynamics import (
     EvolutionSpec,
     apply_jump,
@@ -113,13 +114,7 @@ def dominant_period(times, values) -> float:
     fast ripple that makes naive peak picking unreliable on these
     trajectories.
     """
-    t = np.asarray(times, dtype=float)
-    y = np.asarray(values, dtype=float)
-    if t.size < 16:
-        raise InvalidParameterError("need at least 16 samples")
-    dt = t[1] - t[0]
-    if not np.allclose(np.diff(t), dt, rtol=1e-9, atol=1e-12):
-        raise InvalidParameterError("trace must be uniformly sampled")
+    _, y, dt = _uniform_trace(times, values)
     y = (y - y.mean()) * np.hanning(y.size)
     n_pad = int(2 ** np.ceil(np.log2(16 * y.size)))
     mag = np.abs(np.fft.rfft(y, n=n_pad))

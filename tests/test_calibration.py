@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from exfree import calibration
 from exfree.calibration import (
-    _multistart_lm,
+    _polish,
     bus_period_model,
     damped_oscillation_model,
     fit_damped_oscillation,
@@ -79,6 +80,13 @@ class TestStarkDetuningFit:
         with pytest.raises(InvalidParameterError):
             fit_stark_detuning(np.array([1.0, 2.0, 3.0]), np.ones(3), G_TRUE)
 
+    def test_nonpositive_period_rejected(self):
+        dd = np.array([khz_to_angular(x) for x in (100, 200, 300, 400, 500)])
+        tau = bus_period_model(dd, khz_to_angular(275.0), G_TRUE)
+        tau[2] = 0.0
+        with pytest.raises(InvalidParameterError):
+            fit_stark_detuning(dd, tau, G_TRUE)
+
 
 class TestDampedOscillationFit:
     def test_roundtrip(self):
@@ -94,20 +102,75 @@ class TestDampedOscillationFit:
         t = np.linspace(0.0, 60.0, 400)
         y = 0.1 + 0.4 * (1 + np.cos(1.3 * t))
         fit = fit_damped_oscillation(t, y)
-        # decay times are unidentifiable; either flagged or enormous
-        big = fit.estimates.get("tau1", 0) > 1e4 or "unbounded-parameter" in fit.flags
-        assert big
+        # decay times are unidentifiable: flagged, while the oscillation is
+        # still recovered
+        assert "unbounded-parameter" in fit.flags
+        assert fit.estimates["omega"] == pytest.approx(1.3, abs=1e-6)
+        assert fit.estimates["amplitude"] == pytest.approx(0.4, abs=1e-6)
+        assert fit.estimates["offset"] == pytest.approx(0.1, abs=1e-6)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_noisy_roundtrip(self, seed):
+        truth = dict(tau1=25.0, tau_phi=12.0, omega=0.5 * np.pi, amplitude=0.4, offset=0.1)
+        t = np.linspace(0.0, 30.0, 240)
+        rng = np.random.default_rng(seed)
+        y = damped_oscillation_model(t, **truth) + rng.normal(0.0, 1e-3, t.size)
+        fit = fit_damped_oscillation(t, y)
+        assert fit.converged
+        for key, val in truth.items():
+            assert fit.estimates[key] == pytest.approx(val, rel=0.05), key
+
+    def test_frequency_reported_nonnegative(self):
+        t = np.linspace(0.0, 30.0, 240)
+        y = damped_oscillation_model(t, 25.0, 12.0, -1.3, 0.4, 0.1)
+        fit = fit_damped_oscillation(t, y)
+        assert fit.estimates["omega"] == pytest.approx(1.3, rel=1e-6)
+
+    @pytest.mark.parametrize("omega", [0.0, np.pi / (30.0 / 239)], ids=["none", "nyquist"])
+    def test_real_poles_only(self, omega):
+        # a trace whose poles are all real: a plain decay, or an oscillation
+        # at the Nyquist frequency (pole -1)
+        t = np.linspace(0.0, 30.0, 240)
+        y = damped_oscillation_model(t, 1e12, 7.0, omega, 0.4, 0.1)
+        fit = fit_damped_oscillation(t, y)
+        assert fit.residual_norm < 1e-6
+        assert fit.estimates["omega"] == pytest.approx(omega, abs=1e-6)
+
+    def test_one_polish_of_few_model_calls(self, monkeypatch):
+        calls = []
+        model = calibration.damped_oscillation_model
+
+        def counted(*args):
+            calls.append(1)
+            return model(*args)
+
+        monkeypatch.setattr(calibration, "damped_oscillation_model", counted)
+        t = np.linspace(0.0, 30.0, 240)
+        y = model(t, 25.0, 12.0, 0.5 * np.pi, 0.4, 0.1)
+        y = y + np.random.default_rng(0).normal(0.0, 1e-3, t.size)
+        fit = fit_damped_oscillation(t, y)
+        assert fit.converged
+        assert len(calls) <= 100
+
+    @pytest.mark.parametrize(
+        "t",
+        [np.linspace(0.0, 30.0, 240) ** 1.1, np.full(240, 3.0), np.linspace(30.0, 0.0, 240)],
+        ids=["stretched", "constant", "decreasing"],
+    )
+    def test_non_uniform_grid_rejected(self, t):
+        with pytest.raises(InvalidParameterError, match="uniformly sampled"):
+            fit_damped_oscillation(t, np.cos(t))
 
     def test_too_few_samples(self):
         with pytest.raises(InvalidParameterError):
             fit_damped_oscillation(np.linspace(0, 1, 8), np.ones(8))
 
 
-class TestMultistart:
+class TestPolish:
     def test_residual_bug_propagates(self):
-        # only a start with non-finite residuals (a ValueError) is skipped
+        # only non-finite residuals at the start (a ValueError) are caught
         def residual(x):
             return undefined_model(x)  # noqa: F821
 
         with pytest.raises(NameError):
-            _multistart_lm(residual, [(1.0,), (2.0,)], ("x",))
+            _polish(residual, (1.0,), ("x",))

@@ -301,6 +301,16 @@ class TestLindblad:
         with pytest.raises(InvalidParameterError):
             propagate_lindblad_matrix(build_h_full(params), [], [rho0], (1.0,), rtol=0.0)
 
+    def test_zero_matrix_stays_zero(self):
+        p = SystemParams.from_khz(80, 80, 475, dims=(3, 2, 3), t1=(20.0, 15.0, 25.0))
+        d = p.dims.total
+        one = fock_state(p.dims, (1, 0, 0)).to_density().elements
+        zero, moved = propagate_lindblad_matrix(
+            build_h_full(p), collapse_operators(p), [np.zeros((d, d)), one], (0.5, 1.0)
+        )
+        assert all(np.array_equal(rho, np.zeros((d, d))) for rho in zero)
+        assert all(np.trace(rho).real == pytest.approx(1.0, abs=1e-6) for rho in moved)
+
     def test_reduces_to_unitary_without_collapse(self, params):
         psi = fock_state(params.dims, (1, 0, 0))
         rho = evolve_lindblad(build_h_full(params), [], psi.to_density(), (2.0,))[-1]
