@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from math import cos, cosh, pi, sin, sqrt, tanh
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import InvalidParameterError
 from .model import REGIME_FACTOR, SystemParams, require_oscillatory
@@ -136,6 +135,8 @@ def sweet_point_detuning(g: float, k: int) -> float:
 
 def sweet_point_detuning_numeric(g: float, k: int) -> float:
     """Root-find of tau_ST/tau_S2 = k; independent check of the closed form."""
+    from scipy.optimize import brentq
+
     if g <= 0 or k < 1:
         raise InvalidParameterError("need g > 0 and k >= 1")
 

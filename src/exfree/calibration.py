@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 from math import pi
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import InvalidParameterError
 
@@ -41,8 +40,14 @@ class FitResult:
 
 def _polish(residual_fn, x0, names) -> FitResult:
     """One Levenberg-Marquardt run from `x0`, with linearized uncertainties."""
+    from scipy.optimize import least_squares
+
     try:
-        res = least_squares(residual_fn, np.asarray(x0, dtype=float), method="lm")
+        # scipy's default of 100 evaluations per parameter stops a pair-strength
+        # fit far from t = 0 partway along its narrow valley
+        res = least_squares(
+            residual_fn, np.asarray(x0, dtype=float), method="lm", max_nfev=1000
+        )
     except ValueError:  # non-finite residuals at the start
         return FitResult({}, {}, float("inf"), 0, False, ("nonconvergence",))
     flags = []
@@ -93,10 +98,16 @@ def _uniform_trace(times, values) -> tuple[np.ndarray, np.ndarray, float]:
     return t, y, float(dt)
 
 
+def _cosh2(x) -> np.ndarray:
+    """cosh^2(x) with |x| clipped at 350, where 1/cosh^2 is below 1e-303 and
+    cosh^2 still fits in a float: nothing overflows."""
+    return np.cosh(np.clip(x, -350.0, 350.0)) ** 2
+
+
 def vacuum_probability(g: float, t) -> np.ndarray:
     """Ideal vacuum-return probability of one cavity under pair pumping,
     P0(t) = 1/cosh^2(g t)."""
-    return 1.0 / np.cosh(g * np.asarray(t, dtype=float)) ** 2
+    return 1.0 / _cosh2(g * np.asarray(t, dtype=float))
 
 
 def generate_tmsv_trace(
@@ -121,14 +132,15 @@ def fit_tms_strength(t, p0) -> FitResult:
 
     def residual(x):
         a, b, g = x
-        return a / np.cosh(g * t) ** 2 + b - p0
+        return a / _cosh2(g * t) + b - p0
 
     t_span = max(t.max() - t.min(), 1e-12)
-    g_grid = np.geomspace(1e-2, 30.0, 49) / t_span
+    # g * max|t|, not g * span, sets how far the shape falls on the grid
+    g_grid = np.geomspace(1e-2, 30.0, 49) / max(np.abs(t).max(), 1e-12)
     # constant data: the centred covariances in _profile leave a start
     # amplitude at rounding level, far below the resolution of b, so the
     # Jacobian's g column vanishes and the fit reports "singular-jacobian"
-    k, a, b = _profile(1.0 / np.cosh(np.outer(g_grid, t)) ** 2, p0)
+    k, a, b = _profile(1.0 / _cosh2(np.outer(g_grid, t)), p0)
     fit = _polish(residual, (a, b, g_grid[k]), ("a", "b", "g"))
     if fit.converged and abs(fit.estimates.get("g", 0.0)) * t_span < 1e-6:
         fit = replace(fit, converged=False, flags=fit.flags + ("degenerate-data",))

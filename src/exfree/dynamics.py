@@ -17,7 +17,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.integrate import solve_ivp
 from scipy.sparse.csgraph import connected_components
 
 from .errors import (
@@ -210,6 +209,8 @@ def propagate_lindblad_matrix(
     Q, so a channel matrix unit moves in one sector.  Each block is
     integrated with adaptive RK45 (atol = rtol * 1e-2) and scattered back.
     """
+    from scipy.integrate import solve_ivp
+
     if not H.is_hermitian(tol=1e-10):
         raise InvalidOperatorError("Hamiltonian must be Hermitian")
     if rtol <= 0:

@@ -4,11 +4,10 @@ parity conditioning, and two-qubit Pauli expectation tables."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lgamma
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import sqrtm
-from scipy.special import eval_genlaguerre, gammaln
 
 from .errors import DimensionError, InvalidOperatorError, InvalidParameterError
 from .fock import DensityMatrix, ModeDims, StateVector
@@ -32,7 +31,8 @@ def state_fidelity(a, b) -> float:
     """Fidelity between two states (pure or mixed), in [0, 1].
 
     Pure-pure reduces to |<a|b>|^2; the general case is the squared Uhlmann
-    fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2.
+    fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, with both square roots
+    taken from `eigh` and eigenvalues clipped at 0.
     """
     if isinstance(a, StateVector) and isinstance(b, StateVector):
         if a.dims.dims != b.dims.dims:
@@ -47,9 +47,10 @@ def state_fidelity(a, b) -> float:
             w, v = np.linalg.eigh(x)
             psi = v[:, -1]
             return float(np.real(psi.conj() @ y @ psi))
-    root = sqrtm(ra)
-    inner = sqrtm(root @ rb @ root)
-    return float(np.real(np.trace(inner)) ** 2)
+    w, v = np.linalg.eigh(ra)
+    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    inner = np.linalg.eigvalsh(root @ rb @ root)
+    return float(np.sqrt(np.clip(inner, 0.0, None)).sum() ** 2)
 
 
 def _best_phase(ks, coeffs) -> tuple[float, float]:
@@ -233,6 +234,8 @@ def wigner(rho_single_mode, alphas) -> np.ndarray:
     Phys. Rev. 177, 1882 (1969)), exact for a state held in its n levels:
     W = (2/pi) e^{-2|alpha|^2} sum_{m<=k} (2 - delta_mk)
         Re[rho_mk (-1)^m (2 alpha)^(k-m) sqrt(m!/k!) L_m^(k-m)(4|alpha|^2)].
+    The generalized Laguerre polynomials come from the three-term recurrence
+    L_0 = 1, L_1 = 1 + d - x, (m+1) L_{m+1} = (2m+1+d-x) L_m - (m+d) L_{m-1}.
     `alphas` is any array of complex phase-space points; returns real values
     of the same shape.
     """
@@ -240,14 +243,19 @@ def wigner(rho_single_mode, alphas) -> np.ndarray:
     n = rho.shape[0]
     alphas = np.asarray(alphas, dtype=complex)
     x = 4.0 * np.abs(alphas) ** 2
+    flat = x.ravel()
+    log_fact = np.array([lgamma(k + 1) for k in range(n)])
     total = np.zeros(alphas.shape)
     # one pass per off-diagonal k - m = d, summing over m for the whole grid
     for d in range(n):
         m = np.arange(n - d)
-        sqrt_ratio = np.exp(0.5 * (gammaln(m + 1) - gammaln(m + d + 1)))
+        sqrt_ratio = np.exp(0.5 * (log_fact[m] - log_fact[m + d]))
         coef = rho[m, m + d] * (-1.0) ** m * sqrt_ratio
-        lag = eval_genlaguerre(m[:, None], d, x.ravel())
-        term = (coef @ lag).reshape(alphas.shape) * (2.0 * alphas) ** d
+        lag = np.zeros((n - d + 1, flat.size))  # row j holds L_{j-1}; L_{-1} = 0
+        lag[1] = 1.0
+        for k in range(n - d - 1):
+            lag[k + 2] = ((2 * k + 1 + d - flat) * lag[k + 1] - (k + d) * lag[k]) / (k + 1)
+        term = (coef @ lag[1:]).reshape(alphas.shape) * (2.0 * alphas) ** d
         total += (1.0 if d == 0 else 2.0) * term.real
     return (2.0 / np.pi) * np.exp(-0.5 * x) * total
 

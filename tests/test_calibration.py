@@ -55,6 +55,19 @@ class TestTmsStrengthFit:
     def test_vacuum_probability_at_zero(self):
         assert vacuum_probability(G_TRUE, 0.0) == pytest.approx(1.0)
 
+    def test_vacuum_probability_far_out_does_not_overflow(self):
+        p0 = vacuum_probability(1.0, np.array([-1e4, -800.0, 800.0, 1e4]))
+        assert np.all((p0 >= 0.0) & (p0 < 1e-300))
+
+    def test_trace_far_from_time_origin(self):
+        # g * span is 0.008 but g * t is about 2: the start grid must follow
+        # g * max|t|, and no cosh may overflow on the way
+        g = 0.002
+        t = np.linspace(1000.0, 1004.0, 64)
+        fit = fit_tms_strength(t, 1.0 / np.cosh(g * t) ** 2)
+        assert fit.converged
+        assert fit.estimates["g"] == pytest.approx(g, rel=1e-6)
+
 
 class TestStarkDetuningFit:
     def test_noiseless_roundtrip(self):

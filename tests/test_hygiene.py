@@ -1,6 +1,9 @@
 """Source hygiene of the package modules."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,3 +32,16 @@ def test_every_import_is_used(path):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
     }
     assert sorted(imported_names(tree) - read) == []
+
+
+def test_import_loads_no_optimize_integrate_or_special():
+    code = (
+        "import sys, exfree, exfree.cli; "
+        "print(' '.join(m for m in ('scipy.optimize', 'scipy.integrate', 'scipy.special') "
+        "if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == []

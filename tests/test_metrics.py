@@ -73,6 +73,26 @@ class TestStateFidelity:
         assert f_ab == pytest.approx(f_ba, abs=1e-8)
         assert -1e-10 <= f_ab <= 1.0 + 1e-8
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_sqrtm_uhlmann(self, seed):
+        from scipy.linalg import sqrtm
+
+        rng = np.random.default_rng(seed)
+        d = 2 + seed % 5
+
+        def random_rho():
+            # full rank: a rounding-level eigenvalue would put a sqrt(eps)
+            # error into Tr sqrt(.) by any method, sqrtm included
+            m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            r = m @ m.conj().T
+            return r / np.trace(r)
+
+        a, b = random_rho(), random_rho()
+        assert np.linalg.norm(a @ b - b @ a) > 1e-3  # non-commuting
+        root = sqrtm(a)
+        expect = np.trace(sqrtm(root @ b @ root)).real ** 2
+        assert state_fidelity(a, b) == pytest.approx(expect, abs=1e-10)
+
 
 class TestPhaseOptimization:
     def test_recovers_applied_phase(self):
@@ -268,6 +288,29 @@ class TestWigner:
             d = expm(al * a.conj().T - np.conj(al) * a)
             expect.append(2 / np.pi * np.trace(d.conj().T @ padded @ d @ parity).real)
         assert np.allclose(wigner(rho, alphas), expect, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 9, 16, 30])
+    def test_matches_scipy_laguerre_sum(self, n):
+        from scipy.special import eval_genlaguerre, gammaln
+
+        rng = np.random.default_rng(n)
+        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        rho = g @ g.conj().T
+        rho /= np.trace(rho)
+        axis = np.linspace(-3.0, 3.0, 17)
+        alphas = axis[:, None] + 1j * axis[None, :]
+        x = 4.0 * np.abs(alphas) ** 2
+        total = np.zeros(alphas.shape)
+        for d in range(n):
+            m = np.arange(n - d)
+            sqrt_ratio = np.exp(0.5 * (gammaln(m + 1) - gammaln(m + d + 1)))
+            coef = rho[m, m + d] * (-1.0) ** m * sqrt_ratio
+            lag = eval_genlaguerre(m[:, None, None], d, x)
+            total += (1.0 if d == 0 else 2.0) * (
+                np.tensordot(coef, lag, axes=1) * (2.0 * alphas) ** d
+            ).real
+        expect = (2.0 / np.pi) * np.exp(-0.5 * x) * total
+        assert np.allclose(wigner(rho, alphas), expect, rtol=0, atol=1e-12)
 
 
 class TestParitySplit:
