@@ -31,7 +31,6 @@ from .dynamics import (
     evolve_lindblad,
     evolve_trotter,
     evolve_unitary,
-    truncation_convergence_check,
 )
 from .errors import (
     ConvergenceError,
@@ -65,10 +64,8 @@ from .fock import (
     StateVector,
     annihilation_op,
     binomial_code_state,
-    creation_op,
     embed_op,
     fock_state,
-    identity_op,
     mode_populations,
     number_op,
     partial_trace,
@@ -77,16 +74,13 @@ from .fock import (
 from .metrics import (
     PauliTable,
     ProcessMatrix,
-    choi_from_channel,
     depolarizing_budget,
     negativity,
     optimize_mode_phase,
     parity_split,
     pauli_table_02,
-    process_fidelity,
     process_fidelity_qubit_subspace,
     process_matrix,
-    state_fidelity,
     wigner,
 )
 from .model import (

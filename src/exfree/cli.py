@@ -29,6 +29,7 @@ import yaml
 from . import __version__
 from .analytic import tau_st
 from .calibration import (
+    FitResult,
     bus_period_model,
     fit_stark_detuning,
     fit_tms_strength,
@@ -275,6 +276,26 @@ def _spec_for(cfg: RunConfig, default_total: float) -> EvolutionSpec:
     )
 
 
+def _fit_report(
+    result: ProtocolResult, fit: FitResult, prefix: str, param: str, truth: float
+) -> ProtocolResult:
+    """Record a calibration fit of `param` in `result`: the truth, estimate
+    and sigma as `<prefix>_*` scalars, and the whole fit as table "fit"."""
+    result.scalars = {
+        f"{prefix}_truth": truth,
+        f"{prefix}_estimate": fit.estimates.get(param, float("nan")),
+        f"{prefix}_sigma": fit.uncertainties.get(param, float("nan")),
+        "residual_norm": fit.residual_norm,
+        "converged": float(fit.converged),
+    }
+    result.tables["fit"] = {
+        "estimates": fit.estimates,
+        "uncertainties": fit.uncertainties,
+        "flags": list(fit.flags),
+    }
+    return result
+
+
 def _run_calibrate_g(cfg: RunConfig) -> ProtocolResult:
     opts = cfg.options
     g_truth = khz_to_angular(opts.get("g_truth_over_2pi_khz", 80.0))
@@ -284,21 +305,8 @@ def _run_calibrate_g(cfg: RunConfig) -> ProtocolResult:
     p0 = generate_tmsv_trace(
         g_truth, t, noise_sigma=opts.get("noise_sigma"), seed=opts.get("seed")
     )
-    fit = fit_tms_strength(t, p0)
     result = ProtocolResult(name="calibrate-g", times=t, series={"P0": p0})
-    result.scalars = {
-        "g_truth": g_truth,
-        "g_estimate": fit.estimates.get("g", float("nan")),
-        "g_sigma": fit.uncertainties.get("g", float("nan")),
-        "residual_norm": fit.residual_norm,
-        "converged": float(fit.converged),
-    }
-    result.tables["fit"] = {
-        "estimates": fit.estimates,
-        "uncertainties": fit.uncertainties,
-        "flags": list(fit.flags),
-    }
-    return result
+    return _fit_report(result, fit_tms_strength(t, p0), "g", "g", g_truth)
 
 
 def _run_calibrate_delta0(cfg: RunConfig) -> ProtocolResult:
@@ -308,21 +316,8 @@ def _run_calibrate_delta0(cfg: RunConfig) -> ProtocolResult:
     dd_khz = opts.get("delta_d_over_2pi_khz", [100.0, 200.0, 300.0, 400.0, 500.0])
     dd = np.array([khz_to_angular(x) for x in dd_khz])
     tau = bus_period_model(dd, d0_truth, g)
-    fit = fit_stark_detuning(dd, tau, g)
     result = ProtocolResult(name="calibrate-delta0", times=dd, series={"tau_s2": tau})
-    result.scalars = {
-        "delta0_truth": d0_truth,
-        "delta0_estimate": fit.estimates.get("delta_0", float("nan")),
-        "delta0_sigma": fit.uncertainties.get("delta_0", float("nan")),
-        "residual_norm": fit.residual_norm,
-        "converged": float(fit.converged),
-    }
-    result.tables["fit"] = {
-        "estimates": fit.estimates,
-        "uncertainties": fit.uncertainties,
-        "flags": list(fit.flags),
-    }
-    return result
+    return _fit_report(result, fit_stark_detuning(dd, tau, g), "delta0", "delta_0", d0_truth)
 
 
 def run_experiment(cfg: RunConfig) -> ProtocolResult:
@@ -417,12 +412,8 @@ def write_artifacts(result: ProtocolResult, cfg: RunConfig, label: Optional[str]
             (dest / "trajectory.csv").write_text("\n".join(lines) + "\n")
 
         for key in wigner_keys:
-            arr = np.asarray(result.series[key])
-            lines = []
-            if arr.ndim == 1:
-                lines = [",".join(_fmt(x) for x in arr)]
-            else:
-                lines = [",".join(_fmt(x) for x in row) for row in arr]
+            rows = np.atleast_2d(result.series[key])
+            lines = [",".join(_fmt(x) for x in row) for row in rows]
             (dest / f"{key}.csv").write_text("\n".join(lines) + "\n")
 
         summary = {

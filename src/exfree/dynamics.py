@@ -29,12 +29,11 @@ from .fock import (
     DensityMatrix,
     OperatorMatrix,
     StateVector,
+    _check_modes,
     annihilation_op,
     embed_op,
-    fock_state,
-    mode_populations,
 )
-from .model import SystemParams, build_h_detune, build_h_full, build_h_tms
+from .model import SystemParams, build_h_detune, build_h_tms
 
 
 @dataclass(frozen=True)
@@ -255,6 +254,7 @@ def apply_jump(state, mode: int):
     """
     if not isinstance(state, (StateVector, DensityMatrix)):
         raise InvalidParameterError("state must be a StateVector or DensityMatrix")
+    _check_modes(state.dims, [mode])
     a = embed_op(annihilation_op(state.dims[mode]), mode, state.dims)
     if isinstance(state, StateVector):
         vec = a @ state.amplitudes
@@ -267,30 +267,3 @@ def apply_jump(state, mode: int):
     if weight <= 1e-12:
         raise ImpossibleOutcomeError("annihilation of a vacuum-supported state")
     return DensityMatrix(m / weight, state.dims), weight
-
-
-@dataclass(frozen=True)
-class TruncationReport:
-    dims: tuple[int, ...]
-    grown_dims: tuple[int, ...]
-    max_population_difference: float
-    passed: bool
-
-
-def truncation_convergence_check(
-    params: SystemParams,
-    occupations: Sequence[int],
-    t: float,
-    grow: int = 2,
-    tol: float = 1e-6,
-) -> TruncationReport:
-    """Repeat the exact evolution of the full three-mode Hamiltonian from a
-    Fock start with `grow` extra levels per mode and compare per-mode
-    populations at time t."""
-    big = params.dims.grown(grow)
-    pops = []
-    for d in (params.dims, big):
-        H = build_h_full(params.with_dims(d))
-        pops.append(mode_populations(evolve_unitary(H, fock_state(d, occupations), (t,))[0]))
-    diff = float(np.max(np.abs(pops[0] - pops[1])))
-    return TruncationReport(tuple(params.dims), tuple(big), diff, diff < tol)

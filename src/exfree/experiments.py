@@ -97,13 +97,11 @@ def _evolve_trajectory(
         return evolve_unitary(build_h_full(params), psi0, times)
     if spec.method == "trotter":
         return evolve_trotter(params, psi0, times, spec.trotter_dt)
-    if spec.method == "lindblad":
-        a = psi0.amplitudes
-        rho0 = DensityMatrix(np.outer(a, a.conj()), psi0.dims)
-        return evolve_lindblad(
-            build_h_full(params), collapse_operators(params), rho0, times, spec.rtol
-        )
-    raise InvalidParameterError(f"unknown method {spec.method!r}")
+    a = psi0.amplitudes  # "lindblad": EvolutionSpec admits no other method
+    rho0 = DensityMatrix(np.outer(a, a.conj()), psi0.dims)
+    return evolve_lindblad(
+        build_h_full(params), collapse_operators(params), rho0, times, spec.rtol
+    )
 
 
 def dominant_period(times, values) -> float:

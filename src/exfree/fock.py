@@ -62,13 +62,15 @@ class ModeDims:
             raise DimensionError("occupation list does not match mode count")
         return int(np.ravel_multi_index(tuple(occupations), self.dims))
 
-    def grown(self, extra: int) -> "ModeDims":
-        """Same mode structure with `extra` additional levels per mode."""
-        return ModeDims(tuple(n + extra for n in self.dims))
-
 
 def _as_dims(dims) -> ModeDims:
     return dims if isinstance(dims, ModeDims) else ModeDims(dims)
+
+
+def _check_modes(dims: ModeDims, modes: Sequence[int]) -> None:
+    """Raise DimensionError unless `modes` are distinct mode indices of `dims`."""
+    if len(set(modes)) != len(modes) or not all(0 <= m < dims.n_modes for m in modes):
+        raise DimensionError(f"mode indices {list(modes)} are not distinct modes of {tuple(dims)}")
 
 
 @dataclass(frozen=True)
@@ -114,9 +116,6 @@ class OperatorMatrix:
     def __add__(self, other):
         return OperatorMatrix(self.sparse + other.sparse, self.dims)
 
-    def __sub__(self, other):
-        return OperatorMatrix(self.sparse - other.sparse, self.dims)
-
     def __mul__(self, scalar):
         return OperatorMatrix(self.sparse * scalar, self.dims)
 
@@ -142,12 +141,6 @@ class StateVector:
         object.__setattr__(self, "amplitudes", vec)
         self.amplitudes.setflags(write=False)
 
-    def overlap(self, other: "StateVector") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def to_density(self) -> "DensityMatrix":
-        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()), self.dims)
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -170,9 +163,6 @@ class DensityMatrix:
         object.__setattr__(self, "elements", mat)
         self.elements.setflags(write=False)
 
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.elements)[0])
-
 
 def annihilation_op(n_levels: int) -> OperatorMatrix:
     """Single-mode lowering operator, <n-1|a|n> = sqrt(n)."""
@@ -182,19 +172,10 @@ def annihilation_op(n_levels: int) -> OperatorMatrix:
     return OperatorMatrix(sp.diags(diag, 1, dtype=complex), ModeDims((n_levels,)))
 
 
-def creation_op(n_levels: int) -> OperatorMatrix:
-    return annihilation_op(n_levels).dag
-
-
 def number_op(n_levels: int) -> OperatorMatrix:
     if n_levels < 2:
         raise DimensionError(f"need at least 2 levels, got {n_levels}")
     return OperatorMatrix(sp.diags(np.arange(n_levels, dtype=complex)), ModeDims((n_levels,)))
-
-
-def identity_op(dims) -> OperatorMatrix:
-    dims = _as_dims(dims)
-    return OperatorMatrix(sp.identity(dims.total, dtype=complex), dims)
 
 
 def embed_op(op: OperatorMatrix, mode_index: int, dims) -> OperatorMatrix:
@@ -205,8 +186,7 @@ def embed_op(op: OperatorMatrix, mode_index: int, dims) -> OperatorMatrix:
     joint[:, c, :]: the Kronecker product in one sparse construction.
     """
     dims = _as_dims(dims)
-    if not 0 <= mode_index < dims.n_modes:
-        raise DimensionError(f"mode index {mode_index} out of range for {tuple(dims)}")
+    _check_modes(dims, [mode_index])
     n = dims[mode_index]
     if op.dims.total != n:
         raise DimensionError(f"operator dimension {op.dims.total} != mode truncation {n}")
@@ -296,6 +276,7 @@ def partial_trace(state, keep: Sequence[int]) -> np.ndarray:
     """
     dims = state.dims
     keep = sorted(keep)
+    _check_modes(dims, keep)
     nm = dims.n_modes
     drop = [k for k in range(nm) if k not in keep]
     d_keep = int(np.prod([dims[k] for k in keep])) if keep else 1

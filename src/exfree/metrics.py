@@ -5,14 +5,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lgamma
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import DimensionError, InvalidOperatorError, InvalidParameterError
-from .fock import DensityMatrix, ModeDims, StateVector
-
-QubitChannel = Callable[[np.ndarray], np.ndarray]
+from .fock import DensityMatrix, ModeDims, StateVector, _check_modes
 
 
 def _as_matrix(state) -> np.ndarray:
@@ -25,32 +23,6 @@ def _as_matrix(state) -> np.ndarray:
     if arr.ndim == 1:
         return np.outer(arr, arr.conj())
     return arr
-
-
-def state_fidelity(a, b) -> float:
-    """Fidelity between two states (pure or mixed), in [0, 1].
-
-    Pure-pure reduces to |<a|b>|^2; the general case is the squared Uhlmann
-    fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, with both square roots
-    taken from `eigh` and eigenvalues clipped at 0.
-    """
-    if isinstance(a, StateVector) and isinstance(b, StateVector):
-        if a.dims.dims != b.dims.dims:
-            raise DimensionError("state dims do not match")
-        return float(abs(a.overlap(b)) ** 2)
-    ra, rb = _as_matrix(a), _as_matrix(b)
-    if ra.shape != rb.shape:
-        raise DimensionError("state dims do not match")
-    # shortcut when one side is (numerically) pure
-    for x, y in ((ra, rb), (rb, ra)):
-        if abs(np.trace(x @ x).real - 1.0) < 1e-10:
-            w, v = np.linalg.eigh(x)
-            psi = v[:, -1]
-            return float(np.real(psi.conj() @ y @ psi))
-    w, v = np.linalg.eigh(ra)
-    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    inner = np.linalg.eigvalsh(root @ rb @ root)
-    return float(np.sqrt(np.clip(inner, 0.0, None)).sum() ** 2)
 
 
 def _best_phase(ks, coeffs) -> tuple[float, float]:
@@ -93,7 +65,10 @@ def optimize_mode_phase(state, target, mode: Optional[int] = None) -> tuple[floa
         if dims.n_modes != 1:
             raise InvalidParameterError("specify the mode for a multi-mode state")
         mode = 0
+    _check_modes(dims, [mode])
     tgt = _as_matrix(target)
+    if tgt.shape != rho.shape:
+        raise DimensionError(f"target shape {tgt.shape} != state shape {rho.shape}")
 
     # F(phi) = sum_ij e^{i phi (n_i - n_j)} rho_ij tgt_ji is a short Fourier
     # series in phi with one coefficient per photon-number difference
@@ -129,11 +104,6 @@ class ProcessMatrix:
         object.__setattr__(self, "choi", m)
 
 
-IDEAL_CHOI = 0.5 * np.array(
-    [[1, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 1]], dtype=complex
-)
-
-
 def process_matrix(choi) -> ProcessMatrix:
     """Normalized process matrix of an unnormalized 4x4 Choi matrix.
 
@@ -152,47 +122,17 @@ def process_matrix(choi) -> ProcessMatrix:
     return ProcessMatrix(m / tr)
 
 
-def choi_from_channel(channel: QubitChannel, require_tp: bool = True) -> ProcessMatrix:
-    """Build the (normalized) Choi matrix by propagating the 4 matrix units.
-
-    With require_tp the map must preserve trace to 1e-6; post-selected
-    channels set require_tp=False and the Choi is renormalized.
-    """
-    choi = np.zeros((4, 4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            unit = np.zeros((2, 2), dtype=complex)
-            unit[i, j] = 1.0
-            choi[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = channel(unit)
-    if require_tp:
-        tp_defect = max(
-            abs(np.trace(choi[:2, :2]).real - 1.0), abs(np.trace(choi[2:, 2:]).real - 1.0)
-        )
-        if tp_defect > 1e-6:
-            raise InvalidOperatorError(
-                f"channel is not trace preserving (defect {tp_defect:.2e}); "
-                "declare post-selection explicitly"
-            )
-    return process_matrix(choi)
-
-
-def process_fidelity(actual: ProcessMatrix, ideal: Optional[np.ndarray] = None) -> float:
-    """Tr(choi_ideal choi_actual) with normalized Choi matrices.
-
-    With this convention a fully depolarizing qubit channel scores exactly
-    1/4 and the product error model F = 1/4 + 3*prod(P_i)/4 holds.
-    """
-    ideal_m = IDEAL_CHOI if ideal is None else np.asarray(ideal, dtype=complex)
-    return float(np.real(np.trace(ideal_m @ actual.choi)))
-
-
 def process_fidelity_qubit_subspace(pm: ProcessMatrix) -> tuple[float, float]:
     """Process fidelity of a qubit-subspace channel to the identity, maximized
     over a deterministic output phase diag(1, e^{i phi}).
 
-    With v = diag(1, e^{i phi}, 1, e^{i phi}) acting on the stored Choi
-    matrix C, Tr(IDEAL v C v^dag) = (C00 + C33 + C03 e^{-i phi} + C30 e^{i phi})/2,
-    maximized exactly by `_best_phase`.  Returns (fidelity, optimal_phase).
+    The fidelity is Tr(ideal C) between normalized Choi matrices, with ideal
+    the projector onto (|00> + |11>)/sqrt2, so a fully depolarizing channel
+    scores exactly 1/4 and the product error model F = 1/4 + 3*prod(P_i)/4
+    holds.  With v = diag(1, e^{i phi}, 1, e^{i phi}) acting on the stored
+    Choi matrix C, Tr(ideal v C v^dag) = (C00 + C33 + C03 e^{-i phi} +
+    C30 e^{i phi})/2, maximized exactly by `_best_phase`.  Returns
+    (fidelity, optimal_phase).
     """
     c = pm.choi
     return _best_phase((-1, 0, 1), (0.5 * c[0, 3], 0.5 * (c[0, 0] + c[3, 3]), 0.5 * c[3, 0]))
@@ -269,6 +209,7 @@ def parity_split(rho, mode: int = 0):
     """
     m = _as_matrix(rho)
     dims = rho.dims if hasattr(rho, "dims") else ModeDims((m.shape[0],))
+    _check_modes(dims, [mode])
     even = np.indices(tuple(dims))[mode].ravel() % 2 == 0
 
     def branch(mask):

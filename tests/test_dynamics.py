@@ -12,7 +12,6 @@ from exfree.dynamics import (
     evolve_trotter,
     evolve_unitary,
     propagate_lindblad_matrix,
-    truncation_convergence_check,
 )
 from exfree.errors import (
     ImpossibleOutcomeError,
@@ -21,6 +20,7 @@ from exfree.errors import (
 )
 from exfree.experiments import transfer_choi
 from exfree.fock import (
+    DensityMatrix,
     ModeDims,
     OperatorMatrix,
     StateVector,
@@ -38,6 +38,11 @@ from exfree.model import (
     build_h_tms,
     collapse_operators,
 )
+
+
+def pure_density(psi: StateVector) -> DensityMatrix:
+    """The density matrix |psi><psi| of a pure state."""
+    return DensityMatrix(np.outer(psi.amplitudes, psi.amplitudes.conj()), psi.dims)
 
 
 @pytest.fixture()
@@ -78,14 +83,14 @@ class TestUnitary:
     def test_zero_time_is_identity(self, params):
         psi = fock_state(params.dims, (1, 0, 0))
         (out,) = evolve_unitary(build_h_full(params), psi, (0.0,))
-        assert abs(psi.overlap(out)) == pytest.approx(1.0)
+        assert abs(np.vdot(psi.amplitudes, out.amplitudes)) == pytest.approx(1.0)
 
     def test_propagator_composes(self, params):
         H = build_h_full(params)
         psi = fock_state(params.dims, (1, 0, 0))
         half, both = evolve_unitary(H, psi, (2.0, 5.0))
         (one,) = evolve_unitary(H, half, (3.0,))
-        assert abs(one.overlap(both)) == pytest.approx(1.0, abs=1e-12)
+        assert abs(np.vdot(one.amplitudes, both.amplitudes)) == pytest.approx(1.0, abs=1e-12)
 
     def test_times_must_be_a_sequence(self, params):
         with pytest.raises(InvalidParameterError):
@@ -244,7 +249,7 @@ class TestLindblad:
         h = OperatorMatrix(np.zeros((6, 6), dtype=complex), dims)
         t1 = 25.0
         c = float(np.sqrt(1.0 / t1)) * annihilation_op(6)
-        rho0 = fock_state(dims, (3,)).to_density()
+        rho0 = pure_density(fock_state(dims, (3,)))
         times = (5.0, 10.0, 20.0)
         out = evolve_lindblad(h, [c], rho0, times)
         for t, rho in zip(times, out):
@@ -253,13 +258,13 @@ class TestLindblad:
 
     def test_trace_preserved_with_hamiltonian(self, params):
         p = SystemParams.from_khz(80, 80, 475, t1=(100.0, 80.0, 120.0))
-        rho0 = fock_state(p.dims, (1, 0, 0)).to_density()
+        rho0 = pure_density(fock_state(p.dims, (1, 0, 0)))
         out = evolve_lindblad(
             build_h_full(p), collapse_operators(p), rho0, (1.5, 3.0), rtol=1e-7
         )
         for rho in out:
             assert np.trace(rho.elements).real == pytest.approx(1.0, abs=1e-6)
-            assert rho.min_eigenvalue() > -1e-6
+            assert np.linalg.eigvalsh(rho.elements)[0] > -1e-6
 
     @pytest.mark.parametrize("collapse", ["model", "sector-mixing"])
     def test_matches_dense_liouvillian_expm(self, collapse):
@@ -292,19 +297,19 @@ class TestLindblad:
     @pytest.mark.parametrize("times", [[2.0, 1.0], [-1.0, 1.0]], ids=["unsorted", "negative"])
     def test_rejects_bad_times(self, times):
         p = SystemParams.from_khz(80, 80, 475, dims=(3, 2, 3), t1=(20.0, 15.0, 25.0))
-        rho0 = fock_state(p.dims, (1, 0, 0)).to_density()
+        rho0 = pure_density(fock_state(p.dims, (1, 0, 0)))
         with pytest.raises(InvalidParameterError):
             evolve_lindblad(build_h_full(p), collapse_operators(p), rho0, times)
 
     def test_rejects_nonpositive_rtol(self, params):
-        rho0 = fock_state(params.dims, (1, 0, 0)).to_density().elements
+        rho0 = pure_density(fock_state(params.dims, (1, 0, 0))).elements
         with pytest.raises(InvalidParameterError):
             propagate_lindblad_matrix(build_h_full(params), [], [rho0], (1.0,), rtol=0.0)
 
     def test_zero_matrix_stays_zero(self):
         p = SystemParams.from_khz(80, 80, 475, dims=(3, 2, 3), t1=(20.0, 15.0, 25.0))
         d = p.dims.total
-        one = fock_state(p.dims, (1, 0, 0)).to_density().elements
+        one = pure_density(fock_state(p.dims, (1, 0, 0))).elements
         zero, moved = propagate_lindblad_matrix(
             build_h_full(p), collapse_operators(p), [np.zeros((d, d)), one], (0.5, 1.0)
         )
@@ -313,8 +318,8 @@ class TestLindblad:
 
     def test_reduces_to_unitary_without_collapse(self, params):
         psi = fock_state(params.dims, (1, 0, 0))
-        rho = evolve_lindblad(build_h_full(params), [], psi.to_density(), (2.0,))[-1]
-        expect = evolve_unitary(build_h_full(params), psi, (2.0,))[0].to_density()
+        rho = evolve_lindblad(build_h_full(params), [], pure_density(psi), (2.0,))[-1]
+        expect = pure_density(evolve_unitary(build_h_full(params), psi, (2.0,))[0])
         assert np.max(np.abs(rho.elements - expect.elements)) < 1e-6
 
 
@@ -341,7 +346,7 @@ class TestConditioning:
     )
     def test_apply_jump_lowers_fock(self, params, density, weight):
         psi = fock_state(params.dims, (0, 0, 3))
-        state = psi.to_density() if density else psi
+        state = pure_density(psi) if density else psi
         out, got = apply_jump(state, 2)
         assert type(out) is type(state)
         assert np.allclose(mode_populations(out), [0, 0, 2])
@@ -351,7 +356,7 @@ class TestConditioning:
     def test_apply_jump_on_vacuum_fails(self, params, density):
         psi = fock_state(params.dims, (0, 0, 0))
         with pytest.raises(ImpossibleOutcomeError):
-            apply_jump(psi.to_density() if density else psi, 2)
+            apply_jump(pure_density(psi) if density else psi, 2)
 
 
 @pytest.mark.parametrize("method", ["exact-unitary", "trotter", "lindblad"])
@@ -365,17 +370,5 @@ def test_start_dims_must_match(method, start_dims):
         elif method == "trotter":
             evolve_trotter(p, psi, [1.0], 0.1)
         else:
-            evolve_lindblad(build_h_full(p), collapse_operators(p), psi.to_density(), (1.0,))
+            evolve_lindblad(build_h_full(p), collapse_operators(p), pure_density(psi), (1.0,))
 
-
-class TestTruncation:
-    def test_report_flags_tight_truncation(self, params):
-        report = truncation_convergence_check(params, (1, 0, 0), tau_st(params), tol=1e-6)
-        assert not report.passed  # (6,5,6) is visibly unconverged for delta=475
-        assert report.max_population_difference > 1e-4
-
-    def test_report_passes_at_large_dims(self):
-        p = SystemParams.from_khz(80, 80, 775, dims=(8, 7, 8))
-        report = truncation_convergence_check(p, (1, 0, 0), 2.0, tol=1e-4)
-        assert report.passed
-        assert report.grown_dims == (10, 9, 10)

@@ -7,21 +7,17 @@ from scipy.linalg import expm
 from exfree.errors import DimensionError, InvalidOperatorError, InvalidParameterError
 from exfree.fock import DensityMatrix, ModeDims, StateVector, binomial_code_state, fock_state
 from exfree.metrics import (
-    IDEAL_CHOI,
     PAULI_PAIRS,
     ProcessMatrix,
     _best_phase,
-    choi_from_channel,
     depolarizing_budget,
     negativity,
     optimize_mode_phase,
     parity_split,
     partial_transpose,
     pauli_table_02,
-    process_fidelity,
     process_fidelity_qubit_subspace,
     process_matrix,
-    state_fidelity,
     wigner,
 )
 
@@ -32,66 +28,14 @@ def bell_pair():
     return np.outer(v, v.conj())
 
 
-class TestStateFidelity:
-    def test_pure_orthogonal(self):
-        dims = ModeDims((4,))
-        assert state_fidelity(fock_state(dims, (0,)), fock_state(dims, (1,))) == 0.0
+#: Normalized Choi matrix of the identity qubit channel: block (i, j) holds
+#: the channel's output for the input |i><j|, divided by 2.
+IDEAL = bell_pair()
 
-    def test_pure_identical(self):
-        psi = binomial_code_state("+iL", 6)
-        assert state_fidelity(psi, psi) == pytest.approx(1.0)
 
-    def test_pure_vs_mixed(self):
-        dims = ModeDims((3,))
-        rho = DensityMatrix(np.diag([0.7, 0.3, 0.0]).astype(complex), dims)
-        assert state_fidelity(fock_state(dims, (0,)), rho) == pytest.approx(0.7)
-
-    def test_mixed_mixed_uhlmann(self):
-        dims = ModeDims((2,))
-        a = DensityMatrix(np.diag([0.5, 0.5]).astype(complex), dims)
-        b = DensityMatrix(np.diag([0.8, 0.2]).astype(complex), dims)
-        expect = (np.sqrt(0.5 * 0.8) + np.sqrt(0.5 * 0.2)) ** 2
-        assert state_fidelity(a, b) == pytest.approx(expect)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            state_fidelity(fock_state(ModeDims((3,)), (0,)), fock_state(ModeDims((4,)), (0,)))
-
-    @settings(max_examples=20)
-    @given(st.integers(0, 10_000))
-    def test_symmetric_and_bounded(self, seed):
-        rng = np.random.default_rng(seed)
-
-        def random_rho(d=4):
-            m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            r = m @ m.conj().T
-            return r / np.trace(r)
-
-        a, b = random_rho(), random_rho()
-        f_ab = state_fidelity(a, b)
-        f_ba = state_fidelity(b, a)
-        assert f_ab == pytest.approx(f_ba, abs=1e-8)
-        assert -1e-10 <= f_ab <= 1.0 + 1e-8
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_matches_sqrtm_uhlmann(self, seed):
-        from scipy.linalg import sqrtm
-
-        rng = np.random.default_rng(seed)
-        d = 2 + seed % 5
-
-        def random_rho():
-            # full rank: a rounding-level eigenvalue would put a sqrt(eps)
-            # error into Tr sqrt(.) by any method, sqrtm included
-            m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            r = m @ m.conj().T
-            return r / np.trace(r)
-
-        a, b = random_rho(), random_rho()
-        assert np.linalg.norm(a @ b - b @ a) > 1e-3  # non-commuting
-        root = sqrtm(a)
-        expect = np.trace(sqrtm(root @ b @ root)).real ** 2
-        assert state_fidelity(a, b) == pytest.approx(expect, abs=1e-10)
+def pure_density(psi: StateVector) -> DensityMatrix:
+    """The density matrix |psi><psi| of a pure state."""
+    return DensityMatrix(np.outer(psi.amplitudes, psi.amplitudes.conj()), psi.dims)
 
 
 class TestPhaseOptimization:
@@ -152,24 +96,20 @@ class TestPhaseOptimization:
 
 class TestProcessMatrix:
     def test_identity_channel(self):
-        pm = choi_from_channel(lambda x: x)
-        assert process_fidelity(pm) == pytest.approx(1.0)
+        assert process_fidelity_qubit_subspace(ProcessMatrix(IDEAL))[0] == pytest.approx(1.0)
 
     def test_fully_depolarizing_scores_quarter(self):
-        pm = choi_from_channel(lambda x: np.trace(x) * np.eye(2) / 2.0)
-        assert process_fidelity(pm) == pytest.approx(0.25)
+        pm = ProcessMatrix(np.eye(4, dtype=complex) / 4.0)
+        assert process_fidelity_qubit_subspace(pm)[0] == pytest.approx(0.25)
 
     @pytest.mark.parametrize("p", [0.1, 0.4, 0.9])
     def test_partial_depolarizing(self, p):
-        chan = lambda x: (1 - p) * x + p * np.trace(x) * np.eye(2) / 2.0
-        assert process_fidelity(choi_from_channel(chan)) == pytest.approx(1 - 0.75 * p)
+        pm = ProcessMatrix((1 - p) * IDEAL + p * np.eye(4) / 4.0)
+        assert process_fidelity_qubit_subspace(pm)[0] == pytest.approx(1 - 0.75 * p)
 
-    def test_non_tp_rejected_unless_declared(self):
-        lossy = lambda x: 0.5 * x
-        with pytest.raises(InvalidOperatorError):
-            choi_from_channel(lossy, require_tp=True)
-        pm = choi_from_channel(lossy, require_tp=False)
-        assert process_fidelity(pm) == pytest.approx(1.0)  # renormalized
+    def test_post_selected_choi_is_renormalized(self):
+        fid, _ = process_fidelity_qubit_subspace(process_matrix(0.5 * IDEAL))
+        assert fid == pytest.approx(1.0)
 
     def test_choi_validation(self):
         with pytest.raises(InvalidOperatorError):
@@ -179,9 +119,9 @@ class TestProcessMatrix:
                 build(np.full((4, 4), np.nan, dtype=complex))
 
     def test_phase_optimized_identity_with_phase(self):
-        v = np.diag([1.0, np.exp(0.6j)])
-        chan = lambda x: v @ x @ v.conj().T
-        fid, phi = process_fidelity_qubit_subspace(choi_from_channel(chan))
+        # the channel x -> v x v^dag has the Choi matrix w IDEAL w^dag, w = 1 (x) v
+        w = np.kron(np.eye(2), np.diag([1.0, np.exp(0.6j)]))
+        fid, phi = process_fidelity_qubit_subspace(ProcessMatrix(w @ IDEAL @ w.conj().T))
         assert fid == pytest.approx(1.0, abs=1e-12)
         assert np.exp(1j * (phi + 0.6)) == pytest.approx(1.0, abs=1e-12)
 
@@ -197,16 +137,13 @@ class TestProcessMatrix:
             # Tr(IDEAL v C v^dag) with v = diag(1, e^{i phi}, 1, e^{i phi})
             v = np.exp(1j * np.multiply.outer(phi, [0, 1, 0, 1]))
             rotated = v[..., :, None] * pm.choi * v[..., None, :].conj()
-            return np.real(np.einsum("ij,...ji->...", IDEAL_CHOI, rotated))
+            return np.real(np.einsum("ij,...ji->...", IDEAL, rotated))
 
         fid, phi = process_fidelity_qubit_subspace(pm)
         grid = np.linspace(-np.pi, np.pi, 4096, endpoint=False)
         assert fid >= fid_at(grid).max() - 1e-12
         assert fid_at(phi) == pytest.approx(fid, abs=1e-12)
         assert -np.pi < phi <= np.pi
-
-    def test_ideal_choi_is_projector(self):
-        assert np.allclose(IDEAL_CHOI @ IDEAL_CHOI, IDEAL_CHOI)
 
 
 class TestBudget:
@@ -315,11 +252,12 @@ class TestWigner:
 
 class TestParitySplit:
     def test_even_codeword(self):
-        rho = binomial_code_state("0L", 6).to_density()
+        rho = pure_density(binomial_code_state("0L", 6))
         p_even, rho_even, rho_odd = parity_split(rho)
         assert p_even == pytest.approx(1.0)
         assert rho_odd is None
-        assert state_fidelity(rho_even, rho) == pytest.approx(1.0)
+        # the fidelity to a pure state is Tr(rho_even rho)
+        assert np.trace(rho_even.elements @ rho.elements).real == pytest.approx(1.0)
 
     def test_balanced_mixture(self):
         m = np.diag([0.5, 0.5, 0.0, 0.0, 0.0, 0.0]).astype(complex)
@@ -330,7 +268,7 @@ class TestParitySplit:
 
     def test_multi_mode_selects_mode(self):
         dims = ModeDims((3, 3))
-        rho = fock_state(dims, (1, 2)).to_density()
+        rho = pure_density(fock_state(dims, (1, 2)))
         p_even, _, odd = parity_split(rho, mode=0)
         assert p_even == pytest.approx(0.0, abs=1e-12)
         assert odd is not None
