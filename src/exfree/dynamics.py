@@ -8,6 +8,10 @@ split-step trajectory steps one small matrix per occupied sector of H, and
 the Lindblad path integrates the sparse Liouvillian with RK45 on the
 coherence sectors the initial matrix occupies.  All propagators are
 deterministic.
+
+A propagator returns its whole trajectory as one state with a leading sample
+axis: a `StateVector` of shape (T, d) or a `DensityMatrix` of shape
+(T, d, d), validated once; `traj[k]` is sample k.
 """
 
 from __future__ import annotations
@@ -79,10 +83,19 @@ def _occupied_sectors(
     return [[blocks[k] for k in np.unique(labels[np.flatnonzero(x)])] for x in starts]
 
 
+def _check_start(state, dims) -> None:
+    if state.dims.dims != dims.dims:
+        raise InvalidParameterError("state dims do not match the system's dims")
+    pure = isinstance(state, StateVector)
+    if (state.amplitudes.ndim != 1) if pure else (state.elements.ndim != 2):
+        raise InvalidParameterError("start must be a single state, not a trajectory")
+
+
 def evolve_unitary(
     H: OperatorMatrix, psi: StateVector, times: Sequence[float]
-) -> list[StateVector]:
-    """The states exp(-iHt) psi of a Hermitian H, one per entry of `times`.
+) -> StateVector:
+    """The trajectory exp(-iHt) psi of a Hermitian H, one sample per entry of
+    `times`, as one (T, d) state.
 
     Each sector of H that psi occupies is diagonalized by one `eigh`.  The
     sectors are the connected components of H's nonzero pattern: the charge
@@ -92,8 +105,7 @@ def evolve_unitary(
     """
     if not H.is_hermitian(tol=1e-10):
         raise InvalidOperatorError("Hamiltonian must be Hermitian")
-    if psi.dims.dims != H.dims.dims:
-        raise InvalidParameterError("state dims do not match Hamiltonian dims")
+    _check_start(psi, H.dims)
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise InvalidParameterError("times must be a sequence")
@@ -103,29 +115,31 @@ def evolve_unitary(
         evals, evecs = np.linalg.eigh(H.sparse[idx][:, idx].toarray())
         phases = np.exp(-1j * np.outer(times, evals))
         out[:, idx] = (phases * (evecs.conj().T @ psi.amplitudes[idx])) @ evecs.T
-    return [StateVector(row, psi.dims) for row in out]
+    return StateVector(out, psi.dims)
 
 
 def evolve_trotter(
     params: SystemParams, psi: StateVector, times: Sequence[float], dt: float
-) -> list[StateVector]:
+) -> StateVector:
     """First-order split-step trajectory of the full Hamiltonian, sampled at
-    the sorted `times`.
+    the sorted `times`, as one (T, d) state.
 
     One step applies exp(-i H dt) of the pair coupling S1-S2, then of S3-S2,
     then of the bus detuning.  Each factor conserves the charge of the full
     H, so the step is one small product of three factors per block of the
     full H; blocks outside the support of psi are skipped.  Sample k lies
-    round(t_k/dt) steps from the start and is reached from sample k-1, so a
-    trajectory costs as many steps as its last sample.  dt should divide
-    every sample time.
+    t_k/dt steps from the start and is reached from sample k-1, so a
+    trajectory costs as many steps as its last sample.  A sample time that
+    is not a whole number of steps (to 1e-6 of a step) raises
+    InvalidParameterError.
     """
     if dt <= 0:
         raise InvalidParameterError("dt must be positive")
-    if psi.dims.dims != params.dims.dims:
-        raise InvalidParameterError("state dims do not match parameter dims")
+    _check_start(psi, params.dims)
     times = np.asarray(times, dtype=float)
     counts = np.rint(times / dt).astype(int)
+    if np.any(np.abs(times / dt - counts) > 1e-6):
+        raise InvalidParameterError(f"sample times must be whole multiples of dt = {dt}")
     steps = np.diff(counts, prepend=0)  # between consecutive samples
     if np.any(steps < 0):
         raise InvalidParameterError("sample times must be nonnegative and sorted")
@@ -145,7 +159,7 @@ def evolve_trotter(
             for _ in range(n_steps):
                 x = step @ x
             row[idx] = x
-    return [StateVector(row / np.linalg.norm(row), psi.dims) for row in out]
+    return StateVector(out / np.linalg.norm(out, axis=1, keepdims=True), psi.dims)
 
 
 def _expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:
@@ -160,17 +174,20 @@ def evolve_lindblad(
     rho: DensityMatrix,
     times: Sequence[float],
     rtol: float = 1e-8,
-) -> list[DensityMatrix]:
-    """Master-equation evolution, sampled at the sorted `times`.
+) -> DensityMatrix:
+    """Master-equation evolution, sampled at the sorted `times`, as one
+    (T, d, d) state.
 
     drho/dt = -i[H, rho] + sum_k (L rho L^dag - {L^dag L, rho}/2), integrated
     by `propagate_lindblad_matrix`.  Raises ConvergenceError if the
     integrator fails.
     """
-    if rho.dims.dims != H.dims.dims:
-        raise InvalidParameterError("state dims do not match Hamiltonian dims")
-    mats = propagate_lindblad_matrix(H, collapse_ops, [rho.elements], times, rtol)[0]
-    return [DensityMatrix(0.5 * (m + m.conj().T), rho.dims) for m in mats]
+    _check_start(rho, H.dims)
+    (mats,) = propagate_lindblad_matrix(H, collapse_ops, [rho.elements], times, rtol)
+    herm = mats.conj().swapaxes(-2, -1)
+    herm += mats
+    herm *= 0.5
+    return DensityMatrix(herm, rho.dims)
 
 
 def _liouvillian(
@@ -196,10 +213,10 @@ def propagate_lindblad_matrix(
     rho0s: Sequence[np.ndarray],
     times: Sequence[float],
     rtol: float = 1e-8,
-) -> list[list[np.ndarray]]:
+) -> list[np.ndarray]:
     """Linear Lindblad propagation of arbitrary (not necessarily Hermitian)
     matrices, used both for states and for channel basis elements; returns
-    one list of matrices at `times` per initial matrix in `rho0s`.
+    one (len(times), d, d) array per initial matrix in `rho0s`.
 
     The Liouvillian and the connected components of its nonzero pattern are
     built once.  Only the components that touch the support of an initial
@@ -221,7 +238,7 @@ def propagate_lindblad_matrix(
         raise InvalidParameterError("times must be nonnegative and strictly increasing")
     t_end = max(times)
     if t_end == 0.0:
-        return [[rho0.copy() for _ in times] for rho0 in rho0s]
+        return [np.repeat(rho0[None], len(times), axis=0) for rho0 in rho0s]
     gen = _liouvillian(H, collapse_ops)
     out = []
     for rho0, sectors in zip(rho0s, _occupied_sectors(gen != 0, [r.ravel() for r in rho0s])):
@@ -242,7 +259,7 @@ def propagate_lindblad_matrix(
             if not sol.success:
                 raise ConvergenceError(f"Lindblad integrator failed: {sol.message}")
             full[:, keep] = sol.y.T
-        out.append(list(full.reshape(-1, d, d)))
+        out.append(full.reshape(-1, d, d))
     return out
 
 

@@ -33,6 +33,7 @@ from .fock import (
     ModeDims,
     StateVector,
     binomial_code_state,
+    fock_probabilities,
     fock_state,
     mode_populations,
     partial_trace,
@@ -92,7 +93,8 @@ def _sample_grid(spec: EvolutionSpec, default_n: int = 801) -> np.ndarray:
 def _evolve_trajectory(
     params: SystemParams, psi0: StateVector, spec: EvolutionSpec, times: np.ndarray
 ):
-    """List of states (pure or density) at the requested times."""
+    """The trajectory at the requested times: one StateVector or
+    DensityMatrix with a leading sample axis."""
     if spec.method == "exact-unitary":
         return evolve_unitary(build_h_full(params), psi0, times)
     if spec.method == "trotter":
@@ -147,15 +149,15 @@ def run_single_photon_qst(
         spec = EvolutionSpec(total_time=2.0 * tau_st(params))
     times = _sample_grid(spec)
     psi0 = fock_state(params.dims, (1, 0, 0))
-    states = _evolve_trajectory(params, psi0, spec, times)
-    pops = np.array([mode_populations(s) for s in states])
+    traj = _evolve_trajectory(params, psi0, spec, times)
+    pops = mode_populations(traj)
     result = ProtocolResult(name="single-photon-qst", times=times, populations=pops)
     if is_oscillatory(params):
         result.scalars["swap_time_analytic"] = tau_st(params)
         # the spectral estimate needs a window many swap cycles long
         if times.size >= 64 and times[-1] - times[0] >= 8.0 * tau_st(params):
             result.scalars["swap_time_estimate"] = estimate_swap_time(times, pops[:, 2])
-    result.states["final"] = states[-1]
+    result.states["final"] = traj[-1]
     return result
 
 
@@ -180,14 +182,20 @@ def transfer_choi(
     dims = params.dims
     H = build_h_full(params)
     inputs = [fock_state(dims, (i, 0, 0)) for i in range(2)]
-    if method == "exact-unitary":  # the two inputs occupy one sector each
-        inputs = [evolve_unitary(H, psi, (t,))[0] for psi in inputs]
+    if method == "exact-unitary":
+        # the two inputs occupy one sector each; block (i, j) sums
+        # psi_i[n1, n2, k] psi_j*[n1, n2, l] over the traced modes, so no
+        # full-space matrix is formed.  Axes (i, n1, n2, n3), n3 < 2.
+        psi = np.array([evolve_unitary(H, s, (t,)).amplitudes[0] for s in inputs])
+        psi = psi.reshape((2,) + tuple(dims))[..., :2]
+        raw = np.einsum("iabk,jabl->ikjl", psi, psi.conj()).reshape(4, 4)
+        vac = psi[:, :, 0]
+        conditioned = np.einsum("iak,jal->ikjl", vac, vac.conj()).reshape(4, 4)
+        return raw, conditioned
     a, b = (psi.amplitudes for psi in inputs)
     u00, u01, u11 = (np.outer(x, y.conj()) for x, y in ((a, a), (a, b), (b, b)))
-    if method == "lindblad":
-        c_ops = collapse_operators(params)
-        mats = propagate_lindblad_matrix(H, c_ops, [u00, u01, u11], (t,), rtol)
-        u00, u01, u11 = (m[0] for m in mats)
+    mats = propagate_lindblad_matrix(H, collapse_operators(params), [u00, u01, u11], (t,), rtol)
+    u00, u01, u11 = (m[0] for m in mats)
     # both maps commute with Hermitian conjugation: unit (1,0) is (0,1)^dag
     units = [[u00, u01], [u01.conj().T, u11]]
     # axes (i, j, n1, n2, n3, n1', n2', n3'), output restricted to n3, n3' < 2
@@ -275,20 +283,15 @@ def run_hom(
     dims = params.dims
     # one propagation serves the sampled trajectory and the analysis time
     all_times = np.union1d(times, [analysis_time])
-    states = _evolve_trajectory(params, fock_state(dims, (1, 0, 1)), spec, all_times)
+    traj = _evolve_trajectory(params, fock_state(dims, (1, 0, 1)), spec, all_times)
     sampled = np.searchsorted(all_times, times)
-    pops = np.array([mode_populations(states[k]) for k in sampled])
-    joint = np.real([np.diag(partial_trace(s, keep=[0, 2])) for s in states])
-    joint = joint.reshape(-1, dims[0], dims[2])
-    series = {
-        "P11": joint[sampled, 1, 1],
-        "P20": joint[sampled, 2, 0],
-        "P02": joint[sampled, 0, 2],
-    }
+    pops = mode_populations(traj)[sampled]
+    joint = fock_probabilities(traj).sum(axis=2)[sampled]  # marginal over the bus
+    series = {"P11": joint[:, 1, 1], "P20": joint[:, 2, 0], "P02": joint[:, 0, 2]}
 
     # entanglement analysis at the requested time
     k_a = int(np.searchsorted(all_times, analysis_time))
-    r13 = partial_trace(states[k_a], keep=[0, 2])
+    r13 = partial_trace(traj[k_a], keep=[0, 2])
     dims13 = ModeDims((dims[0], dims[2]))
     rho13 = DensityMatrix(0.5 * (r13 + r13.conj().T), dims13)
 
@@ -301,7 +304,7 @@ def run_hom(
     neg = negativity(qubit_pair, (2, 2))
     table = pauli_table_02(rho13)
 
-    diag_a = joint[k_a]
+    diag_a = np.real(np.diag(r13)).reshape(dims[0], dims[2])
     scalars = {
         "analysis_time": float(analysis_time),
         "P11": float(diag_a[1, 1]),

@@ -122,46 +122,74 @@ class OperatorMatrix:
     __rmul__ = __mul__
 
 
+def _check_samples(arr: np.ndarray, state_ndim: int, dims: ModeDims, kind: str) -> None:
+    """Raise unless `arr` is one state or a stack of them along one leading
+    sample axis: each state has `state_ndim` axes of length dims.total and
+    only finite entries."""
+    shape = (dims.total,) * state_ndim
+    if arr.ndim not in (state_ndim, state_ndim + 1) or arr.shape[-state_ndim:] != shape:
+        raise DimensionError(f"{kind} shape {arr.shape} inconsistent with dims {tuple(dims)}")
+    if not np.isfinite(arr).all():
+        raise InvalidParameterError(f"{kind} has a non-finite entry")
+
+
 @dataclass(frozen=True)
 class StateVector:
-    """Pure state over the truncated joint Fock basis; unit norm enforced."""
+    """Pure state over the truncated joint Fock basis; unit norm enforced.
+
+    `amplitudes` has shape (d,), or (T, d) for a trajectory of T samples
+    that is validated once; `traj[k]` is sample k as a single state.
+    """
 
     amplitudes: np.ndarray
     dims: ModeDims
 
     def __post_init__(self):
-        vec = np.asarray(self.amplitudes, dtype=complex).ravel()
-        if vec.size != self.dims.total:
-            raise DimensionError("amplitude length inconsistent with dims")
-        if not np.isfinite(vec).all():
-            raise InvalidParameterError("state has a non-finite amplitude")
-        nrm = np.linalg.norm(vec)
-        if abs(nrm - 1.0) > NORM_TOL:
-            raise InvalidParameterError(f"state norm {nrm} deviates from 1")
+        vec = np.asarray(self.amplitudes, dtype=complex).view()  # freezes no caller's array
+        _check_samples(vec, 1, self.dims, "state")
+        re, im = vec.real, vec.imag  # views: the norms allocate no (T, d) array
+        nrm = np.ravel(np.sqrt(np.einsum("...i,...i", re, re) + np.einsum("...i,...i", im, im)))
+        bad = np.abs(nrm - 1.0) > NORM_TOL
+        if bad.any():
+            raise InvalidParameterError(f"state norm {nrm[bad][0]} deviates from 1")
         object.__setattr__(self, "amplitudes", vec)
         self.amplitudes.setflags(write=False)
+
+    def __getitem__(self, k) -> "StateVector":
+        if self.amplitudes.ndim == 1:
+            raise TypeError("a single state has no samples")
+        return StateVector(self.amplitudes[k], self.dims)
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Mixed state; Hermitian, unit trace, (numerically) positive."""
+    """Mixed state; Hermitian, unit trace, (numerically) positive.
+
+    `elements` has shape (d, d), or (T, d, d) for a trajectory of T samples
+    that is validated once; `traj[k]` is sample k as a single state.
+    """
 
     elements: np.ndarray
     dims: ModeDims
 
     def __post_init__(self):
         mat = np.asarray(self.elements, dtype=complex)
-        if mat.shape != (self.dims.total, self.dims.total):
-            raise DimensionError("density matrix shape inconsistent with dims")
-        if not np.isfinite(mat).all():
-            raise InvalidParameterError("density matrix has a non-finite entry")
-        if np.linalg.norm(mat - mat.conj().T) > 1e-9 * max(1.0, np.linalg.norm(mat)):
+        _check_samples(mat, 2, self.dims, "density matrix")
+        size = np.linalg.norm(mat, axis=(-2, -1))
+        defect = np.linalg.norm(mat - mat.conj().swapaxes(-2, -1), axis=(-2, -1))
+        if np.any(defect > 1e-9 * np.maximum(1.0, size)):
             raise InvalidParameterError("density matrix is not Hermitian")
-        tr = np.trace(mat).real
-        if abs(tr - 1.0) > 1e-6:
-            raise InvalidParameterError(f"density matrix trace {tr} deviates from 1")
+        tr = np.ravel(np.trace(mat, axis1=-2, axis2=-1).real)
+        bad = np.abs(tr - 1.0) > 1e-6
+        if bad.any():
+            raise InvalidParameterError(f"density matrix trace {tr[bad][0]} deviates from 1")
         object.__setattr__(self, "elements", mat)
         self.elements.setflags(write=False)
+
+    def __getitem__(self, k) -> "DensityMatrix":
+        if self.elements.ndim == 2:
+            raise TypeError("a single state has no samples")
+        return DensityMatrix(self.elements[k], self.dims)
 
 
 def annihilation_op(n_levels: int) -> OperatorMatrix:
@@ -252,24 +280,33 @@ def product_state(dims, single_mode_states: Sequence[np.ndarray]) -> StateVector
     return StateVector(joint, dims)
 
 
-def mode_populations(state) -> np.ndarray:
-    """Mean photon number of each mode for a StateVector or DensityMatrix."""
+def fock_probabilities(state) -> np.ndarray:
+    """Joint Fock-level probabilities of a StateVector or DensityMatrix,
+    shaped (*dims) for one state and (T, *dims) for a trajectory."""
     if isinstance(state, StateVector):
         probs = np.abs(state.amplitudes) ** 2
     else:
-        probs = np.real(np.diag(state.elements))
+        probs = np.diagonal(state.elements, axis1=-2, axis2=-1).real
+    return probs.reshape(probs.shape[:-1] + tuple(state.dims))
+
+
+def mode_populations(state) -> np.ndarray:
+    """Mean photon number of each mode for a StateVector or DensityMatrix:
+    shape (n_modes,) for one state, (T, n_modes) for a trajectory."""
+    occ = fock_probabilities(state)
     dims = state.dims
-    occ = probs.reshape(tuple(dims))
+    lead = occ.ndim - dims.n_modes
     pops = []
     for k, n in enumerate(dims):
-        marginal = occ.sum(axis=tuple(j for j in range(dims.n_modes) if j != k))
-        pops.append(float(np.dot(np.arange(n), marginal)))
-    return np.array(pops)
+        others = tuple(lead + j for j in range(dims.n_modes) if j != k)
+        pops.append(occ.sum(axis=others) @ np.arange(n))
+    return np.stack(pops, axis=-1)
 
 
 def partial_trace(state, keep: Sequence[int]) -> np.ndarray:
     """Reduced matrix of the modes in `keep` of a StateVector or
-    DensityMatrix; returns a plain ndarray.
+    DensityMatrix; returns a plain ndarray, (d_keep, d_keep) for one state
+    and (T, d_keep, d_keep) for a trajectory.
 
     A pure state is contracted from its amplitude tensor, so no full-space
     density matrix is formed.
@@ -281,10 +318,14 @@ def partial_trace(state, keep: Sequence[int]) -> np.ndarray:
     drop = [k for k in range(nm) if k not in keep]
     d_keep = int(np.prod([dims[k] for k in keep])) if keep else 1
     if isinstance(state, StateVector):
-        psi = state.amplitudes.reshape(tuple(dims))
-        return np.tensordot(psi, psi.conj(), axes=(drop, drop)).reshape(d_keep, d_keep)
-    shaped = state.elements.reshape(tuple(dims) * 2)
+        lead = state.amplitudes.shape[:-1]
+        psi = state.amplitudes.reshape(lead + tuple(dims))
+        order = [*range(len(lead)), *(len(lead) + k for k in keep + drop)]
+        x = psi.transpose(order).reshape(lead + (d_keep, -1))
+        return x @ x.conj().swapaxes(-2, -1)
+    lead = state.elements.shape[:-2]
+    shaped = state.elements.reshape(lead + tuple(dims) * 2)
     for offset, k in enumerate(drop):
-        ax = k - offset
+        ax = len(lead) + k - offset
         shaped = np.trace(shaped, axis1=ax, axis2=ax + (nm - offset))
-    return shaped.reshape(d_keep, d_keep)
+    return shaped.reshape(lead + (d_keep, d_keep))

@@ -172,12 +172,31 @@ class TestDispatch:
             "code_label": "0L",
             "method": "trotter",
             "trotter_dt_us": 0.01,
+            "total_time_us": 17.12,  # 1712 steps; tau_ST is 17.1163 us, off the step grid
         }
         cfg_path = write(tmp_path, "c.yaml", payload)
         res = CliRunner().invoke(
             main, ["binomial", "--config", cfg_path, "--out", str(tmp_path / "runs")]
         )
         assert res.exit_code == EXIT_OK, res.output
+
+    def test_trotter_sample_off_the_step_grid_is_config_error(self, tmp_path):
+        # the default window tau_ST = 17.1163 us is not a whole number of 0.01 us steps
+        payload = {
+            "experiment": "binomial",
+            "g_over_2pi_khz": 80,
+            "delta_over_2pi_khz": 467.39,
+            "dims": [7, 5, 7],
+            "code_label": "0L",
+            "method": "trotter",
+            "trotter_dt_us": 0.01,
+        }
+        cfg_path = write(tmp_path, "c.yaml", payload)
+        res = CliRunner().invoke(
+            main, ["binomial", "--config", cfg_path, "--out", str(tmp_path / "runs")]
+        )
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert "whole multiples of dt" in res.output
 
     def test_budget_runs_without_params(self, tmp_path):
         cfg_path = write(tmp_path, "c.yaml", {"experiment": "budget", "label": "t"})

@@ -29,6 +29,7 @@ from exfree.fock import (
     fock_state,
     mode_populations,
     number_op,
+    partial_trace,
 )
 from exfree.model import (
     SystemParams,
@@ -88,9 +89,22 @@ class TestUnitary:
     def test_propagator_composes(self, params):
         H = build_h_full(params)
         psi = fock_state(params.dims, (1, 0, 0))
-        half, both = evolve_unitary(H, psi, (2.0, 5.0))
-        (one,) = evolve_unitary(H, half, (3.0,))
+        traj = evolve_unitary(H, psi, (2.0, 5.0))
+        assert isinstance(traj, StateVector) and traj.amplitudes.shape == (2, params.dims.total)
+        half, both = traj[0], traj[1]
+        one = evolve_unitary(H, half, (3.0,))[0]
         assert abs(np.vdot(one.amplitudes, both.amplitudes)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_start_must_be_a_single_state(self, params):
+        H = build_h_full(params)
+        traj = evolve_unitary(H, fock_state(params.dims, (1, 0, 0)), (0.0, 1.0))
+        with pytest.raises(InvalidParameterError):
+            evolve_unitary(H, traj, (1.0,))
+        with pytest.raises(InvalidParameterError):
+            evolve_trotter(params, traj, [0.1], 0.1)
+        rhos = evolve_lindblad(H, [], pure_density(traj[0]), (0.0, 1.0))
+        with pytest.raises(InvalidParameterError):
+            evolve_lindblad(H, [], rhos, (1.0,))
 
     def test_times_must_be_a_sequence(self, params):
         with pytest.raises(InvalidParameterError):
@@ -107,12 +121,11 @@ class TestUnitary:
         # delta/2pi = 675 kHz needs (10, 9, 10) for 1e-4-level agreement
         p = SystemParams.from_khz(80, 80, 675, dims=(10, 9, 10))
         psi = fock_state(p.dims, (1, 0, 0))
-        worst = 0.0
         times = np.linspace(0.0, 2.0 * tau_st(p), 40)
-        for t, state in zip(times, evolve_unitary(build_h_full(p), psi, times)):
-            expect = mean_photon_numbers(p, t)
-            worst = max(worst, float(np.max(np.abs(mode_populations(state) - np.asarray(expect)))))
-        assert worst < 1e-4
+        pops = mode_populations(evolve_unitary(build_h_full(p), psi, times))
+        expect = np.array([mean_photon_numbers(p, t) for t in times])
+        assert pops.shape == (40, 3)
+        assert np.max(np.abs(pops - expect)) < 1e-4
 
     @pytest.mark.parametrize(
         "hamiltonian",
@@ -132,9 +145,9 @@ class TestUnitary:
         vec = rng.normal(size=p.dims.total) + 1j * rng.normal(size=p.dims.total)
         psi = StateVector(vec / np.linalg.norm(vec), p.dims)
         times = (0.0, 0.7, 13.0)
-        for t, state in zip(times, evolve_unitary(H, psi, times)):
-            U = expm(-1j * H.elements * t)
-            assert np.max(np.abs(state.amplitudes - U @ psi.amplitudes)) < 1e-10
+        traj = evolve_unitary(H, psi, times)
+        ref = [expm(-1j * H.elements * t) @ psi.amplitudes for t in times]
+        assert np.max(np.abs(traj.amplitudes - ref)) < 1e-10
 
     @pytest.mark.parametrize(
         "occupations",
@@ -199,6 +212,18 @@ class TestSparseCore:
             tracemalloc.stop()
         assert peak < 64e6
 
+    def test_exact_channel_forms_no_full_space_matrix(self):
+        # three d x d outer products at (12, 12, 12) alone are 143 MB
+        p = SystemParams.from_khz(80, 80, 475, dims=(12, 12, 12))
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            transfer_choi(p, tau_st(p))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+
 
 class TestTrotter:
     def test_converges_to_exact(self, params):
@@ -224,6 +249,14 @@ class TestTrotter:
         with pytest.raises(InvalidParameterError):
             evolve_trotter(params, psi, [1.0, 0.5], 0.1)
 
+    def test_sample_off_the_step_grid_raises(self, params):
+        psi = fock_state(params.dims, (1, 0, 0))
+        with pytest.raises(InvalidParameterError, match="whole multiples"):
+            evolve_trotter(params, psi, [0.0, 0.1, 0.105], 0.01)
+        # within 1e-6 of a step the sample counts as on the grid
+        out = evolve_trotter(params, psi, [0.0, 0.1 + 1e-10], 0.01)
+        assert out.amplitudes.shape == (2, params.dims.total)
+
     def test_trajectory_matches_per_sample_evolution(self):
         # non-uniform samples, t = 0 included; each reference steps from t = 0
         p = SystemParams.from_khz(80, 60, 475)
@@ -236,11 +269,11 @@ class TestTrotter:
             @ expm(-1j * dt * build_h_detune(p).elements)
         )
         out = evolve_trotter(p, psi, times, dt)
-        assert len(out) == len(times)
-        for t, state in zip(times, out):
+        assert isinstance(out, StateVector) and out.amplitudes.shape == (len(times), p.dims.total)
+        for k, t in enumerate(times):
             ref = np.linalg.matrix_power(step, int(round(t / dt))) @ psi.amplitudes
             ref /= np.linalg.norm(ref)
-            assert np.max(np.abs(state.amplitudes - ref)) < 1e-10
+            assert np.max(np.abs(out[k].amplitudes - ref)) < 1e-10
 
 
 class TestLindblad:
@@ -321,6 +354,32 @@ class TestLindblad:
         rho = evolve_lindblad(build_h_full(params), [], pure_density(psi), (2.0,))[-1]
         expect = pure_density(evolve_unitary(build_h_full(params), psi, (2.0,))[0])
         assert np.max(np.abs(rho.elements - expect.elements)) < 1e-6
+
+
+@pytest.mark.parametrize("method", ["exact-unitary", "trotter", "lindblad"])
+def test_trajectory_reduces_as_its_samples_do(method):
+    # g1 != g2 and a start spread over several charge sectors
+    p = SystemParams.from_khz(80, 60, 475, dims=(4, 3, 4), t1=(20.0, 15.0, 25.0))
+    vec = np.zeros(p.dims.total, dtype=complex)
+    for occ, amp in (((1, 0, 1), 0.6), ((0, 1, 0), 0.48j), ((2, 0, 0), 0.64)):
+        vec[p.dims.flat_index(occ)] = amp
+    psi = StateVector(vec, p.dims)
+    dt = 0.05
+    times = dt * np.array([0, 3, 10, 41, 80])
+    if method == "exact-unitary":
+        traj = evolve_unitary(build_h_full(p), psi, times)
+    elif method == "trotter":
+        traj = evolve_trotter(p, psi, times, dt)
+    else:
+        traj = evolve_lindblad(build_h_full(p), collapse_operators(p), pure_density(psi), times)
+    pops = mode_populations(traj)
+    assert pops.shape == (len(times), 3)
+    assert np.abs(pops - [mode_populations(traj[k]) for k in range(len(times))]).max() < 1e-14
+    for keep in ([0], [1], [2], [0, 2], [1, 2], [0, 1, 2]):
+        reduced = partial_trace(traj, keep)
+        per_sample = [partial_trace(traj[k], keep) for k in range(len(times))]
+        assert reduced.shape == (len(times),) + per_sample[0].shape
+        assert np.abs(reduced - per_sample).max() < 1e-14, keep
 
 
 def _dense_generator(H, c_ops):

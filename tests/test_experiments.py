@@ -5,8 +5,10 @@ from exfree import dynamics
 from exfree.analytic import sweet_point_detuning, tau_st
 from exfree.dynamics import EvolutionSpec
 from exfree.errors import InvalidParameterError
-from exfree.fock import DensityMatrix
+from exfree.dynamics import evolve_unitary
+from exfree.fock import DensityMatrix, fock_state, partial_trace
 from exfree.experiments import (
+    _evolve_trajectory,
     DEVICE_ERROR_BUDGET,
     combined_budget_fidelity,
     compare_tms_vs_bs,
@@ -115,6 +117,16 @@ class TestTransferChannel:
         assert len(calls) == 1
         assert np.abs(raw[2:, :2] - raw[:2, 2:].conj().T).max() < 1e-14
 
+    @pytest.mark.parametrize("dims", [(6, 5, 6), (12, 12, 12)])
+    @pytest.mark.parametrize("g_khz", [(80, 80), (80, 60)], ids=["symmetric", "asymmetric"])
+    def test_exact_choi_matches_outer_products(self, dims, g_khz):
+        p = SystemParams.from_khz(*g_khz, 475, dims=dims)
+        t = 7.0  # mid-transfer: the bus is partly occupied
+        raw, cond = transfer_choi(p, t)
+        ref_raw, ref_cond = _choi_from_outer_products(p, t)
+        assert np.abs(raw - ref_raw).max() < 1e-15
+        assert np.abs(cond - ref_cond).max() < 1e-15
+
     def test_matches_dense_expm_reference(self, params):
         from scipy.linalg import expm
 
@@ -139,6 +151,20 @@ class TestTransferChannel:
         assert np.abs(raw - ref_raw).max() < 1e-10
         assert np.abs(cond - ref_cond).max() < 1e-10
         assert np.abs(cond - raw).max() > 1e-3
+
+
+def _choi_from_outer_products(p, t):
+    """The exact (raw, conditioned) Choi matrices from the three full-space
+    matrix units |a><a|, |a><b|, |b><b| of the propagated inputs."""
+    dims = p.dims
+    H = build_h_full(p)
+    a, b = (evolve_unitary(H, fock_state(dims, (i, 0, 0)), (t,)).amplitudes[0] for i in (0, 1))
+    u00, u01, u11 = (np.outer(x, y.conj()) for x, y in ((a, a), (a, b), (b, b)))
+    full = np.array([[u00, u01], [u01.conj().T, u11]])
+    full = full.reshape((2, 2) + tuple(dims) * 2)[..., :2, :, :, :2]
+    raw = np.einsum("ijabkabl->ikjl", full).reshape(4, 4)
+    cond = np.einsum("ijakal->ikjl", full[:, :, :, 0, :, :, 0, :]).reshape(4, 4)
+    return raw, cond
 
 
 class TestPurifiedQst:
@@ -209,6 +235,21 @@ class TestHom:
     def test_series_on_grid(self, hom_result):
         assert set(hom_result.series) >= {"P11", "P20", "P02"}
         assert hom_result.series["P11"].shape == hom_result.times.shape
+
+    @pytest.mark.parametrize("method", ["exact-unitary", "trotter", "lindblad"])
+    def test_series_are_per_sample_reduced_diagonals(self, method):
+        p = SystemParams.from_khz(80, 80, 775, dims=(4, 3, 4), t1=(20.0, 15.0, 25.0))
+        dt = 0.05
+        times = dt * np.arange(0, 101, 10)
+        spec = EvolutionSpec(
+            total_time=times[-1], method=method, trotter_dt=dt, sample_times=tuple(times)
+        )
+        res = run_hom(p, spec, analysis_time=times[3])
+        traj = _evolve_trajectory(p, fock_state(p.dims, (1, 0, 1)), spec, times)
+        for k in range(len(times)):
+            diag = np.diag(partial_trace(traj[k], keep=[0, 2])).real.reshape(4, 4)
+            for key, (n1, n3) in (("P11", (1, 1)), ("P20", (2, 0)), ("P02", (0, 2))):
+                assert abs(res.series[key][k] - diag[n1, n3]) < 1e-14, (key, k)
 
     def test_lindblad_without_dissipation_matches_exact(self):
         p = SystemParams.from_khz(80, 80, 775, dims=(3, 3, 3))

@@ -13,6 +13,7 @@ from exfree.errors import (
     TruncationError,
 )
 from exfree.fock import (
+    NORM_TOL,
     DensityMatrix,
     ModeDims,
     OperatorMatrix,
@@ -161,6 +162,68 @@ class TestStates:
     def test_binomial_needs_five_levels(self):
         with pytest.raises(DimensionError):
             binomial_code_state("0L", 4)
+
+
+class TestTrajectoryValidation:
+    """A (T, d) or (T, d, d) stack is checked per sample at single-state tolerances."""
+
+    DIMS = ModeDims((3, 2, 3))
+
+    def _rows(self):
+        rng = np.random.default_rng(3)
+        v = rng.normal(size=(4, 18)) + 1j * rng.normal(size=(4, 18))
+        return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+    def _slices(self):
+        v = self._rows()
+        return np.einsum("ti,tj->tij", v, v.conj())
+
+    def test_nan_in_one_sample(self):
+        v = self._rows()
+        v[2, 5] = np.nan
+        with pytest.raises(InvalidParameterError):
+            StateVector(v, self.DIMS)
+        m = self._slices()
+        m[1, 3, 3] = np.nan
+        with pytest.raises(InvalidParameterError):
+            DensityMatrix(m, self.DIMS)
+
+    def test_one_row_norm_off(self):
+        v = self._rows()
+        v[3] *= 1.0 + 2.0 * NORM_TOL
+        with pytest.raises(InvalidParameterError, match="norm"):
+            StateVector(v, self.DIMS)
+
+    def test_one_slice_not_hermitian(self):
+        m = self._slices()
+        m[2, 0, 1] += 1e-8
+        with pytest.raises(InvalidParameterError, match="Hermitian"):
+            DensityMatrix(m, self.DIMS)
+
+    def test_one_slice_trace_off(self):
+        m = self._slices()
+        m[0] *= 1.0 + 1e-5
+        with pytest.raises(InvalidParameterError, match="trace"):
+            DensityMatrix(m, self.DIMS)
+
+    def test_just_inside_tolerances_accepted(self):
+        v = self._rows()
+        v[1] *= 1.0 + 0.5 * NORM_TOL
+        traj = StateVector(v, self.DIMS)
+        assert np.array_equal(traj[1].amplitudes, v[1])
+        m = self._slices()
+        m[0] *= 1.0 + 0.5e-6  # trace defect 5e-7 < 1e-6
+        m[3, 0, 1] += 0.5e-9  # Hermiticity defect 7e-10 < 1e-9
+        traj = DensityMatrix(m, self.DIMS)
+        assert np.array_equal(traj[3].elements, m[3])
+
+    def test_wrong_state_shape(self):
+        with pytest.raises(DimensionError):
+            StateVector(self._rows()[:, :17], self.DIMS)
+        with pytest.raises(DimensionError):
+            DensityMatrix(self._slices()[None], self.DIMS)
+        with pytest.raises(TypeError):
+            StateVector(self._rows()[0], self.DIMS)[0]
 
 
 class TestReductions:
