@@ -246,8 +246,8 @@ def _parse_mapping(raw: dict, experiment: Optional[str]) -> RunConfig:
 
     if raw.get("total_time_us") is not None:
         cfg.total_time = float(raw["total_time_us"])
-        if cfg.total_time <= 0:
-            raise ConfigError("total_time_us must be positive")
+        if not 0 < cfg.total_time < np.inf:
+            raise ConfigError("total_time_us must be positive and finite")
     cfg.n_samples = _whole(raw.get("n_samples", 801))
     if cfg.n_samples < 2:
         raise ConfigError("n_samples must be at least 2")
@@ -256,8 +256,8 @@ def _parse_mapping(raw: dict, experiment: Optional[str]) -> RunConfig:
     if cfg.method == "trotter" and cfg.trotter_dt is None:
         raise ConfigError("trotter method needs trotter_dt_us")
     cfg.rtol = float(raw.get("rtol", 1e-8))
-    if cfg.rtol <= 0:
-        raise ConfigError("rtol must be positive")
+    if not 0 < cfg.rtol < np.inf:
+        raise ConfigError("rtol must be positive and finite")
 
     cfg.options = {
         k: convert(raw[k]) for k, convert in _OPTIONS.items() if raw.get(k) is not None

@@ -3,11 +3,10 @@
 Operators are sparse and no dense full-space operator is formed.  Each
 propagator works only on the sectors its start occupies: the connected
 components of a sparse nonzero pattern on which the start is nonzero
-(`_occupied_sectors`).  The exact one diagonalizes H per occupied sector, a
-split-step trajectory steps one small matrix per occupied sector of H, and
-the Lindblad path integrates the sparse Liouvillian with RK45 on the
-coherence sectors the initial matrix occupies.  All propagators are
-deterministic.
+(`_occupied_sectors`).  The exact path is the one-factor case of the Trotter
+split-step kernel, which samples off its dt grid by a remainder step.  The
+Lindblad path integrates the sparse Liouvillian with RK45.  All propagators
+share one time contract (`_check_times`) and are deterministic.
 
 A propagator returns its whole trajectory as one state with a leading sample
 axis: a `StateVector` of shape (T, d) or a `DensityMatrix` of shape
@@ -17,6 +16,7 @@ axis: a `StateVector` of shape (T, d) or a `DensityMatrix` of shape
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional, Sequence
 
 import numpy as np
@@ -40,6 +40,15 @@ from .fock import (
 from .model import SystemParams, build_h_detune, build_h_tms
 
 
+def _check_times(times) -> np.ndarray:
+    """`times` as a float array: 1-D, finite, nonnegative, strictly increasing."""
+    times = np.asarray(times, dtype=float)
+    ok = times.ndim == 1 and np.all((times >= 0) & (times < np.inf))
+    if not (ok and np.all(np.diff(times) > 0)):
+        raise InvalidParameterError("times must be finite, nonnegative and strictly increasing")
+    return times
+
+
 @dataclass(frozen=True)
 class EvolutionSpec:
     """How to propagate: method, step/tolerance controls, output times."""
@@ -51,19 +60,17 @@ class EvolutionSpec:
     sample_times: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.total_time < 0:
-            raise InvalidParameterError("total_time must be nonnegative")
+        if not 0 <= self.total_time < np.inf:
+            raise InvalidParameterError("total_time must be finite and nonnegative")
         if self.method not in ("exact-unitary", "trotter", "lindblad"):
             raise InvalidParameterError(f"unknown method {self.method!r}")
-        if self.method == "trotter" and (self.trotter_dt is None or self.trotter_dt <= 0):
-            raise InvalidParameterError("trotter method needs trotter_dt > 0")
-        if self.rtol <= 0:
-            raise InvalidParameterError("integrator tolerance must be positive")
-        ts = tuple(float(t) for t in self.sample_times)
-        if any(t < -1e-12 or t > self.total_time + 1e-9 for t in ts):
+        if self.method == "trotter" and not 0 < (self.trotter_dt or 0) < np.inf:
+            raise InvalidParameterError("trotter method needs a finite trotter_dt > 0")
+        if not 0 < self.rtol < np.inf:
+            raise InvalidParameterError("integrator tolerance must be positive and finite")
+        ts = tuple(_check_times(self.sample_times).tolist())
+        if ts and ts[-1] > self.total_time + 1e-9:
             raise InvalidParameterError("sample_times must lie within [0, total_time]")
-        if any(b <= a for a, b in zip(ts, ts[1:])):
-            raise InvalidParameterError("sample_times must be strictly increasing")
         object.__setattr__(self, "sample_times", ts)
 
 
@@ -91,81 +98,69 @@ def _check_start(state, dims) -> None:
         raise InvalidParameterError("start must be a single state, not a trajectory")
 
 
+def _split_step(
+    factors: Sequence[OperatorMatrix], psi: StateVector, times, dt: Optional[float] = None
+) -> StateVector:
+    """First-order split-step trajectory of H = sum(factors), one (T, d) state.
+
+    A step of length s is exp(-i F_1 s) ... exp(-i F_m s): the last factor
+    acts first.  Sample t = n dt + r takes n whole steps on from the previous
+    sample's grid state, then one step of length r that is not carried
+    forward.  With dt None there are no whole steps, and one factor is exact.
+    Each factor has one `eigh` per sector of H that psi occupies.
+    """
+    _check_start(psi, factors[0].dims)
+    times = _check_times(times)
+    n_steps = np.zeros(times.size, int) if dt is None else np.floor(times / dt).astype(int)
+    rest = times if dt is None else times - n_steps * dt
+    out = np.zeros((times.size, psi.dims.total), dtype=complex)
+    h_sum = sum((h.sparse for h in factors[1:]), factors[0].sparse)  # one factor: no copy
+    (sectors,) = _occupied_sectors(h_sum != 0, [psi.amplitudes])
+    for idx in sectors:
+        eigs = [np.linalg.eigh(h.sparse[idx][:, idx].toarray()) for h in factors]
+        x = grid = psi.amplitudes[idx]
+        if n_steps.any():
+            step = reduce(np.matmul, [(v * np.exp(-1j * e * dt)) @ v.conj().T for e, v in eigs])
+            grid = np.empty((times.size, idx.size), dtype=complex)
+            for row, n in zip(grid, np.diff(n_steps, prepend=0)):
+                for _ in range(n):
+                    x = step @ x
+                row[:] = x
+        for evals, evecs in reversed(eigs):
+            phases = np.exp(-1j * np.outer(rest, evals))
+            grid = (phases * (evecs.conj().T @ grid.T).T) @ evecs.T
+        out[:, idx] = grid
+    return StateVector(out, psi.dims)
+
+
 def evolve_unitary(
     H: OperatorMatrix, psi: StateVector, times: Sequence[float]
 ) -> StateVector:
     """The trajectory exp(-iHt) psi of a Hermitian H, one sample per entry of
     `times`, as one (T, d) state.
 
-    Each sector of H that psi occupies is diagonalized by one `eigh`.  The
-    sectors are the connected components of H's nonzero pattern: the charge
-    sectors Q = n2 - n1 - n3 of the pair-coupling Hamiltonian, the
-    photon-number sectors of the exchange baseline, single levels of a
-    diagonal H.  An H without such structure is one sector.
+    Each sector of H that psi occupies has one `eigh`: a charge sector
+    Q = n2 - n1 - n3 of the pair coupling, a photon-number sector of the
+    exchange baseline, one level of a diagonal H, or all of an unstructured H.
     """
     if not H.is_hermitian(tol=1e-10):
         raise InvalidOperatorError("Hamiltonian must be Hermitian")
-    _check_start(psi, H.dims)
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1:
-        raise InvalidParameterError("times must be a sequence")
-    out = np.zeros((times.size, H.dims.total), dtype=complex)
-    (sectors,) = _occupied_sectors(H.sparse != 0, [psi.amplitudes])
-    for idx in sectors:
-        evals, evecs = np.linalg.eigh(H.sparse[idx][:, idx].toarray())
-        phases = np.exp(-1j * np.outer(times, evals))
-        out[:, idx] = (phases * (evecs.conj().T @ psi.amplitudes[idx])) @ evecs.T
-    return StateVector(out, psi.dims)
+    return _split_step([H], psi, times)
 
 
 def evolve_trotter(
     params: SystemParams, psi: StateVector, times: Sequence[float], dt: float
 ) -> StateVector:
-    """First-order split-step trajectory of the full Hamiltonian, sampled at
-    the sorted `times`, as one (T, d) state.
+    """First-order split-step trajectory of the full H at `times`, one (T, d) state.
 
-    One step applies exp(-i H dt) of the pair coupling S1-S2, then of S3-S2,
-    then of the bus detuning.  Each factor conserves the charge of the full
-    H, so the step is one small product of three factors per block of the
-    full H; blocks outside the support of psi are skipped.  Sample k lies
-    t_k/dt steps from the start and is reached from sample k-1, so a
-    trajectory costs as many steps as its last sample.  A sample time that
-    is not a whole number of steps (to 1e-6 of a step) raises
-    InvalidParameterError.
+    One step is exp(-i H dt) of the pair coupling S1-S2, times that of S3-S2,
+    times that of the bus detuning; each conserves the charge of the full H.
+    A sample off the dt grid takes one remainder step (`_split_step`).
     """
-    if dt <= 0:
-        raise InvalidParameterError("dt must be positive")
-    _check_start(psi, params.dims)
-    times = np.asarray(times, dtype=float)
-    counts = np.rint(times / dt).astype(int)
-    if np.any(np.abs(times / dt - counts) > 1e-6):
-        raise InvalidParameterError(f"sample times must be whole multiples of dt = {dt}")
-    steps = np.diff(counts, prepend=0)  # between consecutive samples
-    if np.any(steps < 0):
-        raise InvalidParameterError("sample times must be nonnegative and sorted")
-    if np.any((counts == 0) & (times > 0)):
-        raise InvalidParameterError("dt larger than t")
-    factors = (
-        build_h_tms(params, "S1S2"), build_h_tms(params, "S3S2"), build_h_detune(params)
-    )
-    out = np.zeros((times.size, psi.dims.total), dtype=complex)
-    (sectors,) = _occupied_sectors(sum(h.sparse for h in factors) != 0, [psi.amplitudes])
-    for idx in sectors:
-        x = psi.amplitudes[idx]
-        step = np.linalg.multi_dot(
-            [_expm_hermitian(h.sparse[idx][:, idx].toarray(), dt) for h in factors]
-        )
-        for row, n_steps in zip(out, steps):
-            for _ in range(n_steps):
-                x = step @ x
-            row[idx] = x
-    return StateVector(out / np.linalg.norm(out, axis=1, keepdims=True), psi.dims)
-
-
-def _expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i h t) of a small dense Hermitian matrix."""
-    evals, evecs = np.linalg.eigh(h)
-    return (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
+    if not 0 < dt < np.inf:
+        raise InvalidParameterError("dt must be positive and finite")
+    factors = [build_h_tms(params, b) for b in ("S1S2", "S3S2")] + [build_h_detune(params)]
+    return _split_step(factors, psi, times, dt)
 
 
 def evolve_lindblad(
@@ -229,33 +224,23 @@ def propagate_lindblad_matrix(
 
     if not H.is_hermitian(tol=1e-10):
         raise InvalidOperatorError("Hamiltonian must be Hermitian")
-    if rtol <= 0:
-        raise InvalidParameterError("integrator tolerance must be positive")
+    if not 0 < rtol < np.inf:
+        raise InvalidParameterError("integrator tolerance must be positive and finite")
     d = H.dims.total
     rho0s = [np.asarray(rho0, dtype=complex) for rho0 in rho0s]
-    times = [float(t) for t in times]
-    if any(t < 0 for t in times) or any(b <= a for a, b in zip(times, times[1:])):
-        raise InvalidParameterError("times must be nonnegative and strictly increasing")
-    t_end = max(times)
-    if t_end == 0.0:
-        return [np.repeat(rho0[None], len(times), axis=0) for rho0 in rho0s]
+    times = _check_times(times)
+    if not times.any():  # no sample after t = 0
+        return [np.repeat(rho0[None], times.size, axis=0) for rho0 in rho0s]
     gen = _liouvillian(H, collapse_ops)
     out = []
     for rho0, sectors in zip(rho0s, _occupied_sectors(gen != 0, [r.ravel() for r in rho0s])):
-        full = np.zeros((len(times), d * d), dtype=complex)
+        full = np.zeros((times.size, d * d), dtype=complex)
         if sectors:  # a zero matrix occupies no sector and stays zero
             # sorted: the RK45 state keeps its order
             keep = np.sort(np.concatenate(sectors))
             block = gen[keep][:, keep]
-            sol = solve_ivp(
-                lambda _t, y: block @ y,
-                (0.0, t_end),
-                rho0.ravel()[keep],
-                t_eval=times,
-                rtol=rtol,
-                atol=rtol * 1e-2,
-                method="RK45",
-            )
+            sol = solve_ivp(lambda _t, y: block @ y, (0.0, times[-1]), rho0.ravel()[keep],
+                            t_eval=times, rtol=rtol, atol=rtol * 1e-2, method="RK45")
             if not sol.success:
                 raise ConvergenceError(f"Lindblad integrator failed: {sol.message}")
             full[:, keep] = sol.y.T
@@ -274,13 +259,11 @@ def apply_jump(state, mode: int):
     _check_modes(state.dims, [mode])
     a = embed_op(annihilation_op(state.dims[mode]), mode, state.dims)
     if isinstance(state, StateVector):
-        vec = a @ state.amplitudes
-        weight = float(np.linalg.norm(vec))
-        if weight <= 1e-12:
-            raise ImpossibleOutcomeError("annihilation of a vacuum-supported state")
-        return StateVector(vec / weight, state.dims), weight
-    m = a @ state.elements @ a.dag.sparse
-    weight = float(np.trace(m).real)
+        out = a @ state.amplitudes
+        weight = float(np.linalg.norm(out))
+    else:
+        out = a @ state.elements @ a.dag.sparse
+        weight = float(np.trace(out).real)
     if weight <= 1e-12:
         raise ImpossibleOutcomeError("annihilation of a vacuum-supported state")
-    return DensityMatrix(m / weight, state.dims), weight
+    return type(state)(out / weight, state.dims), weight

@@ -227,6 +227,8 @@ def run_purified_qst(
         raise InvalidParameterError(
             f"purification must be one of {PURIFICATION_LEVELS}, got {purification!r}"
         )
+    if not 0 <= gamma_q < np.inf:
+        raise InvalidParameterError("gamma_q must be nonnegative and finite")
     if t is None:
         t = tau_st(params)
 

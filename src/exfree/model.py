@@ -57,8 +57,10 @@ class SystemParams:
     n_th: tuple[float, ...] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        if self.g1 <= 0 or self.g2 <= 0:
-            raise InvalidParameterError("coupling strengths must be positive")
+        if not (0 < self.g1 < np.inf and 0 < self.g2 < np.inf):
+            raise InvalidParameterError("coupling strengths must be positive and finite")
+        if not np.isfinite(self.delta):
+            raise InvalidParameterError("detuning must be finite")
         if not isinstance(self.dims, ModeDims):
             object.__setattr__(self, "dims", ModeDims(self.dims))
         if any(len(v) != self.dims.n_modes for v in (self.t1, self.tphi, self.n_th)):

@@ -118,6 +118,12 @@ class TestDispatch:
             {**BASE, "dims": [6.7, 5, 6]},
             {**BASE, "experiment": "binomial", "wigner_points": 20.5},
             {**BASE, "n_sampels": 51},
+            {**BASE, "method": "lindblad", "dims": [3, 2, 3], "rtol": float("nan")},
+            {**BASE, "method": "trotter", "trotter_dt_us": float("nan")},
+            {**BASE, "delta_over_2pi_khz": float("inf")},
+            {**BASE, "g_over_2pi_khz": float("nan")},
+            {**BASE, "experiment": "purified-qst", "gamma_q": -1},
+            {**BASE, "experiment": "purified-qst", "gamma_q": float("nan")},
         ],
         ids=[
             "n_samples",
@@ -129,6 +135,12 @@ class TestDispatch:
             "fractional_dims",
             "fractional_wigner_points",
             "unknown_key",
+            "nan_rtol",
+            "nan_trotter_dt",
+            "inf_delta",
+            "nan_g",
+            "negative_gamma_q",
+            "nan_gamma_q",
         ],
     )
     def test_mistyped_value_exit_code(self, tmp_path, payload):
@@ -172,7 +184,6 @@ class TestDispatch:
             "code_label": "0L",
             "method": "trotter",
             "trotter_dt_us": 0.01,
-            "total_time_us": 17.12,  # 1712 steps; tau_ST is 17.1163 us, off the step grid
         }
         cfg_path = write(tmp_path, "c.yaml", payload)
         res = CliRunner().invoke(
@@ -180,23 +191,40 @@ class TestDispatch:
         )
         assert res.exit_code == EXIT_OK, res.output
 
-    def test_trotter_sample_off_the_step_grid_is_config_error(self, tmp_path):
-        # the default window tau_ST = 17.1163 us is not a whole number of 0.01 us steps
+    def test_trotter_samples_off_the_step_grid(self, tmp_path):
+        # the default window tau_ST = 17.1163 us is not a whole number of 0.01 us
+        # steps; the Trotter run ends at the exact run's time, close to its state
         payload = {
             "experiment": "binomial",
             "g_over_2pi_khz": 80,
             "delta_over_2pi_khz": 467.39,
             "dims": [7, 5, 7],
             "code_label": "0L",
-            "method": "trotter",
             "trotter_dt_us": 0.01,
         }
-        cfg_path = write(tmp_path, "c.yaml", payload)
+        scalars = {}
+        for method in ("exact", "trotter"):
+            cfg_path = write(tmp_path, f"{method}.yaml", {**payload, "label": method})
+            res = CliRunner().invoke(
+                main,
+                ["binomial", "--config", cfg_path, "--out", str(tmp_path), "--method", method],
+            )
+            assert res.exit_code == EXIT_OK, res.output
+            summary = tmp_path / "binomial" / method / "summary.json"
+            scalars[method] = json.loads(summary.read_text())["scalars"]
+        exact, trotter = scalars["exact"], scalars["trotter"]
+        assert trotter["transfer_time"] == exact["transfer_time"]
+        # first-order error at dt = 0.01 us: measured 1.5e-3
+        assert trotter["fidelity_received"] == pytest.approx(exact["fidelity_received"], abs=5e-3)
+
+    @pytest.mark.parametrize("name", ["qst", "hom", "binomial", "sweep"])
+    def test_shipped_configs_run_trotter(self, tmp_path, name):
+        raw = yaml.safe_load((CONFIGS[0].parent / f"{name}.yaml").read_text())
+        cfg_path = write(tmp_path, "c.yaml", {**raw, "method": "trotter", "trotter_dt_us": 0.01})
         res = CliRunner().invoke(
-            main, ["binomial", "--config", cfg_path, "--out", str(tmp_path / "runs")]
+            main, [raw["experiment"], "--config", cfg_path, "--out", str(tmp_path / "runs")]
         )
-        assert res.exit_code == EXIT_CONFIG, res.output
-        assert "whole multiples of dt" in res.output
+        assert res.exit_code == EXIT_OK, res.output
 
     def test_budget_runs_without_params(self, tmp_path):
         cfg_path = write(tmp_path, "c.yaml", {"experiment": "budget", "label": "t"})

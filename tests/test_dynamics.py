@@ -74,6 +74,50 @@ class TestEvolutionSpec:
                 total_time=2.0, method=method, trotter_dt=dt, sample_times=(0.0, 1.0, 1.0, 2.0)
             )
 
+    @pytest.mark.parametrize("method", ["exact-unitary", "trotter", "lindblad"])
+    @pytest.mark.parametrize(
+        "sample_times",
+        [(-1e-13, 0.5, 1.0), (0.0, np.nan), (0.0, np.inf)],
+        ids=["slightly-negative", "nan", "inf"],
+    )
+    def test_sample_times_finite_and_nonnegative(self, method, sample_times):
+        # one contract: every method refuses the same spec
+        dt = 0.5 if method == "trotter" else None
+        with pytest.raises(InvalidParameterError):
+            EvolutionSpec(total_time=2.0, method=method, trotter_dt=dt, sample_times=sample_times)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"total_time": np.nan},
+            {"total_time": np.inf},
+            {"rtol": np.nan},
+            {"rtol": np.inf},
+            {"method": "trotter", "trotter_dt": np.nan},
+            {"method": "trotter", "trotter_dt": np.inf},
+        ],
+        ids=["total-nan", "total-inf", "rtol-nan", "rtol-inf", "dt-nan", "dt-inf"],
+    )
+    def test_rejects_non_finite_controls(self, kwargs):
+        with pytest.raises(InvalidParameterError):
+            EvolutionSpec(**{"total_time": 1.0, **kwargs})
+
+
+@pytest.mark.parametrize(
+    "times", [5.0, [[0.0, 1.0]], [0.0, -1e-13], [0.0, 1.0, 1.0], [0.0, np.nan], [np.inf]],
+    ids=["scalar", "2-d", "negative", "repeated", "nan", "inf"],
+)
+def test_every_propagator_refuses_the_same_times(params, times):
+    H = build_h_full(params)
+    psi = fock_state(params.dims, (1, 0, 0))
+    for run in (
+        lambda: evolve_unitary(H, psi, times),
+        lambda: evolve_trotter(params, psi, times, 0.01),
+        lambda: evolve_lindblad(H, [], pure_density(psi), times),
+    ):
+        with pytest.raises(InvalidParameterError):
+            run()
+
 
 class TestUnitary:
     def test_norm_preserved(self, params):
@@ -239,23 +283,45 @@ class TestTrotter:
 
     def test_invalid_dt(self, params):
         psi = fock_state(params.dims, (1, 0, 0))
-        with pytest.raises(InvalidParameterError):
-            evolve_trotter(params, psi, [1.0], 0.0)
-        with pytest.raises(InvalidParameterError):
-            evolve_trotter(params, psi, [1.0], 10.0)
+        for dt in (0.0, -0.1, np.nan, np.inf):
+            with pytest.raises(InvalidParameterError):
+                evolve_trotter(params, psi, [1.0], dt)
+
+    def test_dt_longer_than_the_window_is_one_remainder_step(self, params):
+        psi = fock_state(params.dims, (1, 0, 0))
+        (out,) = evolve_trotter(params, psi, [1.0], 10.0)
+        ref = _trotter_step(params, 1.0) @ psi.amplitudes
+        assert np.max(np.abs(out.amplitudes - ref)) < 1e-10
 
     def test_unsorted_times(self, params):
         psi = fock_state(params.dims, (1, 0, 0))
         with pytest.raises(InvalidParameterError):
             evolve_trotter(params, psi, [1.0, 0.5], 0.1)
 
-    def test_sample_off_the_step_grid_raises(self, params):
+    def test_sample_off_the_step_grid_takes_a_remainder_step(self):
+        # t = n dt + r: n whole steps, then one step of length r from the
+        # grid state; the remainder is not carried into the next sample
+        p = SystemParams.from_khz(80, 60, 475, dims=(4, 3, 4))
+        dt = 0.05
+        times = [0.0, 0.013, 0.05, 0.1234, 0.35, 0.3712]
+        psi = fock_state(p.dims, (1, 0, 0))
+        out = evolve_trotter(p, psi, times, dt)
+        step = _trotter_step(p, dt)
+        for k, t in enumerate(times):
+            n = int(np.floor(t / dt))
+            ref = _trotter_step(p, t - n * dt) @ np.linalg.matrix_power(step, n) @ psi.amplitudes
+            assert np.max(np.abs(out[k].amplitudes - ref)) < 1e-10, t
+
+    def test_first_order_on_an_off_grid_qst_window(self, params):
+        # 401 samples over 2 tau_ST; almost none lies on either dt grid
         psi = fock_state(params.dims, (1, 0, 0))
-        with pytest.raises(InvalidParameterError, match="whole multiples"):
-            evolve_trotter(params, psi, [0.0, 0.1, 0.105], 0.01)
-        # within 1e-6 of a step the sample counts as on the grid
-        out = evolve_trotter(params, psi, [0.0, 0.1 + 1e-10], 0.01)
-        assert out.amplitudes.shape == (2, params.dims.total)
+        times = np.linspace(0.0, 2.0 * tau_st(params), 401)
+        exact = evolve_unitary(build_h_full(params), psi, times).amplitudes
+        errs = [
+            np.abs(evolve_trotter(params, psi, times, dt).amplitudes - exact).max()
+            for dt in (0.01, 0.001)
+        ]
+        assert 7.0 < errs[0] / errs[1] < 13.0, errs
 
     def test_trajectory_matches_per_sample_evolution(self):
         # non-uniform samples, t = 0 included; each reference steps from t = 0
@@ -263,17 +329,22 @@ class TestTrotter:
         dt = 0.05
         times = dt * np.array([0, 1, 7, 8, 30, 101])
         psi = fock_state(p.dims, (1, 0, 0))
-        step = (
-            expm(-1j * dt * build_h_tms(p, "S1S2").elements)
-            @ expm(-1j * dt * build_h_tms(p, "S3S2").elements)
-            @ expm(-1j * dt * build_h_detune(p).elements)
-        )
+        step = _trotter_step(p, dt)
         out = evolve_trotter(p, psi, times, dt)
         assert isinstance(out, StateVector) and out.amplitudes.shape == (len(times), p.dims.total)
         for k, t in enumerate(times):
             ref = np.linalg.matrix_power(step, int(round(t / dt))) @ psi.amplitudes
             ref /= np.linalg.norm(ref)
             assert np.max(np.abs(out[k].amplitudes - ref)) < 1e-10
+
+
+def _trotter_step(p, s):
+    """One first-order step of length s, in the library's factor order."""
+    return (
+        expm(-1j * s * build_h_tms(p, "S1S2").elements)
+        @ expm(-1j * s * build_h_tms(p, "S3S2").elements)
+        @ expm(-1j * s * build_h_detune(p).elements)
+    )
 
 
 class TestLindblad:
@@ -338,6 +409,13 @@ class TestLindblad:
         rho0 = pure_density(fock_state(params.dims, (1, 0, 0))).elements
         with pytest.raises(InvalidParameterError):
             propagate_lindblad_matrix(build_h_full(params), [], [rho0], (1.0,), rtol=0.0)
+
+    @pytest.mark.parametrize("rtol", [np.nan, np.inf])
+    def test_rejects_non_finite_rtol(self, params, rtol):
+        # a NaN rtol passed `rtol <= 0` and left RK45 stepping without end
+        rho0 = pure_density(fock_state(params.dims, (1, 0, 0))).elements
+        with pytest.raises(InvalidParameterError):
+            propagate_lindblad_matrix(build_h_full(params), [], [rho0], (1.0,), rtol=rtol)
 
     def test_zero_matrix_stays_zero(self):
         p = SystemParams.from_khz(80, 80, 475, dims=(3, 2, 3), t1=(20.0, 15.0, 25.0))

@@ -187,6 +187,12 @@ class TestPurifiedQst:
         with pytest.raises(InvalidParameterError):
             run_purified_qst(sweet7, purification="extra")
 
+    @pytest.mark.parametrize("gamma_q", [-1.0, np.nan, np.inf])
+    def test_invalid_gamma_q(self, sweet7, gamma_q):
+        # a negative rate gave a failure probability below -1e7
+        with pytest.raises(InvalidParameterError):
+            run_purified_qst(sweet7, gamma_q=gamma_q)
+
     def test_lindblad_without_dissipation_matches_exact(self, sweet7):
         p = sweet7.with_dims((3, 2, 3))
         exact = run_purified_qst(p).scalars

@@ -41,6 +41,16 @@ def test_couplings_must_be_positive(g1, g2):
 
 
 @pytest.mark.parametrize(
+    "g1,g2,delta",
+    [(np.nan, 1.0, 1.0), (1.0, np.inf, 1.0), (1.0, 1.0, np.nan), (1.0, 1.0, -np.inf)],
+    ids=["g1-nan", "g2-inf", "delta-nan", "delta-inf"],
+)
+def test_couplings_and_detuning_must_be_finite(g1, g2, delta):
+    with pytest.raises(InvalidParameterError):
+        SystemParams(g1=g1, g2=g2, delta=delta)
+
+
+@pytest.mark.parametrize(
     "per_mode",
     [{"t1": (100.0,)}, {"tphi": (50.0, None)}, {"n_th": (0.0, 0.0, 0.0, 0.0)}],
     ids=["t1", "tphi", "n_th"],
