@@ -177,6 +177,10 @@ _OPTIONS = {
 }
 
 
+#: Experiments whose runners read only the final time, not a sample grid.
+_FINAL_TIME_ONLY = ("binomial", "purified-qst")
+
+
 #: Keys `_parse_mapping` reads itself; with `_OPTIONS` the whole vocabulary.
 _KEYS = {
     "experiment", "label", "out_dir", "method", "g_over_2pi_khz", "g1_over_2pi_khz",
@@ -248,6 +252,9 @@ def _parse_mapping(raw: dict, experiment: Optional[str]) -> RunConfig:
         cfg.total_time = float(raw["total_time_us"])
         if not 0 < cfg.total_time < np.inf:
             raise ConfigError("total_time_us must be positive and finite")
+    runs = raw.get("sweep_experiment") if exp == "sweep" else exp
+    if "n_samples" in raw and runs in _FINAL_TIME_ONLY:
+        raise ConfigError(f"{runs} reads only its final time; n_samples does not apply")
     cfg.n_samples = _whole(raw.get("n_samples", 801))
     if cfg.n_samples < 2:
         raise ConfigError("n_samples must be at least 2")
@@ -265,14 +272,16 @@ def _parse_mapping(raw: dict, experiment: Optional[str]) -> RunConfig:
     return cfg
 
 
-def _spec_for(cfg: RunConfig, default_total: float) -> EvolutionSpec:
+def _spec_for(cfg: RunConfig, default_total: float, grid: bool = True) -> EvolutionSpec:
+    """The run's spec, sampled on `n_samples` uniform times, or with `grid`
+    False at its final time only."""
     total = cfg.total_time if cfg.total_time is not None else default_total
     return EvolutionSpec(
         total_time=total,
         method=cfg.method,
         trotter_dt=cfg.trotter_dt,
         rtol=cfg.rtol,
-        sample_times=tuple(np.linspace(0.0, total, cfg.n_samples)),
+        sample_times=tuple(np.linspace(0.0, total, cfg.n_samples)) if grid else (total,),
     )
 
 
@@ -343,7 +352,7 @@ def run_experiment(cfg: RunConfig) -> ProtocolResult:
         return run_binomial_transfer(
             cfg.params,
             label=cfg.options.get("code_label", "0L"),
-            spec=_spec_for(cfg, tau_st(cfg.params)),
+            spec=_spec_for(cfg, tau_st(cfg.params), grid=False),
             loss_after_transfer=cfg.options.get("loss_after_transfer", False),
             wigner_extent=cfg.options.get("wigner_extent"),
             wigner_points=cfg.options.get("wigner_points", 41),

@@ -2,11 +2,13 @@
 
 Operators are sparse and no dense full-space operator is formed.  Each
 propagator works only on the sectors its start occupies: the connected
-components of a sparse nonzero pattern on which the start is nonzero
-(`_occupied_sectors`).  The exact path is the one-factor case of the Trotter
-split-step kernel, which samples off its dt grid by a remainder step.  The
-Lindblad path integrates the sparse Liouvillian with RK45.  All propagators
-share one time contract (`_check_times`) and are deterministic.
+components of a sparse nonzero pattern on which the start is nonzero,
+labelled in numpy (`_occupied_sectors`).  The exact path is the one-factor
+case of the Trotter split-step kernel, which samples off its dt grid by a
+remainder step; both read the operators' numpy triplets and import no scipy.
+The Lindblad path integrates the sparse Liouvillian with RK45, importing
+`scipy.sparse` and `scipy.integrate` inside the call.  All propagators share
+one time contract (`_check_times`) and are deterministic.
 
 A propagator returns its whole trajectory as one state with a leading sample
 axis: a `StateVector` of shape (T, d) or a `DensityMatrix` of shape
@@ -20,8 +22,6 @@ from functools import reduce
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     ConvergenceError,
@@ -75,19 +75,47 @@ class EvolutionSpec:
 
 
 def _occupied_sectors(
-    pattern: sparse.spmatrix, starts: Sequence[np.ndarray]
+    edges: tuple[np.ndarray, np.ndarray, int], starts: Sequence[np.ndarray]
 ) -> list[list[np.ndarray]]:
     """For each start (a state vector or a flattened matrix), the sorted index
-    arrays of the connected components of the boolean sparse nonzero pattern
-    `pattern` (`A != 0`) on which the start is nonzero.
+    arrays of the connected components of the undirected graph on n nodes
+    with edges (rows[k], cols[k]), `edges` = (rows, cols, n), on which the
+    start is nonzero.
 
-    Evolution under A never leaves these components, and every other entry
-    stays zero.  The components are labelled once for all starts.
+    Evolution under a matrix with that nonzero pattern never leaves these
+    components, and every other entry stays zero.  The components are
+    labelled once for all starts, each by its smallest member: every root
+    hooks to the smallest root it shares an edge with, then pointer jumping
+    flattens the trees to stars (Shiloach & Vishkin, J. Algorithms 3, 57
+    (1982)), until no edge joins two stars.  The label of a node never
+    exceeds the node, so a star's root is its smallest member.
     """
-    _, labels = connected_components(pattern, directed=False)
+    rows, cols, n = edges
+    rows, cols = rows.astype(np.intp), cols.astype(np.intp)  # index once, not per gather
+    labels = np.arange(n)
+    while rows.size:
+        ends = labels[rows], labels[cols]
+        cross = ends[0] != ends[1]  # an edge inside one star stays inside: drop it
+        rows, cols = rows[cross], cols[cross]
+        np.minimum.at(labels, np.maximum(*ends)[cross], np.minimum(*ends)[cross])
+        while not np.array_equal(labels[labels], labels):
+            labels = labels[labels]
+    labels = (np.cumsum(labels == np.arange(n)) - 1)[labels]  # 0, 1, ... by smallest member
     order = np.argsort(labels, kind="stable")
     blocks = np.split(order, np.cumsum(np.bincount(labels))[:-1])
-    return [[blocks[k] for k in np.unique(labels[np.flatnonzero(x)])] for x in starts]
+    # bincount, not np.unique, whose masked-array check imports numpy.ma
+    return [[blocks[k] for k in np.flatnonzero(np.bincount(labels, x != 0))] for x in starts]
+
+
+def _sector_block(h: OperatorMatrix, pos: np.ndarray, size: int) -> np.ndarray:
+    """Dense block of h on one sector: `pos` maps each index of the sector to
+    its place in the block and every other index to -1.  A sector is closed
+    under h, so an entry whose row lies in it has its column there too."""
+    place = pos[h.rows]
+    inside = place >= 0
+    block = np.zeros((size, size), dtype=complex)
+    block[place[inside], pos[h.cols[inside]]] = h.vals[inside]
+    return block
 
 
 def _check_start(state, dims) -> None:
@@ -113,11 +141,17 @@ def _split_step(
     times = _check_times(times)
     n_steps = np.zeros(times.size, int) if dt is None else np.floor(times / dt).astype(int)
     rest = times if dt is None else times - n_steps * dt
-    out = np.zeros((times.size, psi.dims.total), dtype=complex)
-    h_sum = sum((h.sparse for h in factors[1:]), factors[0].sparse)  # one factor: no copy
-    (sectors,) = _occupied_sectors(h_sum != 0, [psi.amplitudes])
+    d = psi.dims.total
+    out = np.zeros((times.size, d), dtype=complex)
+    # the factors' triplets together are the pattern: no operator sum is formed
+    rows = np.concatenate([h.rows for h in factors])
+    cols = np.concatenate([h.cols for h in factors])
+    (sectors,) = _occupied_sectors((rows, cols, d), [psi.amplitudes])
+    pos = np.full(d, -1)
     for idx in sectors:
-        eigs = [np.linalg.eigh(h.sparse[idx][:, idx].toarray()) for h in factors]
+        pos[idx] = np.arange(idx.size)
+        eigs = [np.linalg.eigh(_sector_block(h, pos, idx.size)) for h in factors]
+        pos[idx] = -1
         x = grid = psi.amplitudes[idx]
         if n_steps.any():
             step = reduce(np.matmul, [(v * np.exp(-1j * e * dt)) @ v.conj().T for e, v in eigs])
@@ -187,9 +221,11 @@ def evolve_lindblad(
 
 def _liouvillian(
     H: OperatorMatrix, collapse_ops: Sequence[OperatorMatrix]
-) -> sparse.csr_matrix:
+) -> "scipy.sparse.csr_matrix":
     """Sparse Lindblad generator on the row-major vectorized matrix,
-    vec(A rho B) = (A kron B^T) vec rho."""
+    vec(A rho B) = (A kron B^T) vec rho; the only reader of `OperatorMatrix.sparse`."""
+    from scipy import sparse
+
     eye = sparse.identity(H.dims.total, dtype=complex, format="csr")
     h = H.sparse
     out = -1j * (sparse.kron(h, eye) - sparse.kron(eye, h.T))
@@ -233,7 +269,8 @@ def propagate_lindblad_matrix(
         return [np.repeat(rho0[None], times.size, axis=0) for rho0 in rho0s]
     gen = _liouvillian(H, collapse_ops)
     out = []
-    for rho0, sectors in zip(rho0s, _occupied_sectors(gen != 0, [r.ravel() for r in rho0s])):
+    occupied = _occupied_sectors((*gen.nonzero(), d * d), [r.ravel() for r in rho0s])
+    for rho0, sectors in zip(rho0s, occupied):
         full = np.zeros((times.size, d * d), dtype=complex)
         if sectors:  # a zero matrix occupies no sector and stays zero
             # sorted: the RK45 state keeps its order
@@ -262,7 +299,7 @@ def apply_jump(state, mode: int):
         out = a @ state.amplitudes
         weight = float(np.linalg.norm(out))
     else:
-        out = a @ state.elements @ a.dag.sparse
+        out = (a @ (a @ state.elements).conj().T).conj().T  # a rho a^dag
         weight = float(np.trace(out).real)
     if weight <= 1e-12:
         raise ImpossibleOutcomeError("annihilation of a vacuum-supported state")

@@ -3,8 +3,9 @@
 Basis convention: modes are ordered (S1, S2, S3) and flattened row-major
 with the last mode fastest, i.e. the amplitude of |n1 n2 n3> sits at index
 n1*N2*N3 + n2*N3 + n3.  All other modules share this convention.
-Operators are sparse CSR matrices, so no dense full-space operator is formed
-unless `OperatorMatrix.elements` is read.
+Operators are canonical COO triplets in numpy, so no dense full-space operator
+is formed unless `OperatorMatrix.elements` is read, and scipy is imported
+only by `OperatorMatrix.sparse`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from math import prod
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DimensionError, TruncationError, InvalidParameterError
 
@@ -73,51 +73,107 @@ def _check_modes(dims: ModeDims, modes: Sequence[int]) -> None:
         raise DimensionError(f"mode indices {list(modes)} are not distinct modes of {tuple(dims)}")
 
 
-@dataclass(frozen=True)
+def _canonical(rows, cols, vals, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """COO triplets of a d x d matrix sorted by (row, col), duplicates summed
+    in input order, zeros dropped; the arrays are read-only."""
+    key = np.ravel(rows).astype(np.intp) * d + np.ravel(cols).astype(np.intp)
+    order = np.argsort(key, kind="stable")
+    key, vals = key[order], np.ravel(vals).astype(complex)[order]
+    first = np.diff(key, prepend=-1) != 0  # the first entry of each (row, col)
+    summed = vals[first]
+    np.add.at(summed, np.cumsum(first)[~first] - 1, vals[~first])
+    nz = summed != 0
+    out = (key[first][nz] // d, key[first][nz] % d, summed[nz])
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class OperatorMatrix:
     """Sparse complex matrix acting on the truncated joint Fock basis.
 
-    Any dense or sparse input is stored as one canonical CSR matrix without
-    explicit zeros, so its stored pattern is the operator's structure.
+    Stored as canonical COO triplets `rows`, `cols`, `vals` (`_canonical`),
+    so the stored pattern is the operator's structure.  The constructor takes
+    a dense array, a scipy sparse matrix or a triplet tuple (rows, cols,
+    vals).  The algebra is numpy on the triplets; `.sparse` is a CSR copy.
     """
 
-    sparse: sp.csr_matrix
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
     dims: ModeDims
 
-    def __post_init__(self):
-        mat = sp.csr_matrix(self.sparse, dtype=complex, copy=True)
-        if mat.shape != (self.dims.total, self.dims.total):
-            raise DimensionError(
-                f"matrix shape {mat.shape} inconsistent with dims {tuple(self.dims)}"
-            )
-        mat.sum_duplicates()
-        mat.eliminate_zeros()
-        for arr in (mat.data, mat.indices, mat.indptr):
-            arr.setflags(write=False)
-        object.__setattr__(self, "sparse", mat)
+    def __init__(self, matrix, dims: ModeDims):
+        d = dims.total
+        if isinstance(matrix, tuple):
+            rows, cols, vals = matrix
+            index = np.concatenate([np.ravel(rows), np.ravel(cols)])
+            if np.any((index < 0) | (index >= d)):
+                raise DimensionError(f"triplet index outside dims {tuple(dims)}")
+        else:
+            coo = hasattr(matrix, "tocoo")  # a scipy sparse matrix
+            mat = matrix.tocoo() if coo else np.asarray(matrix)
+            if mat.shape != (d, d):
+                raise DimensionError(f"matrix shape {mat.shape} inconsistent with {tuple(dims)}")
+            rows, cols = (mat.row, mat.col) if coo else np.nonzero(mat)
+            vals = mat.data if coo else mat[rows, cols]
+        for name, arr in zip(("rows", "cols", "vals"), _canonical(rows, cols, vals, d)):
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "dims", dims)
+
+    def _same_space(self, other: "OperatorMatrix") -> None:
+        if other.dims.total != self.dims.total:
+            raise DimensionError(f"operators on {tuple(self.dims)} and {tuple(other.dims)}")
 
     @property
     def elements(self) -> np.ndarray:
         """Dense copy of the matrix."""
-        return self.sparse.toarray()
+        out = np.zeros((self.dims.total,) * 2, dtype=complex)
+        out[self.rows, self.cols] = self.vals
+        return out
+
+    @property
+    def sparse(self):
+        """CSR copy of the matrix; imports scipy.sparse."""
+        import scipy.sparse as sp
+
+        return sp.csr_matrix((self.vals, (self.rows, self.cols)), shape=(self.dims.total,) * 2)
 
     @property
     def dag(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.sparse.conj().T, self.dims)
+        return OperatorMatrix((self.cols, self.rows, self.vals.conj()), self.dims)
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return np.linalg.norm((self.sparse - self.sparse.conj().T).data) < tol
+        return np.linalg.norm((self + -1 * self.dag).vals) < tol
 
     def __matmul__(self, other):
+        """Product with an operator, a vector (d,) or a matrix (d, k)."""
         if isinstance(other, OperatorMatrix):
-            return OperatorMatrix(self.sparse @ other.sparse, self.dims)
-        return self.sparse @ other
+            self._same_space(other)
+            # entry (i, k) of self meets row k of other, other.rows[start:start + count]
+            start = np.searchsorted(other.rows, self.cols)
+            count = np.searchsorted(other.rows, self.cols, side="right") - start
+            left = np.repeat(np.arange(self.rows.size), count)
+            right = np.arange(left.size) + np.repeat(start + count - np.cumsum(count), count)
+            return OperatorMatrix(
+                (self.rows[left], other.cols[right], self.vals[left] * other.vals[right]),
+                self.dims,
+            )
+        x = np.asarray(other)
+        if x.ndim not in (1, 2) or x.shape[0] != self.dims.total:
+            raise DimensionError(f"operand shape {x.shape} inconsistent with {tuple(self.dims)}")
+        out = np.zeros(x.shape, dtype=np.result_type(complex, x))
+        np.add.at(out, self.rows, self.vals.reshape((-1,) + (1,) * (x.ndim - 1)) * x[self.cols])
+        return out
 
     def __add__(self, other):
-        return OperatorMatrix(self.sparse + other.sparse, self.dims)
+        self._same_space(other)
+        pairs = zip((self.rows, self.cols, self.vals), (other.rows, other.cols, other.vals))
+        return OperatorMatrix(tuple(np.concatenate(pair) for pair in pairs), self.dims)
 
     def __mul__(self, scalar):
-        return OperatorMatrix(self.sparse * scalar, self.dims)
+        return OperatorMatrix((self.rows, self.cols, self.vals * scalar), self.dims)
 
     __rmul__ = __mul__
 
@@ -196,14 +252,15 @@ def annihilation_op(n_levels: int) -> OperatorMatrix:
     """Single-mode lowering operator, <n-1|a|n> = sqrt(n)."""
     if n_levels < 2:
         raise DimensionError(f"need at least 2 levels, got {n_levels}")
-    diag = np.sqrt(np.arange(1, n_levels, dtype=float))
-    return OperatorMatrix(sp.diags(diag, 1, dtype=complex), ModeDims((n_levels,)))
+    levels = np.arange(1, n_levels)
+    return OperatorMatrix((levels - 1, levels, np.sqrt(levels)), ModeDims((n_levels,)))
 
 
 def number_op(n_levels: int) -> OperatorMatrix:
     if n_levels < 2:
         raise DimensionError(f"need at least 2 levels, got {n_levels}")
-    return OperatorMatrix(sp.diags(np.arange(n_levels, dtype=complex)), ModeDims((n_levels,)))
+    levels = np.arange(n_levels)
+    return OperatorMatrix((levels, levels, levels), ModeDims((n_levels,)))
 
 
 def embed_op(op: OperatorMatrix, mode_index: int, dims) -> OperatorMatrix:
@@ -211,7 +268,7 @@ def embed_op(op: OperatorMatrix, mode_index: int, dims) -> OperatorMatrix:
 
     The joint indices, reshaped to (earlier modes, this mode, later modes),
     place entry (r, c) of `op` at rows joint[:, r, :] and columns
-    joint[:, c, :]: the Kronecker product in one sparse construction.
+    joint[:, c, :]: the Kronecker product as one set of triplets.
     """
     dims = _as_dims(dims)
     _check_modes(dims, [mode_index])
@@ -219,11 +276,8 @@ def embed_op(op: OperatorMatrix, mode_index: int, dims) -> OperatorMatrix:
     if op.dims.total != n:
         raise DimensionError(f"operator dimension {op.dims.total} != mode truncation {n}")
     joint = np.arange(dims.total).reshape(-1, n, prod(dims[mode_index + 1:]))
-    entries = op.sparse.tocoo()
-    rows, cols = joint[:, entries.row, :], joint[:, entries.col, :]
-    values = np.broadcast_to(entries.data[:, None], rows.shape)
-    mat = sp.csr_matrix((values.ravel(), (rows.ravel(), cols.ravel())), shape=(dims.total,) * 2)
-    return OperatorMatrix(mat, dims)
+    rows, cols = joint[:, op.rows, :], joint[:, op.cols, :]
+    return OperatorMatrix((rows, cols, np.broadcast_to(op.vals[:, None], rows.shape)), dims)
 
 
 def fock_state(dims, occupations: Sequence[int]) -> StateVector:

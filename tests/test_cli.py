@@ -6,6 +6,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+from exfree import cli
 from exfree.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -24,6 +25,8 @@ BASE = {
     "n_samples": 51,
     "label": "t",
 }
+#: BASE for the runners that read only the final time, which refuse n_samples.
+FINAL_ONLY = {k: v for k, v in BASE.items() if k != "n_samples"}
 
 
 def write(tmp_path, name, payload):
@@ -63,6 +66,36 @@ class TestLoadConfig:
     def test_cli_experiment_overrides_file(self, tmp_path):
         cfg = load_config(write(tmp_path, "c.yaml", BASE), "hom")
         assert cfg.experiment == "hom"
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {**BASE, "experiment": "binomial"},
+            {**BASE, "experiment": "purified-qst"},
+            {**BASE, "experiment": "sweep", "sweep_experiment": "binomial",
+             "delta_over_2pi_khz_values": [467.39]},
+        ],
+        ids=["binomial", "purified-qst", "sweep-of-binomial"],
+    )
+    def test_n_samples_refused_where_only_the_final_time_is_read(self, tmp_path, payload):
+        cfg_path = write(tmp_path, "c.yaml", payload)
+        res = CliRunner().invoke(main, [payload["experiment"], "--config", cfg_path])
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert "n_samples does not apply" in res.output
+
+    def test_binomial_spec_holds_only_its_final_time(self, tmp_path, monkeypatch):
+        seen = []
+
+        def record(params, spec, **kwargs):
+            seen.append(spec)
+            raise ConfigError("stop after the spec")
+
+        monkeypatch.setattr(cli, "run_binomial_transfer", record)
+        cfg = load_config(write(tmp_path, "c.yaml", {**FINAL_ONLY, "experiment": "binomial"}))
+        with pytest.raises(ConfigError, match="stop after the spec"):
+            cli.run_experiment(cfg)
+        (spec,) = seen
+        assert spec.sample_times == (spec.total_time,)
 
 
 class TestDispatch:
@@ -112,18 +145,18 @@ class TestDispatch:
             {**BASE, "n_samples": "many"},
             {**BASE, "g_over_2pi_khz": "eighty"},
             {**BASE, "rtol": [1]},
-            {**BASE, "experiment": "binomial", "wigner_points": "lots"},
-            {**BASE, "experiment": "binomial", "loss_after_transfer": "no"},
+            {**FINAL_ONLY, "experiment": "binomial", "wigner_points": "lots"},
+            {**FINAL_ONLY, "experiment": "binomial", "loss_after_transfer": "no"},
             {**BASE, "n_samples": 101.9},
             {**BASE, "dims": [6.7, 5, 6]},
-            {**BASE, "experiment": "binomial", "wigner_points": 20.5},
+            {**FINAL_ONLY, "experiment": "binomial", "wigner_points": 20.5},
             {**BASE, "n_sampels": 51},
             {**BASE, "method": "lindblad", "dims": [3, 2, 3], "rtol": float("nan")},
             {**BASE, "method": "trotter", "trotter_dt_us": float("nan")},
             {**BASE, "delta_over_2pi_khz": float("inf")},
             {**BASE, "g_over_2pi_khz": float("nan")},
-            {**BASE, "experiment": "purified-qst", "gamma_q": -1},
-            {**BASE, "experiment": "purified-qst", "gamma_q": float("nan")},
+            {**FINAL_ONLY, "experiment": "purified-qst", "gamma_q": -1},
+            {**FINAL_ONLY, "experiment": "purified-qst", "gamma_q": float("nan")},
         ],
         ids=[
             "n_samples",
@@ -150,7 +183,7 @@ class TestDispatch:
         assert "config error:" in res.output
 
     def test_nonpositive_rtol_exit_code(self, tmp_path):
-        payload = {**BASE, "experiment": "purified-qst", "method": "lindblad", "rtol": -1}
+        payload = {**FINAL_ONLY, "experiment": "purified-qst", "method": "lindblad", "rtol": -1}
         cfg_path = write(tmp_path, "c.yaml", payload)
         res = CliRunner().invoke(main, ["purified-qst", "--config", cfg_path])
         assert res.exit_code == EXIT_CONFIG

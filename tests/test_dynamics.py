@@ -7,6 +7,8 @@ from scipy.linalg import expm
 from exfree.analytic import mean_photon_numbers, tau_st
 from exfree.dynamics import (
     EvolutionSpec,
+    _liouvillian,
+    _occupied_sectors,
     apply_jump,
     evolve_lindblad,
     evolve_trotter,
@@ -269,6 +271,75 @@ class TestSparseCore:
         assert peak < 20e6
 
 
+def _random_pattern(seed: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """A random symmetric edge list on n nodes; at least a third of the nodes
+    have no edge, and some edges are self-loops or repeated."""
+    rng = np.random.default_rng(seed)
+    linked = rng.choice(n, size=max(1, 2 * n // 3), replace=False)
+    rows, cols = rng.choice(linked, size=(2, n))
+    return np.r_[rows, cols, linked[:2]], np.r_[cols, rows, linked[:2]]
+
+
+def _liouvillian_edges(p: SystemParams, collapse) -> tuple[np.ndarray, np.ndarray, int]:
+    return (*_liouvillian(build_h_full(p), collapse).nonzero(), p.dims.total ** 2)
+
+
+def _sector_mixing(p: SystemParams) -> list[OperatorMatrix]:
+    """a1 + i a2: changes Q = n2 - n1 - n3 by +1 or -1 and joins sectors."""
+    a1 = embed_op(annihilation_op(p.dims[0]), 0, p.dims)
+    a2 = embed_op(annihilation_op(p.dims[1]), 1, p.dims)
+    return [float(np.sqrt(1.0 / 20.0)) * (a1 + 1j * a2)]
+
+
+LINDBLAD_P = SystemParams.from_khz(
+    80, 60, 475, dims=(3, 2, 3), t1=(20.0, 15.0, 25.0), tphi=(30.0, None, 40.0),
+    n_th=(0.05, 0.0, 0.1),
+)
+
+
+def _operator_edges(H: OperatorMatrix) -> tuple[np.ndarray, np.ndarray, int]:
+    return H.rows, H.cols, H.dims.total
+
+
+class TestSectorLabelling:
+    """`_occupied_sectors` gives scipy's connected components: the same
+    partition, in the same order by smallest member."""
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            *[_random_pattern(seed, n) + (n,) for seed, n in enumerate((1, 2, 7, 40, 300))],
+            (np.array([], dtype=int), np.array([], dtype=int), 5),
+            *[_operator_edges(build_h_full(SystemParams.from_khz(80, 60, 475, dims=dims)))
+              for dims in ((2, 2, 2), (3, 2, 3), (6, 5, 6), (5, 7, 4))],
+            _operator_edges(build_h_bs_reference(SystemParams.from_khz(80, 60, 475))),
+            _liouvillian_edges(LINDBLAD_P, collapse_operators(LINDBLAD_P)),
+            _liouvillian_edges(LINDBLAD_P, _sector_mixing(LINDBLAD_P)),
+        ],
+        ids=[*(f"random-{n}" for n in (1, 2, 7, 40, 300)), "no-edges",
+             *(f"h-full-{n}" for n in ("222", "323", "656", "574")), "h-bs",
+             "liouvillian", "liouvillian-sector-mixing"],
+    )
+    def test_matches_csgraph(self, edges):
+        from scipy.sparse import coo_matrix
+        from scipy.sparse.csgraph import connected_components
+
+        rows, cols, n = edges
+        graph = coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
+        count, labels = connected_components(graph, directed=False)
+        (got,) = _occupied_sectors(edges, [np.ones(n)])
+        assert len(got) == count
+        for k, block in enumerate(got):
+            assert np.array_equal(block, np.flatnonzero(labels == k))
+        assert all(a[0] < b[0] for a, b in zip(got, got[1:]))
+
+    def test_only_occupied_sectors_returned(self):
+        # edges 0-1 and 3-4: the start on node 4 occupies {3, 4} only
+        edges = (np.array([0, 3]), np.array([1, 4]), 5)
+        ((block,),) = _occupied_sectors(edges, [np.eye(5)[4]])
+        assert block.tolist() == [3, 4]
+
+
 class TestTrotter:
     def test_converges_to_exact(self, params):
         psi = fock_state(params.dims, (1, 0, 0))
@@ -372,20 +443,12 @@ class TestLindblad:
 
     @pytest.mark.parametrize("collapse", ["model", "sector-mixing"])
     def test_matches_dense_liouvillian_expm(self, collapse):
-        # the initial matrix spans several coherence sectors; a1 + i a2 changes
-        # Q = n2 - n1 - n3 by +1 or -1 and joins the sectors into one component,
-        # and its complex phase makes L^dag L differ from its transpose
-        p = SystemParams.from_khz(
-            80, 60, 475, dims=(3, 2, 3), t1=(20.0, 15.0, 25.0), tphi=(30.0, None, 40.0),
-            n_th=(0.05, 0.0, 0.1),
-        )
+        # the initial matrix spans several coherence sectors; a1 + i a2 joins
+        # the sectors into one component, and its complex phase makes L^dag L
+        # differ from its transpose
+        p = LINDBLAD_P
         dims = p.dims
-        if collapse == "model":
-            c_ops = collapse_operators(p)
-        else:
-            a1 = embed_op(annihilation_op(3), 0, dims)
-            a2 = embed_op(annihilation_op(2), 1, dims)
-            c_ops = [float(np.sqrt(1.0 / 20.0)) * (a1 + 1j * a2)]
+        c_ops = collapse_operators(p) if collapse == "model" else _sector_mixing(p)
         H = build_h_full(p)
         vec = np.zeros(dims.total, dtype=complex)
         for occ in ((0, 0, 0), (1, 0, 0), (0, 1, 0)):

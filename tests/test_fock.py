@@ -115,6 +115,95 @@ class TestLadderOperators:
         assert np.allclose((a0 @ a2).elements, (a2 @ a0).elements)
 
 
+def _sparse_complex(dims: ModeDims, rng, density=0.4) -> np.ndarray:
+    """A random complex matrix on `dims` with about `density` of it nonzero."""
+    shape = (dims.total,) * 2
+    m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return m * (rng.random(shape) < density)
+
+
+class TestOperatorMatrix:
+    """The triplet algebra against the same operations on dense arrays."""
+
+    dims = ModeDims((2, 3))
+
+    @pytest.fixture()
+    def pair(self):
+        rng = np.random.default_rng(11)
+        return _sparse_complex(self.dims, rng), _sparse_complex(self.dims, rng)
+
+    def test_triplets_are_canonical_and_read_only(self, pair):
+        m, _ = pair
+        op = OperatorMatrix(m, self.dims)
+        key = op.rows * self.dims.total + op.cols
+        assert np.all(np.diff(key) > 0)
+        assert np.all(op.vals != 0)
+        assert op.vals.size == np.count_nonzero(m)
+        for arr in (op.rows, op.cols, op.vals):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_duplicates_summed_and_zeros_dropped(self):
+        rows, cols = [1, 0, 1, 0, 2], [0, 1, 0, 1, 2]
+        op = OperatorMatrix((rows, cols, [3j, 1.0, 2.0, -1.0, 0.0]), self.dims)
+        # (0, 1) cancels to zero and (2, 2) is zero: one entry is left
+        assert op.rows.tolist() == [1] and op.cols.tolist() == [0]
+        assert op.vals.tolist() == [2 + 3j]
+
+    def test_dense_and_scipy_input_agree(self, pair):
+        from scipy.sparse import csr_matrix
+
+        m, _ = pair
+        from_scipy = OperatorMatrix(csr_matrix(m), self.dims)
+        assert np.array_equal(from_scipy.elements, m)
+        assert np.array_equal(OperatorMatrix(m, self.dims).elements, m)
+
+    def test_algebra_matches_dense(self, pair):
+        m, n = pair
+        a, b = OperatorMatrix(m, self.dims), OperatorMatrix(n, self.dims)
+        assert np.array_equal(a.dag.elements, m.conj().T)
+        assert np.array_equal((a + b).elements, m + n)
+        assert np.array_equal((2.5 * a).elements, 2.5 * m)
+        assert np.array_equal((a * (1 - 2j)).elements, m * (1 - 2j))
+        assert np.allclose((a @ b).elements, m @ n, rtol=0, atol=1e-12)
+
+    def test_product_with_vector_and_matrix(self, pair):
+        m, n = pair
+        a = OperatorMatrix(m, self.dims)
+        vec = n[:, 1]
+        assert np.allclose(a @ vec, m @ vec, rtol=0, atol=1e-12)
+        assert np.allclose(a @ n, m @ n, rtol=0, atol=1e-12)
+
+    def test_is_hermitian(self, pair):
+        m, _ = pair
+        assert OperatorMatrix(m + m.conj().T, self.dims).is_hermitian()
+        assert not OperatorMatrix(m, self.dims).is_hermitian()
+
+    def test_sparse_view_equals_elements(self, pair):
+        m, _ = pair
+        op = OperatorMatrix(m, self.dims)
+        assert np.array_equal(op.sparse.toarray(), op.elements)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda op: OperatorMatrix(np.zeros((5, 5)), op.dims),
+            lambda op: OperatorMatrix(np.zeros(6), op.dims),
+            lambda op: OperatorMatrix(([0], [6], [1.0]), op.dims),
+            lambda op: op @ np.zeros(5),
+            lambda op: op @ np.zeros((5, 6)),
+            lambda op: op @ np.zeros((6, 6, 6)),
+            lambda op: op + number_op(5),
+            lambda op: op @ number_op(5),
+        ],
+        ids=["dense", "vector", "triplet-index", "short-vector", "short-matrix",
+             "three-axes", "sum", "product"],
+    )
+    def test_wrong_shape_raises(self, pair, build):
+        with pytest.raises(DimensionError):
+            build(OperatorMatrix(pair[0], self.dims))
+
+
 class TestStates:
     def test_fock_state_is_basis_vector(self):
         psi = fock_state(DIMS, (1, 0, 0))

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
 PACKAGE = Path(__file__).parent.parent / "src" / "exfree"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -70,14 +71,47 @@ def test_every_export_has_a_caller():
     assert sorted(set(REFERENCE) - exported) == []
 
 
-def test_import_loads_no_optimize_integrate_or_special():
-    code = (
-        "import sys, exfree, exfree.cli; "
-        "print(' '.join(m for m in ('scipy.optimize', 'scipy.integrate', 'scipy.special') "
-        "if m in sys.modules))"
-    )
+CONFIGS = PACKAGE.parent.parent / "configs"
+
+PRINT_SCIPY = 'print("scipy:", *sorted(m for m in sys.modules if m.startswith("scipy")))'
+
+#: Runs the CLI with the interpreter's arguments, then prints the scipy
+#: modules loaded.
+RUN_CLI = """
+import sys
+from exfree.cli import main
+try:
+    main.main(args=sys.argv[1:], prog_name="exfree-qst")
+except SystemExit as exc:
+    assert exc.code == 0, f"exit {exc.code}"
+""" + PRINT_SCIPY
+
+
+def fresh_scipy_modules(code: str, *args: str) -> list[str]:
+    """The scipy modules a fresh interpreter has loaded after running `code`."""
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True
     )
-    assert out.stdout.split() == []
+    assert out.returncode == 0, out.stderr
+    (line,) = [ln for ln in out.stdout.splitlines() if ln.startswith("scipy:")]
+    return line.split()[1:]
+
+
+def test_import_loads_no_scipy():
+    assert fresh_scipy_modules("import sys, exfree, exfree.cli\n" + PRINT_SCIPY) == []
+
+
+@pytest.mark.parametrize("config", ["qst", "hom", "purified", "binomial"])
+def test_exact_run_loads_no_scipy(config, tmp_path):
+    path = CONFIGS / f"{config}.yaml"
+    experiment = yaml.safe_load(path.read_text())["experiment"]
+    args = (experiment, "--config", str(path), "--out", str(tmp_path), "--method", "exact")
+    assert fresh_scipy_modules(RUN_CLI, *args) == []
+
+
+def test_lindblad_run_loads_scipy_and_succeeds(tmp_path):
+    args = ("qst", "--config", str(CONFIGS / "qst.yaml"), "--out", str(tmp_path),
+            "--method", "lindblad", "--dims", "3,2,3")
+    loaded = fresh_scipy_modules(RUN_CLI, *args)
+    assert {"scipy.sparse", "scipy.integrate"} <= set(loaded)
