@@ -62,12 +62,10 @@ from .fock import (
     ModeDims,
     OperatorMatrix,
     StateVector,
-    annihilation_op,
     binomial_code_state,
-    embed_op,
     fock_state,
+    ladder_op,
     mode_populations,
-    number_op,
     partial_trace,
     product_state,
 )

@@ -114,6 +114,13 @@ def _whole(value) -> int:
     return int(value)
 
 
+def _real(value) -> float:
+    """A real number; a boolean is a ValueError, not 0.0 or 1.0."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected a real number, got {value!r}")
+    return float(value)
+
+
 def _coerce_dims(value) -> tuple[int, int, int]:
     try:
         # the --dims override arrives as text, "N1,N2,N3"
@@ -130,8 +137,8 @@ def _triple(value, name, default):
     if value is None:
         return default
     if np.isscalar(value):
-        return (float(value),) * 3
-    vals = tuple(None if v is None else float(v) for v in value)
+        return (_real(value),) * 3
+    vals = tuple(None if v is None else _real(v) for v in value)
     if len(vals) != 3:
         raise ConfigError(f"{name} must be a scalar or a 3-list")
     return vals
@@ -158,20 +165,20 @@ def _flag(value) -> bool:
 #: Conversion of each experiment option; a null value counts as absent.
 _OPTIONS = {
     "purification": str,
-    "gamma_q": float,
+    "gamma_q": _real,
     "code_label": str,
     "loss_after_transfer": _flag,
-    "wigner_extent": float,
+    "wigner_extent": _real,
     "wigner_points": _whole,
-    "budget": lambda v: {str(k): float(x) for k, x in dict(v).items()},
+    "budget": lambda v: {str(k): _real(x) for k, x in dict(v).items()},
     "ablate_cavity": _flag,
-    "delta_over_2pi_khz_values": lambda v: [float(x) for x in v],
-    "g_truth_over_2pi_khz": float,
-    "delta0_over_2pi_khz": float,
-    "delta_d_over_2pi_khz": lambda v: [float(x) for x in v],
-    "noise_sigma": float,
+    "delta_over_2pi_khz_values": lambda v: [_real(x) for x in v],
+    "g_truth_over_2pi_khz": _real,
+    "delta0_over_2pi_khz": _real,
+    "delta_d_over_2pi_khz": lambda v: [_real(x) for x in v],
+    "noise_sigma": _real,
     "seed": _whole,
-    "t_max_us": float,
+    "t_max_us": _real,
     "n_points": _whole,
     "sweep_experiment": str,
 }
@@ -215,6 +222,9 @@ def _parse_mapping(raw: dict, experiment: Optional[str]) -> RunConfig:
 
     cfg = RunConfig(experiment=exp, raw=dict(raw))
     cfg.label = str(raw.get("label", "default"))
+    if cfg.label in ("", ".", "..") or "/" in cfg.label or "\\" in cfg.label:
+        # the label names one directory inside <out_dir>/<experiment>
+        raise ConfigError(f"label {cfg.label!r} must name one directory")
     cfg.out_dir = Path(raw.get("out_dir", "runs"))
 
     method = raw.get("method", "exact")
@@ -229,8 +239,8 @@ def _parse_mapping(raw: dict, experiment: Optional[str]) -> RunConfig:
     if g_khz is not None or needs_params:
         if g_khz is None:
             raise ConfigError("g_over_2pi_khz is required")
-        g1 = float(raw.get("g1_over_2pi_khz", g_khz))
-        g2 = float(raw.get("g2_over_2pi_khz", g_khz))
+        g1 = _real(raw.get("g1_over_2pi_khz", g_khz))
+        g2 = _real(raw.get("g2_over_2pi_khz", g_khz))
         delta = raw.get("delta_over_2pi_khz")
         if delta is None and exp not in ("compare-bs", "calibrate-g", "calibrate-delta0"):
             raise ConfigError("delta_over_2pi_khz is required")
@@ -239,7 +249,7 @@ def _parse_mapping(raw: dict, experiment: Optional[str]) -> RunConfig:
             cfg.params = SystemParams.from_khz(
                 g1,
                 g2,
-                float(delta) if delta is not None else 0.0,
+                _real(delta) if delta is not None else 0.0,
                 dims=dims,
                 t1=_triple(raw.get("t1_us"), "t1_us", (None, None, None)),
                 tphi=_triple(raw.get("tphi_us"), "tphi_us", (None, None, None)),
@@ -249,7 +259,7 @@ def _parse_mapping(raw: dict, experiment: Optional[str]) -> RunConfig:
             raise ConfigError(str(exc)) from exc
 
     if raw.get("total_time_us") is not None:
-        cfg.total_time = float(raw["total_time_us"])
+        cfg.total_time = _real(raw["total_time_us"])
         if not 0 < cfg.total_time < np.inf:
             raise ConfigError("total_time_us must be positive and finite")
     runs = raw.get("sweep_experiment") if exp == "sweep" else exp
@@ -259,10 +269,10 @@ def _parse_mapping(raw: dict, experiment: Optional[str]) -> RunConfig:
     if cfg.n_samples < 2:
         raise ConfigError("n_samples must be at least 2")
     if raw.get("trotter_dt_us") is not None:
-        cfg.trotter_dt = float(raw["trotter_dt_us"])
+        cfg.trotter_dt = _real(raw["trotter_dt_us"])
     if cfg.method == "trotter" and cfg.trotter_dt is None:
         raise ConfigError("trotter method needs trotter_dt_us")
-    cfg.rtol = float(raw.get("rtol", 1e-8))
+    cfg.rtol = _real(raw.get("rtol", 1e-8))
     if not 0 < cfg.rtol < np.inf:
         raise ConfigError("rtol must be positive and finite")
 
@@ -381,15 +391,14 @@ def _fmt(x) -> str:
     return f"{float(x):.12g}"
 
 
-def write_artifacts(result: ProtocolResult, cfg: RunConfig, label: Optional[str] = None) -> Path:
+def write_artifacts(result: ProtocolResult, cfg: RunConfig) -> Path:
     """Write manifest.json, trajectory.csv, summary.json (and wigner_*.csv)."""
-    label = label or cfg.label
-    dest = cfg.out_dir / cfg.experiment / label
+    dest = cfg.out_dir / cfg.experiment / cfg.label
     dest.mkdir(parents=True, exist_ok=True)
     try:
         manifest = {
             "experiment": cfg.experiment,
-            "label": label,
+            "label": cfg.label,
             "config": cfg.raw,
             "versions": {
                 "package": __version__,

@@ -34,8 +34,7 @@ from .fock import (
     OperatorMatrix,
     StateVector,
     _check_modes,
-    annihilation_op,
-    embed_op,
+    ladder_op,
 )
 from .model import SystemParams, build_h_detune, build_h_tms
 
@@ -223,14 +222,15 @@ def _liouvillian(
     H: OperatorMatrix, collapse_ops: Sequence[OperatorMatrix]
 ) -> "scipy.sparse.csr_matrix":
     """Sparse Lindblad generator on the row-major vectorized matrix,
-    vec(A rho B) = (A kron B^T) vec rho; the only reader of `OperatorMatrix.sparse`."""
+    vec(A rho B) = (A kron B^T) vec rho."""
     from scipy import sparse
 
-    eye = sparse.identity(H.dims.total, dtype=complex, format="csr")
-    h = H.sparse
+    d = H.dims.total
+    h, *cs = [sparse.csr_matrix((op.vals, (op.rows, op.cols)), shape=(d, d))
+              for op in (H, *collapse_ops)]
+    eye = sparse.identity(d, dtype=complex, format="csr")
     out = -1j * (sparse.kron(h, eye) - sparse.kron(eye, h.T))
-    for op in collapse_ops:
-        c = op.sparse
+    for c in cs:
         cdc = (c.conj().T @ c).tocsr()
         out = out + sparse.kron(c, c.conj()) - 0.5 * (
             sparse.kron(cdc, eye) + sparse.kron(eye, cdc.T)
@@ -294,7 +294,7 @@ def apply_jump(state, mode: int):
     if not isinstance(state, (StateVector, DensityMatrix)):
         raise InvalidParameterError("state must be a StateVector or DensityMatrix")
     _check_modes(state.dims, [mode])
-    a = embed_op(annihilation_op(state.dims[mode]), mode, state.dims)
+    a = ladder_op(state.dims, {mode: "a"})
     if isinstance(state, StateVector):
         out = a @ state.amplitudes
         weight = float(np.linalg.norm(out))

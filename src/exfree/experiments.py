@@ -283,8 +283,11 @@ def run_hom(
         analysis_time = 0.5 * t_swap
     times = _sample_grid(spec)
     dims = params.dims
-    # one propagation serves the sampled trajectory and the analysis time
-    all_times = np.union1d(times, [analysis_time])
+    # one propagation serves the sampled trajectory and the analysis time,
+    # inserted unless it is a sample (np.union1d would import numpy.ma)
+    k_a = int(np.searchsorted(times, analysis_time))
+    known = k_a < times.size and times[k_a] == analysis_time
+    all_times = times if known else np.insert(times, k_a, analysis_time)
     traj = _evolve_trajectory(params, fock_state(dims, (1, 0, 1)), spec, all_times)
     sampled = np.searchsorted(all_times, times)
     pops = mode_populations(traj)[sampled]
@@ -292,7 +295,6 @@ def run_hom(
     series = {"P11": joint[:, 1, 1], "P20": joint[:, 2, 0], "P02": joint[:, 0, 2]}
 
     # entanglement analysis at the requested time
-    k_a = int(np.searchsorted(all_times, analysis_time))
     r13 = partial_trace(traj[k_a], keep=[0, 2])
     dims13 = ModeDims((dims[0], dims[2]))
     rho13 = DensityMatrix(0.5 * (r13 + r13.conj().T), dims13)

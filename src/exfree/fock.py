@@ -4,8 +4,8 @@ Basis convention: modes are ordered (S1, S2, S3) and flattened row-major
 with the last mode fastest, i.e. the amplitude of |n1 n2 n3> sits at index
 n1*N2*N3 + n2*N3 + n3.  All other modules share this convention.
 Operators are canonical COO triplets in numpy, so no dense full-space operator
-is formed unless `OperatorMatrix.elements` is read, and scipy is imported
-only by `OperatorMatrix.sparse`.
+is formed unless `OperatorMatrix.elements` is read.  Every operator of the
+model is a sum of `ladder_op` products, built from Fock indices alone.
 """
 
 from __future__ import annotations
@@ -95,8 +95,8 @@ class OperatorMatrix:
 
     Stored as canonical COO triplets `rows`, `cols`, `vals` (`_canonical`),
     so the stored pattern is the operator's structure.  The constructor takes
-    a dense array, a scipy sparse matrix or a triplet tuple (rows, cols,
-    vals).  The algebra is numpy on the triplets; `.sparse` is a CSR copy.
+    a dense array or a triplet tuple (rows, cols, vals).  The algebra is
+    numpy on the triplets.
     """
 
     rows: np.ndarray
@@ -112,19 +112,14 @@ class OperatorMatrix:
             if np.any((index < 0) | (index >= d)):
                 raise DimensionError(f"triplet index outside dims {tuple(dims)}")
         else:
-            coo = hasattr(matrix, "tocoo")  # a scipy sparse matrix
-            mat = matrix.tocoo() if coo else np.asarray(matrix)
+            mat = np.asarray(matrix)
             if mat.shape != (d, d):
                 raise DimensionError(f"matrix shape {mat.shape} inconsistent with {tuple(dims)}")
-            rows, cols = (mat.row, mat.col) if coo else np.nonzero(mat)
-            vals = mat.data if coo else mat[rows, cols]
+            rows, cols = np.nonzero(mat)
+            vals = mat[rows, cols]
         for name, arr in zip(("rows", "cols", "vals"), _canonical(rows, cols, vals, d)):
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "dims", dims)
-
-    def _same_space(self, other: "OperatorMatrix") -> None:
-        if other.dims.total != self.dims.total:
-            raise DimensionError(f"operators on {tuple(self.dims)} and {tuple(other.dims)}")
 
     @property
     def elements(self) -> np.ndarray:
@@ -134,13 +129,6 @@ class OperatorMatrix:
         return out
 
     @property
-    def sparse(self):
-        """CSR copy of the matrix; imports scipy.sparse."""
-        import scipy.sparse as sp
-
-        return sp.csr_matrix((self.vals, (self.rows, self.cols)), shape=(self.dims.total,) * 2)
-
-    @property
     def dag(self) -> "OperatorMatrix":
         return OperatorMatrix((self.cols, self.rows, self.vals.conj()), self.dims)
 
@@ -148,18 +136,7 @@ class OperatorMatrix:
         return np.linalg.norm((self + -1 * self.dag).vals) < tol
 
     def __matmul__(self, other):
-        """Product with an operator, a vector (d,) or a matrix (d, k)."""
-        if isinstance(other, OperatorMatrix):
-            self._same_space(other)
-            # entry (i, k) of self meets row k of other, other.rows[start:start + count]
-            start = np.searchsorted(other.rows, self.cols)
-            count = np.searchsorted(other.rows, self.cols, side="right") - start
-            left = np.repeat(np.arange(self.rows.size), count)
-            right = np.arange(left.size) + np.repeat(start + count - np.cumsum(count), count)
-            return OperatorMatrix(
-                (self.rows[left], other.cols[right], self.vals[left] * other.vals[right]),
-                self.dims,
-            )
+        """Product with a vector (d,) or a matrix (d, k)."""
         x = np.asarray(other)
         if x.ndim not in (1, 2) or x.shape[0] != self.dims.total:
             raise DimensionError(f"operand shape {x.shape} inconsistent with {tuple(self.dims)}")
@@ -168,7 +145,8 @@ class OperatorMatrix:
         return out
 
     def __add__(self, other):
-        self._same_space(other)
+        if other.dims.total != self.dims.total:
+            raise DimensionError(f"operators on {tuple(self.dims)} and {tuple(other.dims)}")
         pairs = zip((self.rows, self.cols, self.vals), (other.rows, other.cols, other.vals))
         return OperatorMatrix(tuple(np.concatenate(pair) for pair in pairs), self.dims)
 
@@ -248,36 +226,39 @@ class DensityMatrix:
         return DensityMatrix(self.elements[k], self.dims)
 
 
-def annihilation_op(n_levels: int) -> OperatorMatrix:
-    """Single-mode lowering operator, <n-1|a|n> = sqrt(n)."""
-    if n_levels < 2:
-        raise DimensionError(f"need at least 2 levels, got {n_levels}")
-    levels = np.arange(1, n_levels)
-    return OperatorMatrix((levels - 1, levels, np.sqrt(levels)), ModeDims((n_levels,)))
+#: Per ladder factor: the shift of the mode's occupation and the matrix
+#: element as a function of the occupation n it acts on.
+_LADDER = {
+    "a": (-1, np.sqrt),
+    "adag": (1, lambda n: np.sqrt(n + 1)),
+    "n": (0, lambda n: n),
+}
 
 
-def number_op(n_levels: int) -> OperatorMatrix:
-    if n_levels < 2:
-        raise DimensionError(f"need at least 2 levels, got {n_levels}")
-    levels = np.arange(n_levels)
-    return OperatorMatrix((levels, levels, levels), ModeDims((n_levels,)))
+def ladder_op(dims, factors: dict[int, str]) -> OperatorMatrix:
+    """Product of ladder operators on distinct modes, identity on the rest.
 
-
-def embed_op(op: OperatorMatrix, mode_index: int, dims) -> OperatorMatrix:
-    """Embed a single-mode operator into the joint space (identity elsewhere).
-
-    The joint indices, reshaped to (earlier modes, this mode, later modes),
-    place entry (r, c) of `op` at rows joint[:, r, :] and columns
-    joint[:, c, :]: the Kronecker product as one set of triplets.
+    `factors` maps a mode index to "a" (<n-1|a|n> = sqrt(n)), "adag"
+    (<n+1|a^dag|n> = sqrt(n+1)) or "n" (<n|n|n> = n).  Such a product sends
+    each joint Fock state to at most one Fock state, so it is built from the
+    shifted joint indices alone; a state shifted out of the truncation is
+    dropped.
     """
     dims = _as_dims(dims)
-    _check_modes(dims, [mode_index])
-    n = dims[mode_index]
-    if op.dims.total != n:
-        raise DimensionError(f"operator dimension {op.dims.total} != mode truncation {n}")
-    joint = np.arange(dims.total).reshape(-1, n, prod(dims[mode_index + 1:]))
-    rows, cols = joint[:, op.rows, :], joint[:, op.cols, :]
-    return OperatorMatrix((rows, cols, np.broadcast_to(op.vals[:, None], rows.shape)), dims)
+    _check_modes(dims, list(factors))
+    unknown = set(factors.values()) - set(_LADDER)
+    if unknown:
+        raise InvalidParameterError(f"unknown ladder factors {unknown}; use {list(_LADDER)}")
+    occ = np.indices(dims.dims).reshape(dims.n_modes, -1)  # occupations of each column
+    shifted = occ.copy()
+    vals = np.ones(dims.total)
+    for mode, factor in sorted(factors.items()):
+        shift, element = _LADDER[factor]
+        shifted[mode] += shift
+        vals *= element(occ[mode])
+    inside = np.all((shifted >= 0) & (shifted < np.array(dims.dims)[:, None]), axis=0)
+    rows = np.ravel_multi_index(tuple(shifted[:, inside]), dims.dims)
+    return OperatorMatrix((rows, np.flatnonzero(inside), vals[inside]), dims)
 
 
 def fock_state(dims, occupations: Sequence[int]) -> StateVector:

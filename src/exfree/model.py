@@ -13,13 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidParameterError, RegimeError
-from .fock import (
-    ModeDims,
-    OperatorMatrix,
-    annihilation_op,
-    embed_op,
-    number_op,
-)
+from .fock import ModeDims, OperatorMatrix, ladder_op
 
 TWO_PI = 2.0 * np.pi
 
@@ -103,11 +97,6 @@ def require_oscillatory(params: SystemParams) -> None:
         )
 
 
-def _lowering(params: SystemParams, mode: int) -> OperatorMatrix:
-    """Annihilation operator of one mode, embedded in the joint space."""
-    return embed_op(annihilation_op(params.dims[mode]), mode, params.dims)
-
-
 def build_h_tms(params: SystemParams, pair: str) -> OperatorMatrix:
     """Pair-creation coupling g*(a_x^dag a_2^dag + a_x a_2) for one pump.
 
@@ -119,13 +108,13 @@ def build_h_tms(params: SystemParams, pair: str) -> OperatorMatrix:
         x, g = 2, params.g2
     else:
         raise InvalidParameterError(f"pair must be 'S1S2' or 'S3S2', got {pair!r}")
-    pair_annihilation = _lowering(params, x) @ _lowering(params, 1)
+    pair_annihilation = ladder_op(params.dims, {x: "a", 1: "a"})
     return g * (pair_annihilation + pair_annihilation.dag)
 
 
 def build_h_detune(params: SystemParams) -> OperatorMatrix:
     """Bus detuning term delta * n_2."""
-    return params.delta * embed_op(number_op(params.dims[1]), 1, params.dims)
+    return params.delta * ladder_op(params.dims, {1: "n"})
 
 
 def build_h_full(params: SystemParams) -> OperatorMatrix:
@@ -141,7 +130,7 @@ def build_h_eff(params: SystemParams) -> OperatorMatrix:
     if params.delta == 0:
         raise InvalidParameterError("effective coupling g1*g2/delta undefined at delta=0")
     g_eff = params.g1 * params.g2 / params.delta
-    exchange = _lowering(params, 0).dag @ _lowering(params, 2)
+    exchange = ladder_op(params.dims, {0: "adag", 2: "a"})
     return g_eff * (exchange + exchange.dag)
 
 
@@ -151,9 +140,8 @@ def build_h_bs_reference(params: SystemParams) -> OperatorMatrix:
     g1*(a1^dag a2 + h.c.) + g2*(a3^dag a2 + h.c.) + delta*n_2; conserves the
     total photon number.
     """
-    bus = _lowering(params, 1)
-    hop1 = _lowering(params, 0).dag @ bus
-    hop3 = _lowering(params, 2).dag @ bus
+    hop1 = ladder_op(params.dims, {0: "adag", 1: "a"})
+    hop3 = ladder_op(params.dims, {2: "adag", 1: "a"})
     return params.g1 * (hop1 + hop1.dag) + params.g2 * (hop3 + hop3.dag) + build_h_detune(params)
 
 
@@ -169,13 +157,12 @@ def collapse_operators(params: SystemParams) -> list[OperatorMatrix]:
         t1 = params.t1[k]
         if t1 is not None:
             nth = params.n_th[k]
-            a_k = _lowering(params, k)
-            ops.append(float(np.sqrt((1.0 + nth) / t1)) * a_k)
+            ops.append(float(np.sqrt((1.0 + nth) / t1)) * ladder_op(dims, {k: "a"}))
             if nth > 0:
-                ops.append(float(np.sqrt(nth / t1)) * a_k.dag)
+                ops.append(float(np.sqrt(nth / t1)) * ladder_op(dims, {k: "adag"}))
         tphi = params.tphi[k]
         if tphi is not None:
-            ops.append(float(np.sqrt(2.0 / tphi)) * embed_op(number_op(dims[k]), k, dims))
+            ops.append(float(np.sqrt(2.0 / tphi)) * ladder_op(dims, {k: "n"}))
     return ops
 
 

@@ -49,7 +49,7 @@ from exfree.experiments import (
     run_hom,
     run_single_photon_qst,
 )
-from exfree.fock import ModeDims, annihilation_op, embed_op, fock_state, mode_populations
+from exfree.fock import ModeDims, fock_state, ladder_op, mode_populations
 from exfree.model import (
     REGIME_FACTOR,
     SystemParams,
@@ -273,9 +273,7 @@ def test_criterion_09_calibration_roundtrips():
 
     # vacuum-return probability vs a direct two-mode simulation
     dims = ModeDims((18, 18))
-    a = embed_op(annihilation_op(18), 0, dims)
-    b = embed_op(annihilation_op(18), 1, dims)
-    term = a.dag @ b.dag
+    term = ladder_op(dims, {0: "adag", 1: "adag"})
     vac = fock_state(dims, (0, 0))
     worst_p0 = 0.0
     gts = np.linspace(0.0, 1.0, 21)

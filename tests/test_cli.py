@@ -157,6 +157,10 @@ class TestDispatch:
             {**BASE, "g_over_2pi_khz": float("nan")},
             {**FINAL_ONLY, "experiment": "purified-qst", "gamma_q": -1},
             {**FINAL_ONLY, "experiment": "purified-qst", "gamma_q": float("nan")},
+            {**FINAL_ONLY, "experiment": "purified-qst", "gamma_q": True},
+            {**BASE, "t1_us": True},
+            {**BASE, "g_over_2pi_khz": True},
+            {**BASE, "total_time_us": True},
         ],
         ids=[
             "n_samples",
@@ -174,6 +178,10 @@ class TestDispatch:
             "nan_g",
             "negative_gamma_q",
             "nan_gamma_q",
+            "bool_gamma_q",
+            "bool_t1",
+            "bool_g",
+            "bool_total_time",
         ],
     )
     def test_mistyped_value_exit_code(self, tmp_path, payload):
@@ -181,6 +189,15 @@ class TestDispatch:
         res = CliRunner().invoke(main, [payload["experiment"], "--config", cfg_path])
         assert res.exit_code == EXIT_CONFIG, res.output
         assert "config error:" in res.output
+
+    @pytest.mark.parametrize("label", ["", ".", "..", "../../esc", "a/b", "a\\b"])
+    def test_label_outside_its_directory_refused(self, tmp_path, label):
+        out = tmp_path / "deep" / "out"
+        cfg_path = write(tmp_path, "c.yaml", {**BASE, "label": label})
+        res = CliRunner().invoke(main, ["qst", "--config", cfg_path, "--out", str(out)])
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert "config error:" in res.output
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["c.yaml"]
 
     def test_nonpositive_rtol_exit_code(self, tmp_path):
         payload = {**FINAL_ONLY, "experiment": "purified-qst", "method": "lindblad", "rtol": -1}

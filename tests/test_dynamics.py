@@ -26,11 +26,9 @@ from exfree.fock import (
     ModeDims,
     OperatorMatrix,
     StateVector,
-    annihilation_op,
-    embed_op,
     fock_state,
+    ladder_op,
     mode_populations,
-    number_op,
     partial_trace,
 )
 from exfree.model import (
@@ -286,8 +284,7 @@ def _liouvillian_edges(p: SystemParams, collapse) -> tuple[np.ndarray, np.ndarra
 
 def _sector_mixing(p: SystemParams) -> list[OperatorMatrix]:
     """a1 + i a2: changes Q = n2 - n1 - n3 by +1 or -1 and joins sectors."""
-    a1 = embed_op(annihilation_op(p.dims[0]), 0, p.dims)
-    a2 = embed_op(annihilation_op(p.dims[1]), 1, p.dims)
+    a1, a2 = ladder_op(p.dims, {0: "a"}), ladder_op(p.dims, {1: "a"})
     return [float(np.sqrt(1.0 / 20.0)) * (a1 + 1j * a2)]
 
 
@@ -423,12 +420,12 @@ class TestLindblad:
         dims = ModeDims((6,))
         h = OperatorMatrix(np.zeros((6, 6), dtype=complex), dims)
         t1 = 25.0
-        c = float(np.sqrt(1.0 / t1)) * annihilation_op(6)
+        c = float(np.sqrt(1.0 / t1)) * ladder_op(dims, {0: "a"})
         rho0 = pure_density(fock_state(dims, (3,)))
         times = (5.0, 10.0, 20.0)
         out = evolve_lindblad(h, [c], rho0, times)
         for t, rho in zip(times, out):
-            n_mean = float(np.real(np.trace(number_op(6).elements @ rho.elements)))
+            n_mean = float(np.real(np.trace(ladder_op(dims, {0: "n"}).elements @ rho.elements)))
             assert n_mean == pytest.approx(3.0 * np.exp(-t / t1), rel=1e-5)
 
     def test_trace_preserved_with_hamiltonian(self, params):

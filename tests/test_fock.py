@@ -18,12 +18,10 @@ from exfree.fock import (
     ModeDims,
     OperatorMatrix,
     StateVector,
-    annihilation_op,
     binomial_code_state,
-    embed_op,
     fock_state,
+    ladder_op,
     mode_populations,
-    number_op,
     partial_trace,
     product_state,
 )
@@ -73,15 +71,23 @@ class TestModeDims:
         assert 0 <= idx < md.total
 
 
+#: Single-mode matrices of the ladder factors on n levels.
+SINGLE_MODE = {
+    "a": lambda n: np.diag(np.sqrt(np.arange(1.0, n)), k=1),
+    "adag": lambda n: np.diag(np.sqrt(np.arange(1.0, n)), k=-1),
+    "n": lambda n: np.diag(np.arange(float(n))),
+}
+
+
 class TestLadderOperators:
     def test_annihilation_elements(self):
-        a = annihilation_op(4).elements
+        a = ladder_op((4,), {0: "a"}).elements
         expected = np.diag(np.sqrt([1.0, 2.0, 3.0]), k=1)
         assert np.allclose(a, expected)
 
     def test_commutator_truncated(self):
         n = 7
-        a = annihilation_op(n).elements
+        a = ladder_op((n,), {0: "a"}).elements
         comm = a @ a.conj().T - a.conj().T @ a
         # canonical except in the top level, where truncation bites
         assert np.allclose(comm[: n - 1, : n - 1], np.eye(n - 1))
@@ -89,30 +95,41 @@ class TestLadderOperators:
 
     def test_number_is_adag_a(self):
         n = 6
-        ad = annihilation_op(n).dag.elements
-        assert np.allclose(number_op(n).elements, ad @ annihilation_op(n).elements)
+        a, ad = (ladder_op((n,), {0: f}).elements for f in ("a", "adag"))
+        assert np.array_equal(ad, a.conj().T)
+        assert np.allclose(ladder_op((n,), {0: "n"}).elements, ad @ a)
 
     def test_embed_acts_on_one_mode(self):
-        n_op = embed_op(number_op(5), 1, DIMS)
+        n_op = ladder_op(DIMS, {1: "n"})
         psi = fock_state(DIMS, (2, 3, 1))
         out = n_op.elements @ psi.amplitudes
         assert np.allclose(out, 3.0 * psi.amplitudes)
 
     @pytest.mark.parametrize("mode", [0, 1, 2])
     def test_embed_equals_kron_with_identities(self, mode):
-        # a dense non-Hermitian op on asymmetric dims exposes a wrong placement
+        # asymmetric dims expose a wrong placement
         dims = ModeDims((2, 3, 4))
-        n = dims[mode]
-        rng = np.random.default_rng(5)
-        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        expect = reduce(np.kron, [m if k == mode else np.eye(nk) for k, nk in enumerate(dims)])
-        got = embed_op(OperatorMatrix(m, ModeDims((n,))), mode, dims)
-        assert np.array_equal(got.elements, expect)
+        for factor, single in SINGLE_MODE.items():
+            expect = reduce(np.kron, [single(n) if k == mode else np.eye(n)
+                                      for k, n in enumerate(dims)])
+            assert np.array_equal(ladder_op(dims, {mode: factor}).elements, expect), factor
 
     def test_embedded_ops_on_distinct_modes_commute(self):
-        a0 = embed_op(annihilation_op(6), 0, DIMS)
-        a2 = embed_op(annihilation_op(6), 2, DIMS)
-        assert np.allclose((a0 @ a2).elements, (a2 @ a0).elements)
+        # a product on two modes is the matrix product of the two factors,
+        # in either order
+        a0, a2 = ladder_op(DIMS, {0: "a"}).elements, ladder_op(DIMS, {2: "adag"}).elements
+        both = ladder_op(DIMS, {0: "a", 2: "adag"}).elements
+        assert np.allclose(both, a0 @ a2) and np.allclose(both, a2 @ a0)
+
+    @pytest.mark.parametrize(
+        "factors, error",
+        [({0: "b"}, InvalidParameterError), ({0: "a", 1: "A"}, InvalidParameterError),
+         ({3: "a"}, DimensionError), ({-1: "n"}, DimensionError)],
+        ids=["unknown", "unknown-second", "mode-past-end", "negative-mode"],
+    )
+    def test_ladder_op_refuses(self, factors, error):
+        with pytest.raises(error):
+            ladder_op(DIMS, factors)
 
 
 def _sparse_complex(dims: ModeDims, rng, density=0.4) -> np.ndarray:
@@ -150,14 +167,6 @@ class TestOperatorMatrix:
         assert op.rows.tolist() == [1] and op.cols.tolist() == [0]
         assert op.vals.tolist() == [2 + 3j]
 
-    def test_dense_and_scipy_input_agree(self, pair):
-        from scipy.sparse import csr_matrix
-
-        m, _ = pair
-        from_scipy = OperatorMatrix(csr_matrix(m), self.dims)
-        assert np.array_equal(from_scipy.elements, m)
-        assert np.array_equal(OperatorMatrix(m, self.dims).elements, m)
-
     def test_algebra_matches_dense(self, pair):
         m, n = pair
         a, b = OperatorMatrix(m, self.dims), OperatorMatrix(n, self.dims)
@@ -165,7 +174,6 @@ class TestOperatorMatrix:
         assert np.array_equal((a + b).elements, m + n)
         assert np.array_equal((2.5 * a).elements, 2.5 * m)
         assert np.array_equal((a * (1 - 2j)).elements, m * (1 - 2j))
-        assert np.allclose((a @ b).elements, m @ n, rtol=0, atol=1e-12)
 
     def test_product_with_vector_and_matrix(self, pair):
         m, n = pair
@@ -179,11 +187,6 @@ class TestOperatorMatrix:
         assert OperatorMatrix(m + m.conj().T, self.dims).is_hermitian()
         assert not OperatorMatrix(m, self.dims).is_hermitian()
 
-    def test_sparse_view_equals_elements(self, pair):
-        m, _ = pair
-        op = OperatorMatrix(m, self.dims)
-        assert np.array_equal(op.sparse.toarray(), op.elements)
-
     @pytest.mark.parametrize(
         "build",
         [
@@ -193,11 +196,12 @@ class TestOperatorMatrix:
             lambda op: op @ np.zeros(5),
             lambda op: op @ np.zeros((5, 6)),
             lambda op: op @ np.zeros((6, 6, 6)),
-            lambda op: op + number_op(5),
-            lambda op: op @ number_op(5),
+            lambda op: op + ladder_op((5,), {0: "n"}),
+            lambda op: op @ ladder_op((5,), {0: "n"}),
+            lambda op: op @ op,
         ],
         ids=["dense", "vector", "triplet-index", "short-vector", "short-matrix",
-             "three-axes", "sum", "product"],
+             "three-axes", "sum", "product", "operator-product"],
     )
     def test_wrong_shape_raises(self, pair, build):
         with pytest.raises(DimensionError):

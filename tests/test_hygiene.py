@@ -73,10 +73,18 @@ def test_every_export_has_a_caller():
 
 CONFIGS = PACKAGE.parent.parent / "configs"
 
-PRINT_SCIPY = 'print("scipy:", *sorted(m for m in sys.modules if m.startswith("scipy")))'
+#: The module families a run must not load, scipy and numpy.ma.
+FAMILIES = ("scipy", "numpy.ma")
 
-#: Runs the CLI with the interpreter's arguments, then prints the scipy
-#: modules loaded.
+#: Prints the loaded modules of each of FAMILIES, one line per family.
+PRINT_LOADED = f"""
+for family in {FAMILIES!r}:
+    print(family + ":", *sorted(m for m in sys.modules
+                                if m == family or m.startswith(family + ".")))
+"""
+
+#: Runs the CLI with the interpreter's arguments, then prints the modules
+#: loaded (PRINT_LOADED).
 RUN_CLI = """
 import sys
 from exfree.cli import main
@@ -84,34 +92,45 @@ try:
     main.main(args=sys.argv[1:], prog_name="exfree-qst")
 except SystemExit as exc:
     assert exc.code == 0, f"exit {exc.code}"
-""" + PRINT_SCIPY
+""" + PRINT_LOADED
 
 
-def fresh_scipy_modules(code: str, *args: str) -> list[str]:
-    """The scipy modules a fresh interpreter has loaded after running `code`."""
+def fresh_modules(code: str, *args: str) -> dict[str, list[str]]:
+    """The modules of each of FAMILIES a fresh interpreter has loaded after
+    running `code`."""
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     out = subprocess.run(
         [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True
     )
     assert out.returncode == 0, out.stderr
-    (line,) = [ln for ln in out.stdout.splitlines() if ln.startswith("scipy:")]
-    return line.split()[1:]
+    lines = [ln.split() for ln in out.stdout.splitlines()]
+    return {ln[0][:-1]: ln[1:] for ln in lines if ln and ln[0][:-1] in FAMILIES}
 
 
 def test_import_loads_no_scipy():
-    assert fresh_scipy_modules("import sys, exfree, exfree.cli\n" + PRINT_SCIPY) == []
+    assert fresh_modules("import sys, exfree, exfree.cli\n" + PRINT_LOADED)["scipy"] == []
 
 
-@pytest.mark.parametrize("config", ["qst", "hom", "purified", "binomial"])
-def test_exact_run_loads_no_scipy(config, tmp_path):
-    path = CONFIGS / f"{config}.yaml"
+@pytest.fixture(scope="module", params=["qst", "hom", "purified", "binomial"])
+def exact_run_modules(request, tmp_path_factory):
+    """The modules a fresh CLI process loads running a shipped config exactly."""
+    path = CONFIGS / f"{request.param}.yaml"
     experiment = yaml.safe_load(path.read_text())["experiment"]
-    args = (experiment, "--config", str(path), "--out", str(tmp_path), "--method", "exact")
-    assert fresh_scipy_modules(RUN_CLI, *args) == []
+    out = tmp_path_factory.mktemp(request.param)
+    return fresh_modules(RUN_CLI, experiment, "--config", str(path), "--out", str(out),
+                         "--method", "exact")
+
+
+def test_exact_run_loads_no_scipy(exact_run_modules):
+    assert exact_run_modules["scipy"] == []
+
+
+def test_exact_run_loads_no_numpy_ma(exact_run_modules):
+    assert exact_run_modules["numpy.ma"] == []
 
 
 def test_lindblad_run_loads_scipy_and_succeeds(tmp_path):
     args = ("qst", "--config", str(CONFIGS / "qst.yaml"), "--out", str(tmp_path),
             "--method", "lindblad", "--dims", "3,2,3")
-    loaded = fresh_scipy_modules(RUN_CLI, *args)
+    loaded = fresh_modules(RUN_CLI, *args)["scipy"]
     assert {"scipy.sparse", "scipy.integrate"} <= set(loaded)

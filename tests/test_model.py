@@ -1,8 +1,10 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
 from exfree.errors import InvalidParameterError, RegimeError
-from exfree.fock import fock_state
+from exfree.fock import fock_state, ladder_op
 from exfree.model import (
     CAVITY_T1_US,
     REGIME_FACTOR,
@@ -76,6 +78,43 @@ class TestRegime:
             assert is_oscillatory(SystemParams.from_khz(80, 80, delta))
 
 
+def _kron_reference(p: SystemParams) -> list[np.ndarray]:
+    """Dense references for the pair couplings S1S2 and S3S2, the detuning,
+    H_full, H_eff, the exchange baseline and then the collapse operators in
+    mode order, each a sum of np.kron products of single-mode matrices."""
+    a = [np.diag(np.sqrt(np.arange(1.0, n)), k=1) for n in p.dims]
+    num = [np.diag(np.arange(float(n))) for n in p.dims]
+
+    def kron(by_mode: dict) -> np.ndarray:
+        return reduce(np.kron, [by_mode.get(k, np.eye(n)) for k, n in enumerate(p.dims)])
+
+    def pair(x, g):
+        return g * (kron({x: a[x].T, 1: a[1].T}) + kron({x: a[x], 1: a[1]}))
+
+    def hop(x, g):
+        return g * (kron({x: a[x].T, 1: a[1]}) + kron({x: a[x], 1: a[1].T}))
+
+    detune = p.delta * kron({1: num[1]})
+    g_eff = p.g1 * p.g2 / p.delta
+    out = [
+        pair(0, p.g1),
+        pair(2, p.g2),
+        detune,
+        pair(0, p.g1) + pair(2, p.g2) + detune,
+        g_eff * (kron({0: a[0].T, 2: a[2]}) + kron({0: a[0], 2: a[2].T})),
+        hop(0, p.g1) + hop(2, p.g2) + detune,
+    ]
+    for k in range(3):
+        t1, nth, tphi = p.t1[k], p.n_th[k], p.tphi[k]
+        if t1 is not None:
+            out.append(float(np.sqrt((1.0 + nth) / t1)) * kron({k: a[k]}))
+            if nth > 0:
+                out.append(float(np.sqrt(nth / t1)) * kron({k: a[k].T}))
+        if tphi is not None:
+            out.append(float(np.sqrt(2.0 / tphi)) * kron({k: num[k]}))
+    return out
+
+
 class TestHamiltonians:
     @pytest.fixture()
     def params(self):
@@ -113,14 +152,9 @@ class TestHamiltonians:
         assert np.allclose(h.elements @ psi.amplitudes, 3 * params.delta * psi.amplitudes)
 
     def test_bs_reference_conserves_photon_number(self, params):
-        from exfree.fock import embed_op, number_op
-
-        n_tot = sum(
-            (embed_op(number_op(n), k, params.dims) for k, n in enumerate(params.dims)),
-            start=0.0 * build_h_detune(params),
-        )
-        h = build_h_bs_reference(params)
-        assert np.allclose((h @ n_tot).elements, (n_tot @ h).elements)
+        n_tot = sum(ladder_op(params.dims, {k: "n"}).elements for k in range(3))
+        h = build_h_bs_reference(params).elements
+        assert np.allclose(h @ n_tot, n_tot @ h)
 
     def test_eff_matches_product_over_delta(self, params):
         dims = params.dims
@@ -129,33 +163,18 @@ class TestHamiltonians:
         assert amp == pytest.approx(params.g1 * params.g2 / params.delta)
 
     def test_builders_match_embedded_products(self):
-        # asymmetric dims and couplings expose a wrong kron order
-        from exfree.fock import annihilation_op, embed_op
-
-        p = SystemParams.from_khz(80, 60, 475, dims=(2, 3, 4))
-        a = [embed_op(annihilation_op(n), k, p.dims).elements for k, n in enumerate(p.dims)]
-        ad = [m.conj().T for m in a]
-        n2 = ad[1] @ a[1]
-
-        def pair(g, t):
-            return g * (t + t.conj().T)
-
-        expect = {
-            "S1S2": pair(p.g1, ad[0] @ ad[1]),
-            "S3S2": pair(p.g2, ad[2] @ ad[1]),
-            "eff": pair(p.g1 * p.g2 / p.delta, ad[0] @ a[2]),
-            "bs": pair(p.g1, ad[0] @ a[1]) + pair(p.g2, ad[2] @ a[1]) + p.delta * n2,
-        }
-        expect["full"] = expect["S1S2"] + expect["S3S2"] + p.delta * n2
-        built = {
-            "S1S2": build_h_tms(p, "S1S2"),
-            "S3S2": build_h_tms(p, "S3S2"),
-            "eff": build_h_eff(p),
-            "bs": build_h_bs_reference(p),
-            "full": build_h_full(p),
-        }
-        for name, h in built.items():
-            assert np.max(np.abs(h.elements - expect[name])) < 1e-12, name
+        # asymmetric dims and couplings expose a wrong kron order; every
+        # entry is a product of the same matrix elements, so equality is exact
+        for dims in [(2, 2, 2), (3, 2, 3), (5, 7, 4), (6, 5, 6)]:
+            p = SystemParams.from_khz(80, 60, 475, dims=dims, t1=(20.0, 15.0, 25.0),
+                                      tphi=(30.0, None, 40.0), n_th=(0.05, 0.0, 0.1))
+            built = [build_h_tms(p, "S1S2"), build_h_tms(p, "S3S2"), build_h_detune(p),
+                     build_h_full(p), build_h_eff(p), build_h_bs_reference(p),
+                     *collapse_operators(p)]
+            expect = _kron_reference(p)
+            assert len(built) == len(expect) == 13
+            for k, (got, want) in enumerate(zip(built, expect)):
+                assert np.array_equal(got.elements, want), (dims, k)
 
     def test_eff_rejects_zero_delta(self):
         p = SystemParams(g1=0.5, g2=0.5, delta=0.0)
