@@ -134,9 +134,11 @@ def sweet_point_detuning(g: float, k: int) -> float:
 
 
 def sweet_point_detuning_numeric(g: float, k: int) -> float:
-    """Root-find of tau_ST/tau_S2 = k; independent check of the closed form."""
-    from scipy.optimize import brentq
+    """Root-find of tau_ST/tau_S2 = k; independent check of the closed form.
 
+    Bisection on the oscillatory regime's bracket, until it is narrower than
+    1e-15 + 1e-14 * delta.
+    """
     if g <= 0 or k < 1:
         raise InvalidParameterError("need g > 0 and k >= 1")
 
@@ -145,9 +147,13 @@ def sweet_point_detuning_numeric(g: float, k: int) -> float:
         root = sqrt(u * u - 2.0 * g * g)
         return root / (u - root) - k
 
+    # the ratio rises from 0 at the regime boundary
     lo = REGIME_FACTOR * g * (1.0 + 1e-12)
     hi = REGIME_FACTOR * g * (10.0 + 4.0 * k)
-    return brentq(ratio_minus_k, lo, hi, xtol=1e-15, rtol=1e-14)
+    while hi - lo >= 1e-15 + 1e-14 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if ratio_minus_k(mid) < 0 else (lo, mid)
+    return 0.5 * (lo + hi)
 
 
 def g_eff(params: SystemParams) -> float:

@@ -1,14 +1,16 @@
 """Calibration fits: pair-interaction strength, pump-induced Stark detuning,
 and damped population oscillations.
 
-Each fit polishes one closed-form start with one Levenberg-Marquardt run
-(finite-difference Jacobian).  Stark detuning: every point inverts to
-delta_0, and the start is their mean.  Pair strength and damped oscillation:
-amplitude and offset are solved linearly on a fixed grid of the remaining
-rate (variable projection: Golub & Pereyra, SIAM J. Numer. Anal. 10, 413
-(1973)); the oscillation's frequency and total decay rate are its complex
-pole pair, from a rank-4 Hankel SVD (matrix pencil: Hua & Sarkar, IEEE
-Trans. ASSP 38, 814 (1990)).
+Each fit polishes one closed-form start with one Levenberg-Marquardt run,
+a numpy port of MINPACK lmder (More, Lecture Notes in Math. 630, 105
+(1978)) on forward-difference Jacobians: scipy's `least_squares(method=
+"lm")` takes the same steps, up to rounding.  Stark detuning: every point
+inverts to delta_0, and the start is their mean.  Pair strength and damped
+oscillation: amplitude and offset are solved linearly on a fixed grid of the
+remaining rate (variable projection: Golub & Pereyra, SIAM J. Numer. Anal.
+10, 413 (1973)); the oscillation's frequency and total decay rate are its
+complex pole pair, from a rank-4 Hankel SVD (matrix pencil: Hua & Sarkar,
+IEEE Trans. ASSP 38, 814 (1990)).
 """
 
 from __future__ import annotations
@@ -27,8 +29,9 @@ UNBOUNDED_SCALE = 1e6
 
 @dataclass(frozen=True)
 class FitResult:
-    """Outcome of one calibration fit; `iterations` is the residual
-    evaluation count (`nfev`) of its single Levenberg-Marquardt polish."""
+    """Outcome of one calibration fit; `iterations` is the number of
+    residual evaluations (`nfev`) of its single Levenberg-Marquardt polish,
+    the Jacobians' difference columns not counted."""
 
     estimates: dict[str, float]
     uncertainties: dict[str, float]
@@ -38,36 +41,166 @@ class FitResult:
     flags: tuple[str, ...] = ()
 
 
+#: Residual evaluations one polish may spend.  100 per parameter stop a
+#: pair-strength fit far from t = 0 partway along its narrow valley.
+_MAX_NFEV = 1000
+
+#: ftol, xtol and gtol of the Levenberg-Marquardt stopping tests.
+_TOL = 1e-8
+
+_TINY = np.finfo(float).tiny
+
+
+def _jacobian(fun, x: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Forward differences of `fun` at `x`, where it takes the value `f`.
+
+    The step is h = sqrt(eps) max(1, |x_j|) with the sign of x_j (+ at 0),
+    and each column divides by the step x + h actually took.
+    """
+    h = np.sqrt(np.finfo(float).eps) * np.where(x >= 0, 1.0, -1.0)
+    h = h * np.maximum(1.0, np.abs(x))
+    jac = np.empty((f.size, x.size))
+    for j in range(x.size):
+        shifted = x.copy()
+        shifted[j] += h[j]
+        jac[:, j] = (fun(shifted) - f) / (shifted[j] - x[j])
+    return jac
+
+
+def _lm_parameter(s, c, delta: float, par: float) -> tuple[float, np.ndarray]:
+    """MINPACK's lmpar on the SVD J D^-1 = U diag(s) V^T, with c = U^T f.
+
+    The damped step is w = -V^T D p = s c / (s^2 + par): returns the par >= 0
+    whose |w| lies within 10% of `delta`, or 0 when the Gauss-Newton step
+    (the pseudo-inverse's) already fits, and that step w.  Starts from the
+    previous `par`, kept inside the Newton bounds, and takes at most ten
+    Newton steps on |w(par)| - delta.
+    """
+    w = np.divide(c, s, out=np.zeros_like(c), where=s > 0)
+    wnorm = np.linalg.norm(w)
+    fp = wnorm - delta
+    if fp <= 0.1 * delta:
+        return 0.0, w
+
+    def newton(par, w):  # the Newton correction of par for |w(par)| - delta
+        wnorm = np.linalg.norm(w)
+        return (wnorm - delta) / delta / (np.sum(w**2 / (s**2 + par)) / wnorm**2)
+
+    low = newton(0.0, w) if np.all(s > 0) else 0.0
+    grad = np.linalg.norm(s * c)
+    high = grad / delta if grad > 0 else _TINY / min(delta, 0.1)
+    par = min(max(par, low), high)
+    if par == 0:
+        par = grad / wnorm
+    for count in range(1, 11):
+        if par == 0:
+            par = max(_TINY, 0.001 * high)
+        w = s * c / (s**2 + par)
+        wnorm = np.linalg.norm(w)
+        previous, fp = fp, wnorm - delta
+        if abs(fp) <= 0.1 * delta or (low == 0 and fp <= previous < 0) or count == 10:
+            break
+        correction = newton(par, w)
+        if fp > 0:
+            low = max(low, par)
+        elif fp < 0:
+            high = min(high, par)
+        par = max(low, par + correction)
+    return par, w
+
+
+def _levenberg_marquardt(
+    fun, x: np.ndarray, f: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int, bool]:
+    """MINPACK lmder (More, Lecture Notes in Math. 630, 105 (1978)) from `x`,
+    where `fun` takes the value `f`, with forward-difference Jacobians.
+
+    Scaling D is the running maximum of the Jacobian column norms, the first
+    trust radius is 100 |D x| (100 at x = 0), and the radius and par follow
+    MINPACK's ratio rules.  Returns the solution, its residuals, the number
+    of residual evaluations (difference columns excluded) and whether a
+    stopping test (ftol, xtol or gtol) was met within _MAX_NFEV evaluations.
+    """
+    nfev, fnorm, par, first = 1, np.linalg.norm(f), 0.0, True
+    while True:
+        jac = _jacobian(fun, x, f)
+        col_norms = np.linalg.norm(jac, axis=0)
+        if first:
+            diag = np.where(col_norms > 0, col_norms, 1.0)
+            xnorm = np.linalg.norm(diag * x)
+            delta = 100.0 * xnorm if xnorm > 0 else 100.0
+        # gtol: the largest cosine between f and a column of J
+        products = np.abs(jac.T @ f) / np.where(col_norms > 0, col_norms, np.inf)
+        if fnorm == 0 or products.max() / fnorm <= _TOL:
+            return x, f, nfev, True
+        diag = np.maximum(diag, col_norms)
+        u, s, vt = np.linalg.svd(jac / diag, full_matrices=False)
+        c = u.T @ f
+        while True:
+            par, w = _lm_parameter(s, c, delta, par)
+            step = -(vt.T @ w) / diag
+            pnorm = np.linalg.norm(w)
+            if first:
+                delta = min(delta, pnorm)
+            trial = x + step
+            f_trial = fun(trial)
+            nfev += 1
+            fnorm1 = np.linalg.norm(f_trial)
+            # actual and predicted reductions of |f|^2, relative to |f|^2
+            actred = 1.0 - (fnorm1 / fnorm) ** 2 if 0.1 * fnorm1 < fnorm else -1.0
+            linear = (np.linalg.norm(jac @ step) / fnorm) ** 2
+            damping = par * (pnorm / fnorm) ** 2
+            prered = linear + 2.0 * damping
+            dirder = -(linear + damping)
+            ratio = actred / prered if prered != 0 else 0.0
+            if ratio <= 0.25:
+                temp = 0.5 if actred >= 0 else 0.5 * dirder / (dirder + 0.5 * actred)
+                if 0.1 * fnorm1 >= fnorm or temp < 0.1:
+                    temp = 0.1
+                delta = temp * min(delta, pnorm / 0.1)
+                par /= temp
+            elif par == 0 or ratio >= 0.75:
+                delta = pnorm / 0.5
+                par *= 0.5
+            if ratio >= 1e-4:
+                x, f, fnorm, first = trial, f_trial, fnorm1, False
+                xnorm = np.linalg.norm(diag * x)
+            ftol = abs(actred) <= _TOL and prered <= _TOL and 0.5 * ratio <= 1.0
+            if ftol or delta <= _TOL * xnorm:
+                return x, f, nfev, True
+            if nfev >= _MAX_NFEV:
+                return x, f, nfev, False
+            if ratio >= 1e-4:
+                break
+
+
 def _polish(residual_fn, x0, names) -> FitResult:
     """One Levenberg-Marquardt run from `x0`, with linearized uncertainties."""
-    from scipy.optimize import least_squares
-
-    try:
-        # scipy's default of 100 evaluations per parameter stops a pair-strength
-        # fit far from t = 0 partway along its narrow valley
-        res = least_squares(
-            residual_fn, np.asarray(x0, dtype=float), method="lm", max_nfev=1000
-        )
-    except ValueError:  # non-finite residuals at the start
+    x0 = np.asarray(x0, dtype=float)
+    f0 = residual_fn(x0)
+    if not np.all(np.isfinite(f0)):
         return FitResult({}, {}, float("inf"), 0, False, ("nonconvergence",))
+    x, f, nfev, success = _levenberg_marquardt(residual_fn, x0, f0)
+    jac = _jacobian(residual_fn, x, f)
+    cost = 0.5 * np.dot(f, f)
     flags = []
-    m, n = res.jac.shape
+    m, n = jac.shape
     sigmas = {name: float("nan") for name in names}
     try:
-        jtj_inv = np.linalg.inv(res.jac.T @ res.jac)
-        scale = 2.0 * res.cost / max(m - n, 1)
+        jtj_inv = np.linalg.inv(jac.T @ jac)
+        scale = 2.0 * cost / max(m - n, 1)
         diag = np.diag(jtj_inv) * scale
         sigmas = {name: float(np.sqrt(max(d, 0.0))) for name, d in zip(names, diag)}
     except np.linalg.LinAlgError:
         flags.append("singular-jacobian")
-    if any(abs(v) > UNBOUNDED_SCALE for v in res.x):
+    if any(abs(v) > UNBOUNDED_SCALE for v in x):
         flags.append("unbounded-parameter")
-    converged = bool(res.success) and "singular-jacobian" not in flags
+    converged = success and "singular-jacobian" not in flags
     return FitResult(
-        estimates={name: float(v) for name, v in zip(names, res.x)},
+        estimates={name: float(v) for name, v in zip(names, x)},
         uncertainties=sigmas,
-        residual_norm=float(np.sqrt(2.0 * res.cost)),
-        iterations=int(res.nfev),
+        residual_norm=float(np.sqrt(2.0 * cost)),
+        iterations=nfev,
         converged=converged,
         flags=tuple(flags),
     )

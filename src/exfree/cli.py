@@ -221,7 +221,8 @@ def _parse_mapping(raw: dict, experiment: Optional[str]) -> RunConfig:
         raise ConfigError(f"unknown experiment {exp!r}; choose from {EXPERIMENTS}")
 
     cfg = RunConfig(experiment=exp, raw=dict(raw))
-    cfg.label = str(raw.get("label", "default"))
+    label = raw.get("label")
+    cfg.label = "default" if label is None else str(label)
     if cfg.label in ("", ".", "..") or "/" in cfg.label or "\\" in cfg.label:
         # the label names one directory inside <out_dir>/<experiment>
         raise ConfigError(f"label {cfg.label!r} must name one directory")
@@ -464,11 +465,16 @@ def _dispatch(cfg: RunConfig) -> int:
         inner_name = cfg.options.get("sweep_experiment", "qst")
         if inner_name not in EXPERIMENTS or inner_name == "sweep":
             raise ConfigError(f"cannot sweep experiment {inner_name!r}")
-        for d_khz in deltas_khz:
+        labels = [f"delta-{d_khz:g}" for d_khz in deltas_khz]
+        repeated = sorted({label for label in labels if labels.count(label) > 1})
+        if repeated:
+            # one artifact directory per point: a repeat would overwrite
+            raise ConfigError(f"sweep points share the label(s) {', '.join(repeated)}")
+        for d_khz, label in zip(deltas_khz, labels):
             raw = dict(cfg.raw)
             raw["delta_over_2pi_khz"] = d_khz
             raw["experiment"] = inner_name
-            raw["label"] = f"delta-{d_khz:g}"
+            raw["label"] = label
             sub = parse_config(raw, inner_name)
             # keep the command-line overrides already applied to the sweep
             sub.out_dir = cfg.out_dir / "sweep"

@@ -3,6 +3,8 @@ import pytest
 
 from exfree import calibration
 from exfree.calibration import (
+    UNBOUNDED_SCALE,
+    FitResult,
     _polish,
     bus_period_model,
     damped_oscillation_model,
@@ -179,9 +181,163 @@ class TestDampedOscillationFit:
             fit_damped_oscillation(np.linspace(0, 1, 8), np.ones(8))
 
 
+def scipy_polish(residual_fn, x0, names) -> FitResult:
+    """The reference for `_polish`: the same fit through scipy's wrapper of
+    MINPACK lmder, with the same budget, covariance and flags."""
+    from scipy.optimize import least_squares
+
+    try:
+        res = least_squares(
+            residual_fn, np.asarray(x0, dtype=float), method="lm",
+            max_nfev=calibration._MAX_NFEV,
+        )
+    except ValueError:  # non-finite residuals at the start
+        return FitResult({}, {}, float("inf"), 0, False, ("nonconvergence",))
+    m, n = res.jac.shape
+    flags = []
+    sigmas = {name: float("nan") for name in names}
+    try:
+        cov = np.linalg.inv(res.jac.T @ res.jac) * 2.0 * res.cost / max(m - n, 1)
+        sigmas = {name: float(np.sqrt(max(d, 0.0))) for name, d in zip(names, np.diag(cov))}
+    except np.linalg.LinAlgError:
+        flags.append("singular-jacobian")
+    if any(abs(v) > UNBOUNDED_SCALE for v in res.x):
+        flags.append("unbounded-parameter")
+    return FitResult(
+        estimates={name: float(v) for name, v in zip(names, res.x)},
+        uncertainties=sigmas,
+        residual_norm=float(np.sqrt(2.0 * res.cost)),
+        iterations=int(res.nfev),
+        converged=bool(res.success) and "singular-jacobian" not in flags,
+        flags=tuple(flags),
+    )
+
+
+def tms_case(seed):
+    t = np.linspace(0.0, 4.0, 128)
+    return fit_tms_strength, (t, generate_tmsv_trace(G_TRUE, t, noise_sigma=0.01, seed=seed))
+
+
+def stark_case(seed):
+    dd = khz_to_angular(np.array([100.0, 150.0, 200.0, 300.0, 400.0, 500.0]))
+    noise = np.random.default_rng(seed).normal(0.0, 2e-3, dd.size)
+    tau = bus_period_model(dd, khz_to_angular(275.0), G_TRUE) * (1 + noise)
+    return fit_stark_detuning, (dd, tau, G_TRUE)
+
+
+def damped_case(seed):
+    t = np.linspace(0.0, 30.0, 240)
+    noise = np.random.default_rng(seed).normal(0.0, 1e-3, t.size)
+    return fit_damped_oscillation, (t, damped_oscillation_model(t, 25.0, 12.0, 1.5, 0.4, 0.1) + noise)
+
+
+MEYER_T = 45.0 + 5.0 * np.arange(1, 17)
+MEYER_Y = np.array([34780, 28610, 23650, 19630, 16370, 13720, 11540, 9744,
+                    8261, 7030, 6005, 5147, 4427, 3820, 3307, 2872], dtype=float)
+BOX_T = 0.1 * np.arange(1, 11)
+
+#: Test problems of More, Garbow & Hillstrom, ACM Trans. Math. Softw. 7, 17
+#: (1981): residuals and standard start.
+MGH = {
+    "rosenbrock": (lambda x: np.array([10 * (x[1] - x[0] ** 2), 1 - x[0]]), (-1.2, 1.0)),
+    "freudenstein-roth": (
+        lambda x: np.array([-13 + x[0] + ((5 - x[1]) * x[1] - 2) * x[1],
+                            -29 + x[0] + ((x[1] + 1) * x[1] - 14) * x[1]]),
+        (0.5, -2.0),
+    ),
+    "powell-badly-scaled": (
+        lambda x: np.array([1e4 * x[0] * x[1] - 1, np.exp(-x[0]) + np.exp(-x[1]) - 1.0001]),
+        (0.0, 1.0),
+    ),
+    "brown-badly-scaled": (
+        lambda x: np.array([x[0] - 1e6, x[1] - 2e-6, x[0] * x[1] - 2]), (1.0, 1.0)
+    ),
+    "beale": (
+        lambda x: np.array([1.5, 2.25, 2.625]) - x[0] * (1 - x[1] ** np.arange(1, 4)),
+        (1.0, 1.0),
+    ),
+    "helical-valley": (
+        lambda x: np.array([10 * (x[2] - 10 * np.arctan2(x[1], x[0]) / (2 * np.pi)),
+                            10 * (np.hypot(x[0], x[1]) - 1), x[2]]),
+        (-1.0, 0.0, 0.0),
+    ),
+    "box-3d": (
+        lambda x: np.exp(-BOX_T * x[0]) - np.exp(-BOX_T * x[1])
+        - x[2] * (np.exp(-BOX_T) - np.exp(-10 * BOX_T)),
+        (0.0, 10.0, 20.0),
+    ),
+    "meyer": (lambda x: x[0] * np.exp(x[1] / (MEYER_T + x[2])) - MEYER_Y, (0.02, 4000.0, 250.0)),
+}
+
+
+def both_fits(monkeypatch, case):
+    fit, args = case
+    ours = fit(*args)
+    monkeypatch.setattr(calibration, "_polish", scipy_polish)
+    return ours, fit(*args)
+
+
+class TestAgreementWithScipy:
+    @pytest.mark.parametrize(
+        "case",
+        [make(seed) for make in (tms_case, stark_case, damped_case) for seed in range(10)],
+        ids=[f"{name}-{seed}" for name in ("tms", "stark", "damped") for seed in range(10)],
+    )
+    def test_seeded_fit(self, monkeypatch, case):
+        ours, ref = both_fits(monkeypatch, case)
+        assert (ours.converged, ours.flags, ours.iterations) == (
+            ref.converged, ref.flags, ref.iterations
+        )
+        assert ref.residual_norm > 1e-8
+        for name, x in ref.estimates.items():
+            sigma = ref.uncertainties[name]
+            assert abs(ours.estimates[name] - x) <= 1e-6 * sigma + 1e-12 * max(1.0, abs(x)), name
+            assert ours.uncertainties[name] == pytest.approx(sigma, rel=1e-6), name
+
+    @pytest.mark.parametrize("problem", sorted(MGH))
+    def test_classic_problem(self, problem):
+        # the same path: trust radius, scaling and par follow MINPACK's rules
+        residual, x0 = MGH[problem]
+        names = [f"x{j}" for j in range(len(x0))]
+        ours, ref = _polish(residual, x0, names), scipy_polish(residual, x0, names)
+        assert (ours.converged, ours.flags, ours.iterations) == (
+            ref.converged, ref.flags, ref.iterations
+        )
+        for name, x in ref.estimates.items():
+            assert ours.estimates[name] == pytest.approx(x, rel=1e-6, abs=1e-12), name
+
+    def test_far_from_time_origin(self, monkeypatch):
+        # At the solution the scaled Jacobian has condition number 7e5, so
+        # each step is set only to about 1e-10 relative.  Over some 560
+        # evaluations along the valley the two paths part and stop at
+        # different points of it: they agree to 0.005 sigma, not 1e-6 sigma.
+        t = np.linspace(1000.0, 1004.0, 64)  # as test_trace_far_from_time_origin
+        ours, ref = both_fits(monkeypatch, (fit_tms_strength, (t, vacuum_probability(0.002, t))))
+        assert (ours.converged, ours.flags) == (ref.converged, ref.flags)
+        assert ours.iterations == pytest.approx(ref.iterations, rel=0.05)
+        for name, x in ref.estimates.items():
+            sigma = ref.uncertainties[name]
+            assert abs(ours.estimates[name] - x) <= 0.01 * sigma + 1e-12 * max(1.0, abs(x)), name
+
+    def test_non_finite_start(self):
+        def residual(x):
+            return np.full(4, np.nan)
+
+        expected = FitResult({}, {}, float("inf"), 0, False, ("nonconvergence",))
+        assert _polish(residual, (1.0,), ("x",)) == expected
+        assert scipy_polish(residual, (1.0,), ("x",)) == expected
+
+    def test_evaluation_budget_runs_out(self, monkeypatch):
+        monkeypatch.setattr(calibration, "_MAX_NFEV", 3)
+        ours, ref = both_fits(monkeypatch, damped_case(0))
+        assert not ours.converged and not ref.converged
+        assert ours.iterations == ref.iterations == 3
+
+
 class TestPolish:
     def test_residual_bug_propagates(self):
-        # only non-finite residuals at the start (a ValueError) are caught
+        # non-finite residuals at the start give "nonconvergence"; an error
+        # raised by the residual itself propagates
         def residual(x):
             return undefined_model(x)  # noqa: F821
 

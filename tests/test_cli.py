@@ -328,6 +328,37 @@ class TestDispatch:
         assert (base / "delta-475" / "summary.json").exists()
         assert (base / "delta-775" / "summary.json").exists()
 
+    def test_shipped_sweep_directory_names(self, tmp_path):
+        res = CliRunner().invoke(
+            main,
+            ["sweep", "--config", str(CONFIGS[0].parent / "sweep.yaml"),
+             "--out", str(tmp_path), "--dims", "3,2,3"],
+        )
+        assert res.exit_code == EXIT_OK, res.output
+        names = sorted(p.name for p in (tmp_path / "sweep" / "qst").iterdir())
+        assert names == ["delta-475", "delta-675", "delta-775"]
+
+    def test_sweep_points_sharing_a_label_refused(self, tmp_path):
+        # 475 and 475.0000001 both print as delta-475 under :g
+        cfg_path = write(
+            tmp_path,
+            "c.yaml",
+            {**BASE, "experiment": "sweep", "dims": [3, 2, 3],
+             "delta_over_2pi_khz_values": [475, 775, 475.0000001]},
+        )
+        out = tmp_path / "runs"
+        res = CliRunner().invoke(main, ["sweep", "--config", cfg_path, "--out", str(out)])
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert "delta-475" in res.output
+        assert not out.exists()
+
+    def test_null_label_means_default(self, tmp_path):
+        cfg_path = write(tmp_path, "c.yaml", {**BASE, "label": None})
+        out = tmp_path / "runs"
+        res = CliRunner().invoke(main, ["qst", "--config", cfg_path, "--out", str(out)])
+        assert res.exit_code == EXIT_OK, res.output
+        assert [p.name for p in (out / "qst").iterdir()] == ["default"]
+
     @pytest.mark.parametrize(
         "overrides",
         [["--dims", "3,2,3"], ["--dims", "3,2,3", "--method", "lindblad"]],

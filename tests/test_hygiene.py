@@ -111,9 +111,10 @@ def test_import_loads_no_scipy():
     assert fresh_modules("import sys, exfree, exfree.cli\n" + PRINT_LOADED)["scipy"] == []
 
 
-@pytest.fixture(scope="module", params=["qst", "hom", "purified", "binomial"])
+@pytest.fixture(scope="module", params=sorted(p.stem for p in CONFIGS.glob("*.yaml")))
 def exact_run_modules(request, tmp_path_factory):
-    """The modules a fresh CLI process loads running a shipped config exactly."""
+    """The modules a fresh CLI process loads running a shipped config exactly
+    (calibrate-g, which propagates nothing, ignores the method)."""
     path = CONFIGS / f"{request.param}.yaml"
     experiment = yaml.safe_load(path.read_text())["experiment"]
     out = tmp_path_factory.mktemp(request.param)
@@ -127,6 +128,34 @@ def test_exact_run_loads_no_scipy(exact_run_modules):
 
 def test_exact_run_loads_no_numpy_ma(exact_run_modules):
     assert exact_run_modules["numpy.ma"] == []
+
+
+def scipy_imports(tree: ast.Module) -> list[tuple[int, bool]]:
+    """The line of each import of scipy in the module, and whether it sits
+    inside a function."""
+    in_functions = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for inner in ast.walk(node)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            continue
+        if any(m == "scipy" or m.startswith("scipy.") for m in modules):
+            found.append((node.lineno, id(node) in in_functions))
+    return found
+
+
+def test_scipy_imported_only_inside_dynamics_functions():
+    found = {p.name: scipy_imports(ast.parse(p.read_text())) for p in PACKAGE.glob("*.py")}
+    assert sorted(name for name, imports in found.items() if imports) == ["dynamics.py"]
+    assert [line for line, inside in found["dynamics.py"] if not inside] == []
 
 
 def test_lindblad_run_loads_scipy_and_succeeds(tmp_path):
