@@ -249,6 +249,8 @@ def generate_tmsv_trace(
     """Synthetic calibration data: P0(t) with optional additive Gaussian noise."""
     if g <= 0:
         raise InvalidParameterError("coupling must be positive")
+    if seed is not None and seed < 0:
+        raise InvalidParameterError("seed must be nonnegative")
     p0 = vacuum_probability(g, t_grid)
     if noise_sigma:
         rng = np.random.default_rng(seed)

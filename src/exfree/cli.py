@@ -18,7 +18,7 @@ import datetime as _dt
 import json
 import shutil
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Optional
 
@@ -115,10 +115,11 @@ def _whole(value) -> int:
 
 
 def _real(value) -> float:
-    """A real number; a boolean is a ValueError, not 0.0 or 1.0."""
-    if isinstance(value, bool):
-        raise ValueError(f"expected a real number, got {value!r}")
-    return float(value)
+    """A finite real number; a boolean is a ValueError, not 0.0 or 1.0, and
+    so is a NaN or an infinity."""
+    if isinstance(value, bool) or not np.isfinite(x := float(value)):
+        raise ValueError(f"expected a finite real number, got {value!r}")
+    return x
 
 
 def _coerce_dims(value) -> tuple[int, int, int]:
@@ -144,8 +145,9 @@ def _triple(value, name, default):
     return vals
 
 
-def load_config(path, experiment: Optional[str] = None) -> RunConfig:
-    """Read a YAML run configuration file and validate it (`parse_config`)."""
+def load_config(path, overrides: Optional[dict] = None) -> RunConfig:
+    """Read a YAML run configuration file and validate it with `overrides`
+    (`parse_config`)."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -153,7 +155,7 @@ def load_config(path, experiment: Optional[str] = None) -> RunConfig:
         raw = yaml.safe_load(path.read_text())
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
-    return parse_config(raw, experiment)
+    return parse_config(raw, overrides)
 
 
 def _flag(value) -> bool:
@@ -162,7 +164,7 @@ def _flag(value) -> bool:
     return value
 
 
-#: Conversion of each experiment option; a null value counts as absent.
+#: Conversion of each experiment option.
 _OPTIONS = {
     "purification": str,
     "gamma_q": _real,
@@ -196,33 +198,36 @@ _KEYS = {
 }
 
 
-def parse_config(raw: dict, experiment: Optional[str] = None) -> RunConfig:
-    """Validate a run configuration mapping.
+def parse_config(raw: dict, overrides: Optional[dict] = None) -> RunConfig:
+    """Validate a run configuration mapping, with the keys of `overrides`
+    (the command line's experiment, out_dir, method and dims) in place of
+    the mapping's own.
 
-    `experiment` (usually from the command line) overrides the mapping's own
-    `experiment` key.  All frequencies are f/2pi in kHz.  Every value is
-    converted here, so a value of the wrong type is a `ConfigError`, and so
-    is a key that nothing reads.
+    All frequencies are f/2pi in kHz.  Every value is converted here, so a
+    value of the wrong type is a `ConfigError`, and so is a key that nothing
+    reads; a null value counts as absent.  `RunConfig.raw` echoes `raw`.
     """
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping")
-    unknown = sorted(str(k) for k in raw if k not in _KEYS and k not in _OPTIONS)
+    merged = {**raw, **(overrides or {})}
+    unknown = sorted(str(k) for k in merged if k not in _KEYS and k not in _OPTIONS)
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
     try:
-        return _parse_mapping(raw, experiment)
+        return _parse_mapping({k: v for k, v in merged.items() if v is not None}, raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config value: {exc}") from exc
 
 
-def _parse_mapping(raw: dict, experiment: Optional[str]) -> RunConfig:
-    exp = experiment or raw.get("experiment")
+def _parse_mapping(raw: dict, echo: dict) -> RunConfig:
+    """The run configuration of `raw`, which holds no null value; the
+    manifest echoes `echo`."""
+    exp = raw.get("experiment")
     if exp not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {exp!r}; choose from {EXPERIMENTS}")
 
-    cfg = RunConfig(experiment=exp, raw=dict(raw))
-    label = raw.get("label")
-    cfg.label = "default" if label is None else str(label)
+    cfg = RunConfig(experiment=exp, raw=dict(echo))
+    cfg.label = str(raw.get("label", "default"))
     if cfg.label in ("", ".", "..") or "/" in cfg.label or "\\" in cfg.label:
         # the label names one directory inside <out_dir>/<experiment>
         raise ConfigError(f"label {cfg.label!r} must name one directory")
@@ -236,21 +241,22 @@ def _parse_mapping(raw: dict, experiment: Optional[str]) -> RunConfig:
     needs_params = exp not in ("budget", "calibrate-g", "calibrate-delta0") or raw.get(
         "ablate_cavity"
     )
-    g_khz = raw.get("g_over_2pi_khz")
-    if g_khz is not None or needs_params:
-        if g_khz is None:
+    if "g_over_2pi_khz" in raw or needs_params:
+        if "g_over_2pi_khz" not in raw:
             raise ConfigError("g_over_2pi_khz is required")
+        g_khz = raw["g_over_2pi_khz"]
         g1 = _real(raw.get("g1_over_2pi_khz", g_khz))
         g2 = _real(raw.get("g2_over_2pi_khz", g_khz))
-        delta = raw.get("delta_over_2pi_khz")
-        if delta is None and exp not in ("compare-bs", "calibrate-g", "calibrate-delta0"):
+        if "delta_over_2pi_khz" not in raw and exp not in (
+            "compare-bs", "calibrate-g", "calibrate-delta0"
+        ):
             raise ConfigError("delta_over_2pi_khz is required")
         dims = _coerce_dims(raw.get("dims", (6, 5, 6)))
         try:
             cfg.params = SystemParams.from_khz(
                 g1,
                 g2,
-                _real(delta) if delta is not None else 0.0,
+                _real(raw.get("delta_over_2pi_khz", 0.0)),
                 dims=dims,
                 t1=_triple(raw.get("t1_us"), "t1_us", (None, None, None)),
                 tphi=_triple(raw.get("tphi_us"), "tphi_us", (None, None, None)),
@@ -258,28 +264,28 @@ def _parse_mapping(raw: dict, experiment: Optional[str]) -> RunConfig:
             )
         except InvalidParameterError as exc:
             raise ConfigError(str(exc)) from exc
+    elif "dims" in raw:
+        raise ConfigError(f"dims given but {exp} has no system params")
 
-    if raw.get("total_time_us") is not None:
+    if "total_time_us" in raw:
         cfg.total_time = _real(raw["total_time_us"])
-        if not 0 < cfg.total_time < np.inf:
-            raise ConfigError("total_time_us must be positive and finite")
+        if cfg.total_time <= 0:
+            raise ConfigError("total_time_us must be positive")
     runs = raw.get("sweep_experiment") if exp == "sweep" else exp
     if "n_samples" in raw and runs in _FINAL_TIME_ONLY:
         raise ConfigError(f"{runs} reads only its final time; n_samples does not apply")
     cfg.n_samples = _whole(raw.get("n_samples", 801))
     if cfg.n_samples < 2:
         raise ConfigError("n_samples must be at least 2")
-    if raw.get("trotter_dt_us") is not None:
+    if "trotter_dt_us" in raw:
         cfg.trotter_dt = _real(raw["trotter_dt_us"])
     if cfg.method == "trotter" and cfg.trotter_dt is None:
         raise ConfigError("trotter method needs trotter_dt_us")
     cfg.rtol = _real(raw.get("rtol", 1e-8))
-    if not 0 < cfg.rtol < np.inf:
-        raise ConfigError("rtol must be positive and finite")
+    if cfg.rtol <= 0:
+        raise ConfigError("rtol must be positive")
 
-    cfg.options = {
-        k: convert(raw[k]) for k, convert in _OPTIONS.items() if raw.get(k) is not None
-    }
+    cfg.options = {k: convert(raw[k]) for k, convert in _OPTIONS.items() if k in raw}
     return cfg
 
 
@@ -346,15 +352,11 @@ def run_experiment(cfg: RunConfig) -> ProtocolResult:
         spec = _spec_for(cfg, 2.0 * tau_st(cfg.params))
         return run_single_photon_qst(cfg.params, spec)
     if cfg.experiment == "purified-qst":
-        if cfg.method == "trotter":
-            raise ConfigError("purified-qst supports exact or lindblad methods")
         return run_purified_qst(
             cfg.params,
-            t=cfg.total_time,
-            method=cfg.method,
+            spec=_spec_for(cfg, tau_st(cfg.params), grid=False),
             purification=cfg.options.get("purification", "qubit+cavity"),
             gamma_q=cfg.options.get("gamma_q", DEFAULT_GAMMA_Q),
-            rtol=cfg.rtol,
         )
     if cfg.experiment == "hom":
         spec = _spec_for(cfg, 2.0 * tau_st(cfg.params))
@@ -471,15 +473,15 @@ def _dispatch(cfg: RunConfig) -> int:
             # one artifact directory per point: a repeat would overwrite
             raise ConfigError(f"sweep points share the label(s) {', '.join(repeated)}")
         for d_khz, label in zip(deltas_khz, labels):
-            raw = dict(cfg.raw)
-            raw["delta_over_2pi_khz"] = d_khz
-            raw["experiment"] = inner_name
-            raw["label"] = label
-            sub = parse_config(raw, inner_name)
-            # keep the command-line overrides already applied to the sweep
-            sub.out_dir = cfg.out_dir / "sweep"
-            sub.method = cfg.method
-            sub.params = sub.params.with_dims(cfg.params.dims)
+            sub = replace(
+                cfg,
+                experiment=inner_name,
+                label=label,
+                out_dir=cfg.out_dir / "sweep",
+                params=replace(cfg.params, delta=khz_to_angular(d_khz)),
+                raw={**cfg.raw, "delta_over_2pi_khz": d_khz, "experiment": inner_name,
+                     "label": label},
+            )
             result = run_experiment(sub)
             dest = write_artifacts(result, sub)
             _print_summary(result, dest)
@@ -503,18 +505,9 @@ def _dispatch(cfg: RunConfig) -> int:
 @click.option("--dims", default=None, help="Override truncation as N1,N2,N3.")
 def main(experiment, config_path, out_dir, method, dims) -> None:
     """Deterministic simulator for bus-mediated pair-coupling state transfer."""
+    given = {"experiment": experiment, "out_dir": out_dir, "method": method, "dims": dims}
     try:
-        cfg = load_config(config_path, experiment)
-        if out_dir is not None:
-            cfg.out_dir = Path(out_dir)
-        if method is not None:
-            cfg.method = _METHOD_ALIASES[method]
-            if cfg.method == "trotter" and cfg.trotter_dt is None:
-                raise ConfigError("trotter method needs trotter_dt_us in the config")
-        if dims is not None:
-            if cfg.params is None:
-                raise ConfigError("--dims given but the experiment has no system params")
-            cfg.params = cfg.params.with_dims(_coerce_dims(dims))
+        cfg = load_config(config_path, {k: v for k, v in given.items() if v is not None})
         code = _dispatch(cfg)
     except (ConfigError, InvalidParameterError, DimensionError, TruncationError) as exc:
         click.echo(f"config error: {exc}", err=True)

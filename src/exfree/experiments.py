@@ -84,10 +84,10 @@ class ProtocolResult:
     states: dict[str, object] = field(default_factory=dict)
 
 
-def _sample_grid(spec: EvolutionSpec, default_n: int = 801) -> np.ndarray:
+def _sample_grid(spec: EvolutionSpec) -> np.ndarray:
     if spec.sample_times:
         return np.asarray(spec.sample_times, dtype=float)
-    return np.linspace(0.0, spec.total_time, default_n)
+    return np.linspace(0.0, spec.total_time, 801)
 
 
 def _evolve_trajectory(
@@ -161,32 +161,25 @@ def run_single_photon_qst(
     return result
 
 
-def transfer_choi(
-    params: SystemParams,
-    t: float,
-    method: str = "exact-unitary",
-    rtol: float = 1e-8,
-) -> tuple[np.ndarray, np.ndarray]:
+def transfer_choi(params: SystemParams, spec: EvolutionSpec) -> tuple[np.ndarray, np.ndarray]:
     """Unnormalized Choi matrices (raw, conditioned) of the S1 -> S3
-    qubit-subspace channel of a transfer of duration t.
+    qubit-subspace channel of a transfer of duration `spec.total_time`.
 
     Block (i, j) of each 4x4 matrix is the {|0>,|1>} block of S3 after
     propagating |i00><j00|; `conditioned` keeps only the bus-vacuum (n2 = 0)
     rows and columns of the propagated matrix.  Traces below 2 measure
     leakage and, with conditioning, the discarded bus-occupied branch.
+    The exact and Trotter methods propagate the two inputs; "lindblad"
+    propagates three matrix units at `spec.rtol`.
     """
-    if method not in ("exact-unitary", "lindblad"):
-        raise InvalidParameterError(
-            f"channel construction supports exact-unitary or lindblad, got {method!r}"
-        )
     dims = params.dims
-    H = build_h_full(params)
+    t = np.array([spec.total_time])
     inputs = [fock_state(dims, (i, 0, 0)) for i in range(2)]
-    if method == "exact-unitary":
+    if spec.method != "lindblad":
         # the two inputs occupy one sector each; block (i, j) sums
         # psi_i[n1, n2, k] psi_j*[n1, n2, l] over the traced modes, so no
         # full-space matrix is formed.  Axes (i, n1, n2, n3), n3 < 2.
-        psi = np.array([evolve_unitary(H, s, (t,)).amplitudes[0] for s in inputs])
+        psi = np.array([_evolve_trajectory(params, s, spec, t).amplitudes[0] for s in inputs])
         psi = psi.reshape((2,) + tuple(dims))[..., :2]
         raw = np.einsum("iabk,jabl->ikjl", psi, psi.conj()).reshape(4, 4)
         vac = psi[:, :, 0]
@@ -194,7 +187,9 @@ def transfer_choi(
         return raw, conditioned
     a, b = (psi.amplitudes for psi in inputs)
     u00, u01, u11 = (np.outer(x, y.conj()) for x, y in ((a, a), (a, b), (b, b)))
-    mats = propagate_lindblad_matrix(H, collapse_operators(params), [u00, u01, u11], (t,), rtol)
+    mats = propagate_lindblad_matrix(
+        build_h_full(params), collapse_operators(params), [u00, u01, u11], t, spec.rtol
+    )
     u00, u01, u11 = (m[0] for m in mats)
     # both maps commute with Hermitian conjugation: unit (1,0) is (0,1)^dag
     units = [[u00, u01], [u01.conj().T, u11]]
@@ -210,13 +205,12 @@ PURIFICATION_LEVELS = ("none", "qubit", "qubit+cavity")
 
 def run_purified_qst(
     params: SystemParams,
-    t: Optional[float] = None,
-    method: str = "exact-unitary",
+    spec: Optional[EvolutionSpec] = None,
     purification: str = "qubit+cavity",
     gamma_q: float = DEFAULT_GAMMA_Q,
-    rtol: float = 1e-8,
 ) -> ProtocolResult:
-    """Qubit-state transfer with layered purification.
+    """Qubit-state transfer with layered purification, over `spec`
+    (default: exact, one swap time).
 
     Purification levels: "none" keeps every run (residual auxiliary-qubit
     excitations depolarize the output), "qubit" discards runs heralded by
@@ -229,10 +223,11 @@ def run_purified_qst(
         )
     if not 0 <= gamma_q < np.inf:
         raise InvalidParameterError("gamma_q must be nonnegative and finite")
-    if t is None:
-        t = tau_st(params)
+    if spec is None:
+        spec = EvolutionSpec(total_time=tau_st(params))
+    t = spec.total_time
 
-    raw, conditioned = transfer_choi(params, t, method=method, rtol=rtol)
+    raw, conditioned = transfer_choi(params, spec)
     f_raw, phi_raw = process_fidelity_qubit_subspace(process_matrix(raw))
     scalars = {"fidelity_heralded": f_raw, "phase": phi_raw, "transfer_time": t}
 
@@ -350,6 +345,8 @@ def run_binomial_transfer(
     the odd branch should match the corresponding error state.  Fidelities
     are phase-optimized.
     """
+    if wigner_points < 2:
+        raise InvalidParameterError("wigner_points must be at least 2")
     if spec is None:
         spec = EvolutionSpec(total_time=tau_st(params))
     t = spec.total_time
@@ -418,24 +415,18 @@ def combined_budget_fidelity(budget: Optional[dict[str, float]] = None) -> float
     return depolarizing_budget(list(entries.values()))
 
 
-def cavity_decoherence_ablation(
-    params: SystemParams,
-    t: Optional[float] = None,
-    thermal: bool = False,
-    rtol: float = 1e-8,
-) -> dict[str, float]:
+def cavity_decoherence_ablation(params: SystemParams, rtol: float = 1e-8) -> dict[str, float]:
     """Infidelity attributable to cavity decoherence alone.
 
-    Compares the bus-conditioned transfer with and without the measured
-    cavity lifetimes; the depolarizing-channel share is
-    1 - (F_with - 1/4)/(F_without - 1/4).
+    Compares the bus-conditioned transfer over one swap time with and
+    without the measured cavity lifetimes (Lindblad at `rtol`); the
+    depolarizing-channel share is 1 - (F_with - 1/4)/(F_without - 1/4).
     """
-    if t is None:
-        t = tau_st(params)
-    _, ideal = transfer_choi(params, t)
+    t = tau_st(params)
+    _, ideal = transfer_choi(params, EvolutionSpec(total_time=t))
     f_ideal, _ = process_fidelity_qubit_subspace(process_matrix(ideal))
-    noisy_params = with_cavity_decoherence(params, thermal=thermal)
-    _, noisy = transfer_choi(noisy_params, t, method="lindblad", rtol=rtol)
+    lindblad = EvolutionSpec(total_time=t, method="lindblad", rtol=rtol)
+    _, noisy = transfer_choi(with_cavity_decoherence(params), lindblad)
     f_noisy, _ = process_fidelity_qubit_subspace(process_matrix(noisy))
     share = 1.0 - (f_noisy - 0.25) / (f_ideal - 0.25)
     return {

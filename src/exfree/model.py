@@ -59,11 +59,12 @@ class SystemParams:
             object.__setattr__(self, "dims", ModeDims(self.dims))
         if any(len(v) != self.dims.n_modes for v in (self.t1, self.tphi, self.n_th)):
             raise InvalidParameterError("t1, tphi and n_th need one entry per mode")
+        # a NaN fails every comparison: test the admissible range, not its complement
         for t in (*self.t1, *self.tphi):
-            if t is not None and t <= 0:
-                raise InvalidParameterError("coherence times must be positive")
-        if any(n < 0 for n in self.n_th):
-            raise InvalidParameterError("thermal populations must be nonnegative")
+            if t is not None and not 0 < t < np.inf:
+                raise InvalidParameterError("coherence times must be positive and finite")
+        if not all(0 <= n < np.inf for n in self.n_th):
+            raise InvalidParameterError("thermal populations must be nonnegative and finite")
 
     @classmethod
     def from_khz(cls, g1_khz, g2_khz, delta_khz, **kwargs) -> "SystemParams":

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from exfree.cli import (
     ConfigError,
     load_config,
     main,
+    parse_config,
 )
 
 CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.yaml"))
@@ -64,8 +66,17 @@ class TestLoadConfig:
             load_config(write(tmp_path, "c.yaml", {**BASE, "method": "trotter"}))
 
     def test_cli_experiment_overrides_file(self, tmp_path):
-        cfg = load_config(write(tmp_path, "c.yaml", BASE), "hom")
+        cfg = load_config(write(tmp_path, "c.yaml", BASE), {"experiment": "hom"})
         assert cfg.experiment == "hom"
+
+    @pytest.mark.parametrize(
+        "key",
+        ["n_samples", "rtol", "dims", "method", "out_dir", "g1_over_2pi_khz", "g2_over_2pi_khz"],
+    )
+    def test_null_means_absent(self, key):
+        absent = parse_config({k: v for k, v in BASE.items() if k != key})
+        null = parse_config({**BASE, key: None})
+        assert replace(null, raw={}) == replace(absent, raw={})
 
     @pytest.mark.parametrize(
         "payload",
@@ -161,6 +172,16 @@ class TestDispatch:
             {**BASE, "t1_us": True},
             {**BASE, "g_over_2pi_khz": True},
             {**BASE, "total_time_us": True},
+            {**FINAL_ONLY, "experiment": "binomial", "wigner_extent": float("nan")},
+            {**FINAL_ONLY, "experiment": "binomial", "wigner_points": -1},
+            {**FINAL_ONLY, "experiment": "binomial", "wigner_points": 0},
+            {"experiment": "calibrate-g", "g_truth_over_2pi_khz": float("nan")},
+            {"experiment": "calibrate-g", "t_max_us": float("nan")},
+            {"experiment": "calibrate-g", "noise_sigma": float("nan")},
+            {"experiment": "calibrate-g", "noise_sigma": 0.01, "seed": -1},
+            {"experiment": "calibrate-delta0", "delta0_over_2pi_khz": float("nan")},
+            {**BASE, "t1_us": float("nan")},
+            {**BASE, "n_th": float("nan")},
         ],
         ids=[
             "n_samples",
@@ -182,6 +203,16 @@ class TestDispatch:
             "bool_t1",
             "bool_g",
             "bool_total_time",
+            "nan_wigner_extent",
+            "negative_wigner_points",
+            "zero_wigner_points",
+            "nan_g_truth",
+            "nan_t_max",
+            "nan_noise_sigma",
+            "negative_seed",
+            "nan_delta0",
+            "nan_t1",
+            "nan_n_th",
         ],
     )
     def test_mistyped_value_exit_code(self, tmp_path, payload):
@@ -204,6 +235,25 @@ class TestDispatch:
         cfg_path = write(tmp_path, "c.yaml", payload)
         res = CliRunner().invoke(main, ["purified-qst", "--config", cfg_path])
         assert res.exit_code == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "payload,args",
+        [
+            (BASE, ["--method", "trotter"]),
+            ({"experiment": "calibrate-g"}, ["--dims", "3,2,3"]),
+            ({"experiment": "calibrate-g", "dims": [3, 2, 3]}, []),
+        ],
+        ids=["trotter-without-dt", "dims-without-params", "dims-key-without-params"],
+    )
+    def test_command_line_values_validated_with_the_file(self, tmp_path, payload, args):
+        cfg_path = write(tmp_path, "c.yaml", payload)
+        out = tmp_path / "runs"
+        res = CliRunner().invoke(
+            main, [payload["experiment"], "--config", cfg_path, "--out", str(out), *args]
+        )
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert "config error:" in res.output
+        assert not out.exists()
 
     def test_dims_override(self, tmp_path):
         cfg_path = write(tmp_path, "c.yaml", {**BASE, "dims": [6, 5, 6]})
@@ -267,7 +317,7 @@ class TestDispatch:
         # first-order error at dt = 0.01 us: measured 1.5e-3
         assert trotter["fidelity_received"] == pytest.approx(exact["fidelity_received"], abs=5e-3)
 
-    @pytest.mark.parametrize("name", ["qst", "hom", "binomial", "sweep"])
+    @pytest.mark.parametrize("name", ["qst", "hom", "binomial", "sweep", "purified"])
     def test_shipped_configs_run_trotter(self, tmp_path, name):
         raw = yaml.safe_load((CONFIGS[0].parent / f"{name}.yaml").read_text())
         cfg_path = write(tmp_path, "c.yaml", {**raw, "method": "trotter", "trotter_dt_us": 0.01})

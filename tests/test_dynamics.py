@@ -218,7 +218,7 @@ class TestUnitary:
     def test_exact_transfer_choi_diagonalizes_two_sectors(self, params, monkeypatch):
         # the inputs |000> and |100> occupy the sectors Q = 0 and Q = -1
         calls = _count_eigh(monkeypatch)
-        transfer_choi(params, tau_st(params))
+        transfer_choi(params, EvolutionSpec(total_time=tau_st(params)))
         assert len(calls) == 2
 
 
@@ -262,7 +262,7 @@ class TestSparseCore:
         tracemalloc.start()
         tracemalloc.reset_peak()
         try:
-            transfer_choi(p, tau_st(p))
+            transfer_choi(p, EvolutionSpec(total_time=tau_st(p)))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

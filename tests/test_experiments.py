@@ -5,7 +5,7 @@ from exfree import dynamics
 from exfree.analytic import sweet_point_detuning, tau_st
 from exfree.dynamics import EvolutionSpec
 from exfree.errors import InvalidParameterError
-from exfree.dynamics import evolve_unitary
+from exfree.dynamics import evolve_trotter, evolve_unitary
 from exfree.fock import DensityMatrix, fock_state, partial_trace
 from exfree.experiments import (
     _evolve_trajectory,
@@ -84,7 +84,7 @@ class TestSinglePhotonQst:
 class TestTransferChannel:
     def test_sweet_point_channel_is_nearly_ideal(self, sweet7):
         p = sweet7.with_dims((8, 6, 8))
-        raw, _ = transfer_choi(p, tau_st(p))
+        raw, _ = transfer_choi(p, EvolutionSpec(total_time=tau_st(p)))
         fid, phi = process_fidelity_qubit_subspace(process_matrix(raw))
         assert fid > 0.999
         # the swap imprints a pi phase per photon (a1 -> -a3)
@@ -92,19 +92,28 @@ class TestTransferChannel:
 
     def test_unoptimized_fidelity_sees_the_transfer_phase(self, sweet7):
         p = sweet7.with_dims((8, 6, 8))
-        raw, _ = transfer_choi(p, tau_st(p))
+        raw, _ = transfer_choi(p, EvolutionSpec(total_time=tau_st(p)))
         ideal = np.zeros((4, 4))
         ideal[np.ix_([0, 3], [0, 3])] = 0.5  # projector onto (|00> + |11>)/sqrt2
         assert np.trace(ideal @ process_matrix(raw).choi).real < 0.1
 
     def test_conditioning_reduces_weight(self, params):
         t = 0.4 * tau_st(params)  # bus partly occupied mid-pulse
-        raw, cond = transfer_choi(params, t)
+        raw, cond = transfer_choi(params, EvolutionSpec(total_time=t))
         assert np.trace(cond).real < np.trace(raw).real
 
-    def test_unknown_method(self, params):
-        with pytest.raises(InvalidParameterError):
-            transfer_choi(params, 1.0, method="trotter")
+    def test_trotter_channel_converges_first_order(self):
+        p = SystemParams.from_khz(80, 60, 475, dims=(4, 3, 4))
+        t = 7.0
+        exact = transfer_choi(p, EvolutionSpec(total_time=t))
+        errors = []
+        for dt in (0.04, 0.02, 0.01):
+            trotter = transfer_choi(p, EvolutionSpec(total_time=t, method="trotter", trotter_dt=dt))
+            errors.append(max(np.abs(a - b).max() for a, b in zip(trotter, exact)))
+        # measured 0.0244, 0.0122, 0.0061: halving dt halves the error
+        assert errors[0] < 0.03
+        for coarse, fine in zip(errors, errors[1:]):
+            assert coarse / fine == pytest.approx(2.0, abs=0.05)
 
     def test_lindblad_builds_one_liouvillian(self, params, monkeypatch):
         build = dynamics._liouvillian
@@ -113,7 +122,8 @@ class TestTransferChannel:
             dynamics, "_liouvillian", lambda *args: calls.append(args) or build(*args)
         )
         p = with_cavity_decoherence(params.with_dims((4, 3, 4)))
-        raw, _ = transfer_choi(p, 0.4 * tau_st(p), method="lindblad", rtol=1e-6)
+        spec = EvolutionSpec(total_time=0.4 * tau_st(p), method="lindblad", rtol=1e-6)
+        raw, _ = transfer_choi(p, spec)
         assert len(calls) == 1
         assert np.abs(raw[2:, :2] - raw[:2, 2:].conj().T).max() < 1e-14
 
@@ -121,11 +131,15 @@ class TestTransferChannel:
     @pytest.mark.parametrize("g_khz", [(80, 80), (80, 60)], ids=["symmetric", "asymmetric"])
     def test_exact_choi_matches_outer_products(self, dims, g_khz):
         p = SystemParams.from_khz(*g_khz, 475, dims=dims)
-        t = 7.0  # mid-transfer: the bus is partly occupied
-        raw, cond = transfer_choi(p, t)
-        ref_raw, ref_cond = _choi_from_outer_products(p, t)
-        assert np.abs(raw - ref_raw).max() < 1e-15
-        assert np.abs(cond - ref_cond).max() < 1e-15
+        # t = 7 us, mid-transfer: the bus is partly occupied
+        _assert_choi_matches_outer_products(p, EvolutionSpec(total_time=7.0))
+
+    @pytest.mark.parametrize("dims", [(6, 5, 6), (12, 12, 12)])
+    @pytest.mark.parametrize("g_khz", [(80, 80), (80, 60)], ids=["symmetric", "asymmetric"])
+    def test_trotter_choi_matches_outer_products(self, dims, g_khz):
+        p = SystemParams.from_khz(*g_khz, 475, dims=dims)
+        spec = EvolutionSpec(total_time=7.0, method="trotter", trotter_dt=0.03)
+        _assert_choi_matches_outer_products(p, spec)
 
     def test_matches_dense_expm_reference(self, params):
         from scipy.linalg import expm
@@ -147,18 +161,32 @@ class TestTransferChannel:
                     # S3 block: trace S1 and S2 out of the (3,3,3) x (3,3,3) tensor
                     r3 = np.einsum("abcabd->cd", m.reshape((3,) * 6))
                     ref[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = r3[:2, :2]
-        raw, cond = transfer_choi(p, t)
+        raw, cond = transfer_choi(p, EvolutionSpec(total_time=t))
         assert np.abs(raw - ref_raw).max() < 1e-10
         assert np.abs(cond - ref_cond).max() < 1e-10
         assert np.abs(cond - raw).max() > 1e-3
 
 
-def _choi_from_outer_products(p, t):
-    """The exact (raw, conditioned) Choi matrices from the three full-space
-    matrix units |a><a|, |a><b|, |b><b| of the propagated inputs."""
+def _assert_choi_matches_outer_products(p, spec):
+    """`transfer_choi` under a pure-state spec agrees to 1e-15 with the
+    Choi matrices built from full-space outer products."""
+    raw, cond = transfer_choi(p, spec)
+    ref_raw, ref_cond = _choi_from_outer_products(p, spec)
+    assert np.abs(raw - ref_raw).max() < 1e-15
+    assert np.abs(cond - ref_cond).max() < 1e-15
+
+
+def _choi_from_outer_products(p, spec):
+    """The (raw, conditioned) Choi matrices, exact or Trotter, from the three
+    full-space matrix units |a><a|, |a><b|, |b><b| of the propagated inputs."""
     dims = p.dims
-    H = build_h_full(p)
-    a, b = (evolve_unitary(H, fock_state(dims, (i, 0, 0)), (t,)).amplitudes[0] for i in (0, 1))
+    t = (spec.total_time,)
+    inputs = [fock_state(dims, (i, 0, 0)) for i in (0, 1)]
+    if spec.method == "trotter":
+        a, b = (evolve_trotter(p, s, t, spec.trotter_dt).amplitudes[0] for s in inputs)
+    else:
+        H = build_h_full(p)
+        a, b = (evolve_unitary(H, s, t).amplitudes[0] for s in inputs)
     u00, u01, u11 = (np.outer(x, y.conj()) for x, y in ((a, a), (a, b), (b, b)))
     full = np.array([[u00, u01], [u01.conj().T, u11]])
     full = full.reshape((2, 2) + tuple(dims) * 2)[..., :2, :, :, :2]
@@ -196,7 +224,8 @@ class TestPurifiedQst:
     def test_lindblad_without_dissipation_matches_exact(self, sweet7):
         p = sweet7.with_dims((3, 2, 3))
         exact = run_purified_qst(p).scalars
-        lindblad = run_purified_qst(p, method="lindblad", rtol=1e-8).scalars
+        spec = EvolutionSpec(total_time=tau_st(p), method="lindblad", rtol=1e-8)
+        lindblad = run_purified_qst(p, spec).scalars
         assert exact.keys() == lindblad.keys()
         for key, value in exact.items():
             assert lindblad[key] == pytest.approx(value, abs=1e-6), key

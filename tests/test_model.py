@@ -62,6 +62,23 @@ def test_per_mode_inputs_need_one_entry_per_mode(per_mode):
         SystemParams.from_khz(80, 80, 475, **per_mode)
 
 
+@pytest.mark.parametrize(
+    "per_mode",
+    [
+        {"t1": (np.nan, None, None)},
+        {"t1": (None, np.inf, None)},
+        {"tphi": (None, None, np.nan)},
+        {"n_th": (np.nan, 0.0, 0.0)},
+        {"n_th": (0.0, np.inf, 0.0)},
+    ],
+    ids=["t1-nan", "t1-inf", "tphi-nan", "n_th-nan", "n_th-inf"],
+)
+def test_coherence_inputs_must_be_finite(per_mode):
+    # a NaN passed the sign checks and hung the Lindblad integrator
+    with pytest.raises(InvalidParameterError):
+        SystemParams.from_khz(80, 80, 475, **per_mode)
+
+
 class TestRegime:
     def test_threshold(self):
         g = khz_to_angular(80.0)
