@@ -2,11 +2,12 @@
 figure-data emission.
 
 Config files are YAML with frequencies quoted as f/2pi in kHz and times in
-us (the loader converts to internal angular units).  Artifacts land in
-`<outdir>/<experiment>/<label>/`: a `manifest.json` with the config echo and
-versions (the only file carrying a timestamp), `trajectory.csv` and
-`summary.json` with the data.  Identical configs produce byte-identical
-data files.
+us (the loader converts to internal angular units).  Each experiment reads
+the keys its entry in `_EXPERIMENTS` lists, and the loader refuses any
+other.  Artifacts land in `<outdir>/<experiment>/<label>/`: a
+`manifest.json` with the config echo and versions (the only file carrying a
+timestamp), `trajectory.csv` and `summary.json` with the data.  Identical
+configs produce byte-identical data files.
 
 Exit codes: 0 success, 2 config error, 3 regime error, 4 numerical
 nonconvergence.
@@ -18,9 +19,10 @@ import datetime as _dt
 import json
 import shutil
 import sys
-from dataclasses import dataclass, field, replace
+import tempfile
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, Optional, Union
 
 import click
 import numpy as np
@@ -47,7 +49,6 @@ from .errors import (
     TruncationError,
 )
 from .experiments import (
-    DEFAULT_GAMMA_Q,
     ProtocolResult,
     compare_tms_vs_bs,
     error_budget_report,
@@ -62,18 +63,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_REGIME = 3
 EXIT_NUMERICS = 4
-
-EXPERIMENTS = (
-    "qst",
-    "purified-qst",
-    "hom",
-    "binomial",
-    "calibrate-g",
-    "calibrate-delta0",
-    "budget",
-    "compare-bs",
-    "sweep",
-)
 
 _METHOD_ALIASES = {
     "exact": "exact-unitary",
@@ -93,15 +82,15 @@ class RunConfig:
 
     experiment: str
     raw: dict[str, Any]
-    params: Optional[SystemParams] = None
-    method: str = "exact-unitary"
-    out_dir: Path = Path("runs")
-    label: str = "default"
-    total_time: Optional[float] = None
-    n_samples: int = 801
-    trotter_dt: Optional[float] = None
-    rtol: float = 1e-8
-    options: dict[str, Any] = field(default_factory=dict)
+    params: Optional[SystemParams]
+    method: str
+    out_dir: Path
+    label: str
+    total_time: Optional[float]
+    n_samples: int
+    trotter_dt: Optional[float]
+    rtol: float
+    options: dict[str, Any]
 
 
 def _whole(value) -> int:
@@ -134,9 +123,7 @@ def _coerce_dims(value) -> tuple[int, int, int]:
     return dims
 
 
-def _triple(value, name, default):
-    if value is None:
-        return default
+def _triple(value, name):
     if np.isscalar(value):
         return (_real(value),) * 3
     vals = tuple(None if v is None else _real(v) for v in value)
@@ -175,6 +162,7 @@ _OPTIONS = {
     "budget": lambda v: {str(k): _real(x) for k, x in dict(v).items()},
     "ablate_cavity": _flag,
     "delta_over_2pi_khz_values": lambda v: [_real(x) for x in v],
+    "g_over_2pi_khz": _real,  # an option of compare-bs, which builds no SystemParams
     "g_truth_over_2pi_khz": _real,
     "delta0_over_2pi_khz": _real,
     "delta_d_over_2pi_khz": lambda v: [_real(x) for x in v],
@@ -184,122 +172,48 @@ _OPTIONS = {
     "n_points": _whole,
     "sweep_experiment": str,
 }
+#: Runner keywords that differ from their option keys: a config's `label` names the run.
+_KEYWORDS = {"code_label": "label"}
+
+#: Keys of every experiment: which run it is and where its artifacts go.
+_COMMON = ("experiment", "label", "out_dir")
+#: Keys of a simulated device: its `SystemParams` and the solver tolerance.
+_SIMULATION = ("g_over_2pi_khz", "g1_over_2pi_khz", "g2_over_2pi_khz", "delta_over_2pi_khz",
+               "dims", "t1_us", "tphi_us", "n_th", "rtol")
+#: Keys of a propagated run's `EvolutionSpec` besides `rtol` and `n_samples`.
+_EVOLUTION = ("method", "total_time_us", "trotter_dt_us")
+
+_VOCABULARY = frozenset(_COMMON + _SIMULATION + _EVOLUTION + ("n_samples",) + tuple(_OPTIONS))
 
 
-#: Experiments whose runners read only the final time, not a sample grid.
-_FINAL_TIME_ONLY = ("binomial", "purified-qst")
+@dataclass(frozen=True)
+class _Experiment:
+    """What one experiment reads, and how `run(cfg, spec)` runs it.
 
-
-#: Keys `_parse_mapping` reads itself; with `_OPTIONS` the whole vocabulary.
-_KEYS = {
-    "experiment", "label", "out_dir", "method", "g_over_2pi_khz", "g1_over_2pi_khz",
-    "g2_over_2pi_khz", "delta_over_2pi_khz", "dims", "t1_us", "tphi_us", "n_th",
-    "total_time_us", "n_samples", "trotter_dt_us", "rtol",
-}
-
-
-def parse_config(raw: dict, overrides: Optional[dict] = None) -> RunConfig:
-    """Validate a run configuration mapping, with the keys of `overrides`
-    (the command line's experiment, out_dir, method and dims) in place of
-    the mapping's own.
-
-    All frequencies are f/2pi in kHz.  Every value is converted here, so a
-    value of the wrong type is a `ConfigError`, and so is a key that nothing
-    reads; a null value counts as absent.  `RunConfig.raw` echoes `raw`.
+    `params`: whether it reads `SystemParams` and the `_SIMULATION` keys, or
+    the flag option under which it does.  `window`: the default run time in
+    units of tau_ST, None if nothing is propagated; `grid` samples it at
+    `n_samples` times, else only at its end.  `options`: its `_OPTIONS` keys.
     """
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a mapping")
-    merged = {**raw, **(overrides or {})}
-    unknown = sorted(str(k) for k in merged if k not in _KEYS and k not in _OPTIONS)
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
-    try:
-        return _parse_mapping({k: v for k, v in merged.items() if v is not None}, raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid config value: {exc}") from exc
+
+    run: Optional[Callable[[RunConfig, Optional[EvolutionSpec]], ProtocolResult]]
+    params: Union[bool, str] = False
+    window: Optional[float] = None
+    grid: bool = False
+    options: tuple[str, ...] = ()
+
+    def keys(self, reads_params: bool) -> frozenset:
+        """The config keys this experiment reads."""
+        simulation = _SIMULATION if reads_params else ()
+        evolution = _EVOLUTION if self.window is not None else ()
+        grid = ("n_samples",) if self.grid else ()
+        return frozenset(_COMMON + self.options + simulation + evolution + grid)
 
 
-def _parse_mapping(raw: dict, echo: dict) -> RunConfig:
-    """The run configuration of `raw`, which holds no null value; the
-    manifest echoes `echo`."""
-    exp = raw.get("experiment")
-    if exp not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {exp!r}; choose from {EXPERIMENTS}")
-
-    cfg = RunConfig(experiment=exp, raw=dict(echo))
-    cfg.label = str(raw.get("label", "default"))
-    if cfg.label in ("", ".", "..") or "/" in cfg.label or "\\" in cfg.label:
-        # the label names one directory inside <out_dir>/<experiment>
-        raise ConfigError(f"label {cfg.label!r} must name one directory")
-    cfg.out_dir = Path(raw.get("out_dir", "runs"))
-
-    method = raw.get("method", "exact")
-    if method not in _METHOD_ALIASES:
-        raise ConfigError(f"unknown method {method!r}")
-    cfg.method = _METHOD_ALIASES[method]
-
-    needs_params = exp not in ("budget", "calibrate-g", "calibrate-delta0") or raw.get(
-        "ablate_cavity"
-    )
-    if "g_over_2pi_khz" in raw or needs_params:
-        if "g_over_2pi_khz" not in raw:
-            raise ConfigError("g_over_2pi_khz is required")
-        g_khz = raw["g_over_2pi_khz"]
-        g1 = _real(raw.get("g1_over_2pi_khz", g_khz))
-        g2 = _real(raw.get("g2_over_2pi_khz", g_khz))
-        if "delta_over_2pi_khz" not in raw and exp not in (
-            "compare-bs", "calibrate-g", "calibrate-delta0"
-        ):
-            raise ConfigError("delta_over_2pi_khz is required")
-        dims = _coerce_dims(raw.get("dims", (6, 5, 6)))
-        try:
-            cfg.params = SystemParams.from_khz(
-                g1,
-                g2,
-                _real(raw.get("delta_over_2pi_khz", 0.0)),
-                dims=dims,
-                t1=_triple(raw.get("t1_us"), "t1_us", (None, None, None)),
-                tphi=_triple(raw.get("tphi_us"), "tphi_us", (None, None, None)),
-                n_th=_triple(raw.get("n_th"), "n_th", (0.0, 0.0, 0.0)),
-            )
-        except InvalidParameterError as exc:
-            raise ConfigError(str(exc)) from exc
-    elif "dims" in raw:
-        raise ConfigError(f"dims given but {exp} has no system params")
-
-    if "total_time_us" in raw:
-        cfg.total_time = _real(raw["total_time_us"])
-        if cfg.total_time <= 0:
-            raise ConfigError("total_time_us must be positive")
-    runs = raw.get("sweep_experiment") if exp == "sweep" else exp
-    if "n_samples" in raw and runs in _FINAL_TIME_ONLY:
-        raise ConfigError(f"{runs} reads only its final time; n_samples does not apply")
-    cfg.n_samples = _whole(raw.get("n_samples", 801))
-    if cfg.n_samples < 2:
-        raise ConfigError("n_samples must be at least 2")
-    if "trotter_dt_us" in raw:
-        cfg.trotter_dt = _real(raw["trotter_dt_us"])
-    if cfg.method == "trotter" and cfg.trotter_dt is None:
-        raise ConfigError("trotter method needs trotter_dt_us")
-    cfg.rtol = _real(raw.get("rtol", 1e-8))
-    if cfg.rtol <= 0:
-        raise ConfigError("rtol must be positive")
-
-    cfg.options = {k: convert(raw[k]) for k, convert in _OPTIONS.items() if k in raw}
-    return cfg
-
-
-def _spec_for(cfg: RunConfig, default_total: float, grid: bool = True) -> EvolutionSpec:
-    """The run's spec, sampled on `n_samples` uniform times, or with `grid`
-    False at its final time only."""
-    total = cfg.total_time if cfg.total_time is not None else default_total
-    return EvolutionSpec(
-        total_time=total,
-        method=cfg.method,
-        trotter_dt=cfg.trotter_dt,
-        rtol=cfg.rtol,
-        sample_times=tuple(np.linspace(0.0, total, cfg.n_samples)) if grid else (total,),
-    )
+def _run_compare_bs(cfg: RunConfig) -> ProtocolResult:
+    deltas_khz = cfg.options.get("delta_over_2pi_khz_values", [373.0, 463.0, 475.0, 675.0, 775.0])
+    deltas = [khz_to_angular(d) for d in deltas_khz]
+    return compare_tms_vs_bs(khz_to_angular(cfg.options["g_over_2pi_khz"]), deltas)
 
 
 def _fit_report(
@@ -346,149 +260,231 @@ def _run_calibrate_delta0(cfg: RunConfig) -> ProtocolResult:
     return _fit_report(result, fit_stark_detuning(dd, tau, g), "delta0", "delta_0", d0_truth)
 
 
+#: Every experiment of the command line.  The runners name module-level
+#: functions at call time, so patching one of those names takes effect.
+_EXPERIMENTS = {
+    "qst": _Experiment(lambda c, s: run_single_photon_qst(c.params, s), True, 2.0, True),
+    "purified-qst": _Experiment(
+        lambda c, s: run_purified_qst(c.params, s, **c.options), True, 1.0,
+        options=("purification", "gamma_q"),
+    ),
+    "hom": _Experiment(lambda c, s: run_hom(c.params, s), True, 2.0, True),
+    "binomial": _Experiment(
+        lambda c, s: run_binomial_transfer(c.params, spec=s, **c.options), True, 1.0,
+        options=("code_label", "loss_after_transfer", "wigner_extent", "wigner_points"),
+    ),
+    "calibrate-g": _Experiment(
+        lambda c, s: _run_calibrate_g(c),
+        options=("g_truth_over_2pi_khz", "t_max_us", "n_points", "noise_sigma", "seed"),
+    ),
+    "calibrate-delta0": _Experiment(
+        lambda c, s: _run_calibrate_delta0(c),
+        options=("g_truth_over_2pi_khz", "delta0_over_2pi_khz", "delta_d_over_2pi_khz"),
+    ),
+    "budget": _Experiment(
+        lambda c, s: error_budget_report(c.params, rtol=c.rtol, **c.options), "ablate_cavity",
+        options=("budget", "ablate_cavity"),
+    ),
+    "compare-bs": _Experiment(
+        lambda c, s: _run_compare_bs(c), options=("g_over_2pi_khz", "delta_over_2pi_khz_values")
+    ),
+    # a sweep runs its swept experiment once per detuning, and reads its keys
+    "sweep": _Experiment(None, options=("sweep_experiment", "delta_over_2pi_khz_values")),
+}
+
+EXPERIMENTS = tuple(_EXPERIMENTS)
+
+
+def parse_config(raw: dict, overrides: Optional[dict] = None) -> RunConfig:
+    """Validate a run configuration mapping, with the keys of `overrides`
+    (the command line's experiment, out_dir, method and dims) in place of
+    the mapping's own.
+
+    All frequencies are f/2pi in kHz.  Every value is converted here, so a
+    value of the wrong type is a `ConfigError`, and so is a key the
+    experiment does not read; a null value counts as absent.  `RunConfig.raw`
+    echoes `raw`.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a mapping")
+    merged = {**raw, **(overrides or {})}
+    unknown = sorted(str(k) for k in merged if k not in _VOCABULARY)
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+    try:
+        return _parse_mapping({k: v for k, v in merged.items() if v is not None}, raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid config value: {exc}") from exc
+
+
+def _parse_mapping(raw: dict, echo: dict) -> RunConfig:
+    """The run configuration of `raw`, which holds no null value; the
+    manifest echoes `echo`."""
+    exp = raw.get("experiment")
+    if exp not in _EXPERIMENTS:
+        raise ConfigError(f"unknown experiment {exp!r}; choose from {EXPERIMENTS}")
+    label = str(raw.get("label", "default"))
+    if label in ("", ".", "..") or "/" in label or "\\" in label:
+        # the label names one directory inside <out_dir>/<experiment>
+        raise ConfigError(f"label {label!r} must name one directory")
+
+    keys, name, options = frozenset(), exp, {}
+    if exp == "sweep":
+        sweep = _EXPERIMENTS["sweep"]
+        keys = sweep.keys(False)
+        options = {k: _OPTIONS[k](raw[k]) for k in sweep.options if k in raw}
+        name = options.setdefault("sweep_experiment", "qst")
+        if name not in _EXPERIMENTS:
+            raise ConfigError(f"cannot sweep experiment {name!r}")
+    entry = _EXPERIMENTS[name]
+    options.update({_KEYWORDS.get(k, k): _OPTIONS[k](raw[k]) for k in entry.options if k in raw})
+    reads_params = entry.params is True or bool(options.get(entry.params))
+    if isinstance(entry.params, str) and not reads_params:
+        name += f" without {entry.params}"
+    if exp == "sweep" and not reads_params:
+        # every point replaces the detuning, which this experiment never reads
+        raise ConfigError(f"cannot sweep {name}: it reads no detuning")
+    keys |= entry.keys(reads_params)
+    refused = sorted(str(k) for k in raw if k not in keys)
+    if refused:
+        where = f"a sweep of {name}" if exp == "sweep" else name
+        raise ConfigError(f"{', '.join(refused)} does not apply to {where}")
+    for key in ("g_over_2pi_khz", "delta_over_2pi_khz"):
+        if key in keys and key not in raw:
+            raise ConfigError(f"{key} is required")
+
+    params = None
+    if reads_params:
+        g_khz = raw["g_over_2pi_khz"]
+        g1, g2 = (_real(raw.get(f"g{i}_over_2pi_khz", g_khz)) for i in (1, 2))
+        coherence = (("t1_us", "t1"), ("tphi_us", "tphi"), ("n_th", "n_th"))
+        device = {name: _triple(raw[key], key) for key, name in coherence if key in raw}
+        if "dims" in raw:
+            device["dims"] = _coerce_dims(raw["dims"])
+        try:
+            params = SystemParams.from_khz(g1, g2, _real(raw["delta_over_2pi_khz"]), **device)
+        except InvalidParameterError as exc:
+            raise ConfigError(str(exc)) from exc
+
+    method = _METHOD_ALIASES.get(raw.get("method", "exact"))
+    if method is None:
+        raise ConfigError(f"unknown method {raw['method']!r}")
+    total_time = _real(raw["total_time_us"]) if "total_time_us" in raw else None
+    if total_time is not None and total_time <= 0:
+        raise ConfigError("total_time_us must be positive")
+    n_samples = _whole(raw.get("n_samples", 801))
+    if n_samples < 2:
+        raise ConfigError("n_samples must be at least 2")
+    trotter_dt = _real(raw["trotter_dt_us"]) if "trotter_dt_us" in raw else None
+    if method == "trotter" and trotter_dt is None:
+        raise ConfigError("trotter method needs trotter_dt_us")
+    rtol = _real(raw.get("rtol", 1e-8))
+    if rtol <= 0:
+        raise ConfigError("rtol must be positive")
+
+    out_dir = Path(raw.get("out_dir", "runs"))
+    return RunConfig(exp, dict(echo), params, method, out_dir, label, total_time, n_samples,
+                     trotter_dt, rtol, options)
+
+
 def run_experiment(cfg: RunConfig) -> ProtocolResult:
-    """Dispatch a single (non-sweep) experiment."""
-    if cfg.experiment == "qst":
-        spec = _spec_for(cfg, 2.0 * tau_st(cfg.params))
-        return run_single_photon_qst(cfg.params, spec)
-    if cfg.experiment == "purified-qst":
-        return run_purified_qst(
-            cfg.params,
-            spec=_spec_for(cfg, tau_st(cfg.params), grid=False),
-            purification=cfg.options.get("purification", "qubit+cavity"),
-            gamma_q=cfg.options.get("gamma_q", DEFAULT_GAMMA_Q),
-        )
-    if cfg.experiment == "hom":
-        spec = _spec_for(cfg, 2.0 * tau_st(cfg.params))
-        return run_hom(cfg.params, spec)
-    if cfg.experiment == "binomial":
-        return run_binomial_transfer(
-            cfg.params,
-            label=cfg.options.get("code_label", "0L"),
-            spec=_spec_for(cfg, tau_st(cfg.params), grid=False),
-            loss_after_transfer=cfg.options.get("loss_after_transfer", False),
-            wigner_extent=cfg.options.get("wigner_extent"),
-            wigner_points=cfg.options.get("wigner_points", 41),
-        )
-    if cfg.experiment == "budget":
-        return error_budget_report(
-            params=cfg.params,
-            budget=cfg.options.get("budget"),
-            ablate_cavity=cfg.options.get("ablate_cavity", False),
-            rtol=cfg.rtol,
-        )
-    if cfg.experiment == "compare-bs":
-        deltas_khz = cfg.options.get(
-            "delta_over_2pi_khz_values", [373.0, 463.0, 475.0, 675.0, 775.0]
-        )
-        deltas = [khz_to_angular(d) for d in deltas_khz]
-        return compare_tms_vs_bs(cfg.params.g1, deltas)
-    if cfg.experiment == "calibrate-g":
-        return _run_calibrate_g(cfg)
-    if cfg.experiment == "calibrate-delta0":
-        return _run_calibrate_delta0(cfg)
-    raise ConfigError(f"experiment {cfg.experiment!r} is not dispatchable here")
+    """Run a single (non-sweep) experiment: its spec, sampled on
+    `n_samples` uniform times or only at its final time, then its runner."""
+    entry = _EXPERIMENTS[cfg.experiment]
+    spec = None
+    if entry.window is not None:
+        total = cfg.total_time or entry.window * tau_st(cfg.params)
+        times = tuple(np.linspace(0.0, total, cfg.n_samples)) if entry.grid else (total,)
+        spec = EvolutionSpec(total, cfg.method, cfg.trotter_dt, cfg.rtol, times)
+    return entry.run(cfg, spec)
 
 
-def _fmt(x) -> str:
-    return f"{float(x):.12g}"
+def _sweep_points(cfg: RunConfig) -> list[RunConfig]:
+    """One run of the swept experiment per detuning, labelled delta-<kHz>."""
+    options = dict(cfg.options)
+    name = options.pop("sweep_experiment")
+    deltas_khz = options.pop("delta_over_2pi_khz_values", None)
+    if not deltas_khz:
+        raise ConfigError("sweep needs delta_over_2pi_khz_values")
+    labels = [f"delta-{d_khz:g}" for d_khz in deltas_khz]
+    repeated = sorted({label for label in labels if labels.count(label) > 1})
+    if repeated:
+        # one artifact directory per point: a repeat would overwrite
+        raise ConfigError(f"sweep points share the label(s) {', '.join(repeated)}")
+    return [
+        replace(
+            cfg, experiment=name, label=label, out_dir=cfg.out_dir / "sweep", options=options,
+            params=replace(cfg.params, delta=khz_to_angular(d_khz)),
+            raw={**cfg.raw, "delta_over_2pi_khz": d_khz, "experiment": name, "label": label},
+        )
+        for d_khz, label in zip(deltas_khz, labels)
+    ]
+
+
+def _csv(rows) -> str:
+    return "".join(",".join(f"{float(x):.12g}" for x in row) + "\n" for row in rows)
 
 
 def write_artifacts(result: ProtocolResult, cfg: RunConfig) -> Path:
-    """Write manifest.json, trajectory.csv, summary.json (and wigner_*.csv)."""
+    """Write manifest.json, trajectory.csv, summary.json (and wigner_*.csv)
+    into a sibling temporary directory, which then replaces the previous
+    run's directory: a failed write leaves that run as it was."""
     dest = cfg.out_dir / cfg.experiment / cfg.label
-    dest.mkdir(parents=True, exist_ok=True)
+    dest.parent.mkdir(parents=True, exist_ok=True)
+    tmp = Path(tempfile.mkdtemp(prefix=f".{cfg.label}.", dir=dest.parent))
     try:
+        # mkdtemp makes the directory private; give it the mode its parent got
+        tmp.chmod(dest.parent.stat().st_mode & 0o777)
         manifest = {
             "experiment": cfg.experiment,
             "label": cfg.label,
             "config": cfg.raw,
-            "versions": {
-                "package": __version__,
-                "python": sys.version.split()[0],
-                "numpy": np.__version__,
-            },
+            "versions": {"package": __version__, "python": sys.version.split()[0],
+                         "numpy": np.__version__},
             "created": _dt.datetime.now(_dt.timezone.utc).isoformat(),
         }
-        (dest / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        (tmp / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
         wigner_keys = [k for k in result.series if k.startswith("wigner")]
-        grid_series = {
-            k: v
-            for k, v in result.series.items()
-            if k not in wigner_keys
-            and result.times is not None
-            and np.shape(v) == result.times.shape
-        }
         if result.times is not None:
             cols = {"t": result.times}
             if result.populations is not None:
-                for k in range(result.populations.shape[1]):
-                    cols[f"n{k + 1}"] = result.populations[:, k]
-            cols.update(grid_series)
-            header = ",".join(cols)
-            lines = [header]
-            for row in zip(*cols.values()):
-                lines.append(",".join(_fmt(x) for x in row))
-            (dest / "trajectory.csv").write_text("\n".join(lines) + "\n")
-
+                cols.update((f"n{k + 1}", col) for k, col in enumerate(result.populations.T))
+            cols.update(
+                (k, v) for k, v in result.series.items()
+                if k not in wigner_keys and np.shape(v) == result.times.shape
+            )
+            csv = ",".join(cols) + "\n" + _csv(zip(*cols.values()))
+            (tmp / "trajectory.csv").write_text(csv)
         for key in wigner_keys:
-            rows = np.atleast_2d(result.series[key])
-            lines = [",".join(_fmt(x) for x in row) for row in rows]
-            (dest / f"{key}.csv").write_text("\n".join(lines) + "\n")
+            (tmp / f"{key}.csv").write_text(_csv(np.atleast_2d(result.series[key])))
 
         summary = {
             "experiment": result.name,
             "scalars": {k: float(v) for k, v in result.scalars.items()},
             "tables": result.tables,
         }
-        (dest / "summary.json").write_text(
+        (tmp / "summary.json").write_text(
             json.dumps(summary, indent=2, sort_keys=True, default=float)
         )
-    except Exception:
-        # never leave half-written artifact sets behind
         shutil.rmtree(dest, ignore_errors=True)
+        tmp.rename(dest)
+    except BaseException:
+        # never leave half-written artifact sets behind
+        shutil.rmtree(tmp, ignore_errors=True)
         raise
     return dest
 
 
-def _print_summary(result: ProtocolResult, dest: Path) -> None:
-    click.echo(f"experiment: {result.name}")
-    for key in sorted(result.scalars):
-        click.echo(f"  {key}: {result.scalars[key]:.6g}")
-    click.echo(f"artifacts: {dest}")
-
-
 def _dispatch(cfg: RunConfig) -> int:
-    if cfg.experiment == "sweep":
-        deltas_khz = cfg.options.get("delta_over_2pi_khz_values")
-        if not deltas_khz:
-            raise ConfigError("sweep needs delta_over_2pi_khz_values")
-        inner_name = cfg.options.get("sweep_experiment", "qst")
-        if inner_name not in EXPERIMENTS or inner_name == "sweep":
-            raise ConfigError(f"cannot sweep experiment {inner_name!r}")
-        labels = [f"delta-{d_khz:g}" for d_khz in deltas_khz]
-        repeated = sorted({label for label in labels if labels.count(label) > 1})
-        if repeated:
-            # one artifact directory per point: a repeat would overwrite
-            raise ConfigError(f"sweep points share the label(s) {', '.join(repeated)}")
-        for d_khz, label in zip(deltas_khz, labels):
-            sub = replace(
-                cfg,
-                experiment=inner_name,
-                label=label,
-                out_dir=cfg.out_dir / "sweep",
-                params=replace(cfg.params, delta=khz_to_angular(d_khz)),
-                raw={**cfg.raw, "delta_over_2pi_khz": d_khz, "experiment": inner_name,
-                     "label": label},
-            )
-            result = run_experiment(sub)
-            dest = write_artifacts(result, sub)
-            _print_summary(result, dest)
-        return EXIT_OK
-    result = run_experiment(cfg)
-    dest = write_artifacts(result, cfg)
-    _print_summary(result, dest)
+    runs = _sweep_points(cfg) if cfg.experiment == "sweep" else [cfg]
+    for run in runs:
+        result = run_experiment(run)
+        dest = write_artifacts(result, run)
+        click.echo(f"experiment: {result.name}")
+        for key in sorted(result.scalars):
+            click.echo(f"  {key}: {result.scalars[key]:.6g}")
+        click.echo(f"artifacts: {dest}")
     return EXIT_OK
 
 

@@ -197,7 +197,8 @@ class StateVector:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Mixed state; Hermitian, unit trace, (numerically) positive.
+    """Mixed state; checked finite, Hermitian and of unit trace, but not
+    positive, which would cost an eigendecomposition per sample.
 
     `elements` has shape (d, d), or (T, d, d) for a trajectory of T samples
     that is validated once; `traj[k]` is sample k as a single state.

@@ -30,6 +30,28 @@ BASE = {
 #: BASE for the runners that read only the final time, which refuse n_samples.
 FINAL_ONLY = {k: v for k, v in BASE.items() if k != "n_samples"}
 
+#: A config that loads, for each experiment.
+VALID = {
+    "qst": BASE,
+    "hom": {**BASE, "experiment": "hom"},
+    "binomial": {**FINAL_ONLY, "experiment": "binomial"},
+    "purified-qst": {**FINAL_ONLY, "experiment": "purified-qst"},
+    "calibrate-g": {"experiment": "calibrate-g"},
+    "calibrate-delta0": {"experiment": "calibrate-delta0"},
+    "budget": {"experiment": "budget"},
+    "compare-bs": {"experiment": "compare-bs", "g_over_2pi_khz": 80},
+    "sweep": {**BASE, "experiment": "sweep", "delta_over_2pi_khz_values": [475]},
+}
+
+
+def _listed_keys(name):
+    """Every key the table lists for experiment `name`, under any flag; a
+    sweep lists its own keys and those of the qst it sweeps by default."""
+    entry = cli._EXPERIMENTS[name]
+    if name == "sweep":
+        return entry.keys(False) | _listed_keys("qst")
+    return entry.keys(bool(entry.params))
+
 
 def write(tmp_path, name, payload):
     p = tmp_path / name
@@ -93,6 +115,66 @@ class TestLoadConfig:
         res = CliRunner().invoke(main, [payload["experiment"], "--config", cfg_path])
         assert res.exit_code == EXIT_CONFIG, res.output
         assert "n_samples does not apply" in res.output
+
+    @pytest.mark.parametrize(
+        "experiment,key",
+        [
+            (name, key)
+            for name in cli.EXPERIMENTS
+            for key in sorted(cli._VOCABULARY - _listed_keys(name))
+        ],
+    )
+    def test_key_an_experiment_does_not_read_refused(self, tmp_path, experiment, key):
+        cfg_path = write(tmp_path, "c.yaml", {**VALID[experiment], key: 1})
+        out = tmp_path / "runs"
+        res = CliRunner().invoke(main, [experiment, "--config", cfg_path, "--out", str(out)])
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert f"{key} does not apply to" in res.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
+    def test_valid_payloads_load(self, experiment):
+        assert parse_config(VALID[experiment]).experiment == experiment
+
+    def test_every_option_is_read_by_an_experiment(self):
+        read = set().union(*(entry.options for entry in cli._EXPERIMENTS.values()))
+        assert set(cli._OPTIONS) <= read
+        assert cli._VOCABULARY == set().union(*map(_listed_keys, cli.EXPERIMENTS))
+
+    @pytest.mark.parametrize(
+        "payload,named",
+        [
+            ({"experiment": "compare-bs", "g_over_2pi_khz": 80, "g2_over_2pi_khz": 40,
+              "dims": [6, 5, 6], "t1_us": 100, "n_samples": 7, "total_time_us": 3,
+              "method": "lindblad", "rtol": 0.5}, "g2_over_2pi_khz"),
+            ({**BASE, "gamma_q": 0.02, "code_label": "0L", "seed": 3,
+              "budget": {"other": 0.1}}, "gamma_q"),
+            ({"experiment": "calibrate-g", "g_over_2pi_khz": 80, "delta_over_2pi_khz": 475,
+              "method": "trotter", "trotter_dt_us": 0.01, "rtol": 1e-6}, "trotter_dt_us"),
+            ({**FINAL_ONLY, "experiment": "sweep", "sweep_experiment": "compare-bs",
+              "delta_over_2pi_khz_values": [475, 675]}, "cannot sweep compare-bs"),
+            ({**FINAL_ONLY, "experiment": "sweep", "sweep_experiment": "calibrate-g",
+              "delta_over_2pi_khz_values": [475, 675]}, "cannot sweep calibrate-g"),
+            ({**FINAL_ONLY, "experiment": "sweep", "sweep_experiment": "budget",
+              "delta_over_2pi_khz_values": [475, 675]},
+             "cannot sweep budget without ablate_cavity"),
+            ({**FINAL_ONLY, "experiment": "sweep", "sweep_experiment": "sweep",
+              "delta_over_2pi_khz_values": [475, 675]}, "cannot sweep sweep"),
+            ({**FINAL_ONLY, "experiment": "budget"},
+             "does not apply to budget without ablate_cavity"),
+        ],
+        ids=["compare-bs", "qst", "calibrate-g", "sweep-of-compare-bs",
+             "sweep-of-calibrate-g", "sweep-of-budget", "sweep-of-sweep", "budget-with-params"],
+    )
+    def test_keys_nothing_reads_refused(self, tmp_path, payload, named):
+        cfg_path = write(tmp_path, "c.yaml", payload)
+        out = tmp_path / "runs"
+        res = CliRunner().invoke(
+            main, [payload["experiment"], "--config", cfg_path, "--out", str(out)]
+        )
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert "config error:" in res.output and named in res.output
+        assert not out.exists()
 
     def test_binomial_spec_holds_only_its_final_time(self, tmp_path, monkeypatch):
         seen = []
@@ -220,6 +302,7 @@ class TestDispatch:
         res = CliRunner().invoke(main, [payload["experiment"], "--config", cfg_path])
         assert res.exit_code == EXIT_CONFIG, res.output
         assert "config error:" in res.output
+        assert "does not apply" not in res.output  # refused for its value, not its key
 
     @pytest.mark.parametrize("label", ["", ".", "..", "../../esc", "a/b", "a\\b"])
     def test_label_outside_its_directory_refused(self, tmp_path, label):
@@ -336,6 +419,48 @@ class TestDispatch:
             (tmp_path / "runs" / "budget" / "t" / "summary.json").read_text()
         )
         assert summary["scalars"]["combined_fidelity"] == pytest.approx(0.799, abs=5e-3)
+
+    def test_budget_reads_params_with_ablate_cavity(self, tmp_path):
+        payload = {**FINAL_ONLY, "experiment": "budget", "ablate_cavity": True,
+                   "dims": [3, 2, 3]}
+        cfg_path = write(tmp_path, "c.yaml", payload)
+        res = CliRunner().invoke(
+            main, ["budget", "--config", cfg_path, "--out", str(tmp_path / "runs")]
+        )
+        assert res.exit_code == EXIT_OK, res.output
+        summary = json.loads(
+            (tmp_path / "runs" / "budget" / "t" / "summary.json").read_text()
+        )
+        assert "cavity_ablation" in summary["tables"]
+
+    def test_rerun_replaces_the_artifact_directory(self, tmp_path):
+        payload = {**FINAL_ONLY, "experiment": "binomial", "dims": [5, 3, 5],
+                   "wigner_extent": 2, "wigner_points": 5}
+        dest = tmp_path / "binomial" / "t"
+        for run in (payload, {k: v for k, v in payload.items() if k != "wigner_extent"}):
+            cfg_path = write(tmp_path, "c.yaml", run)
+            res = CliRunner().invoke(
+                main, ["binomial", "--config", cfg_path, "--out", str(tmp_path)]
+            )
+            assert res.exit_code == EXIT_OK, res.output
+        assert sorted(p.name for p in dest.iterdir()) == ["manifest.json", "summary.json"]
+        assert [p.name for p in dest.parent.iterdir()] == ["t"]
+
+    def test_failed_write_keeps_the_previous_run(self, tmp_path, monkeypatch):
+        cfg_path = write(tmp_path, "c.yaml", BASE)
+        args = ["qst", "--config", cfg_path, "--out", str(tmp_path / "runs")]
+        assert CliRunner().invoke(main, args).exit_code == EXIT_OK
+        dest = tmp_path / "runs" / "qst" / "t"
+        before = {p.name: p.read_bytes() for p in dest.iterdir()}
+
+        def fail(rows):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "_csv", fail)
+        res = CliRunner().invoke(main, args)
+        assert isinstance(res.exception, OSError)
+        assert {p.name: p.read_bytes() for p in dest.iterdir()} == before
+        assert [p.name for p in dest.parent.iterdir()] == ["t"]
 
     def test_calibrate_g_roundtrip(self, tmp_path):
         cfg_path = write(

@@ -114,12 +114,13 @@ def test_import_loads_no_scipy():
 @pytest.fixture(scope="module", params=sorted(p.stem for p in CONFIGS.glob("*.yaml")))
 def exact_run_modules(request, tmp_path_factory):
     """The modules a fresh CLI process loads running a shipped config exactly
-    (calibrate-g, which propagates nothing, ignores the method)."""
+    (calibrate-g, which propagates nothing, refuses a method)."""
     path = CONFIGS / f"{request.param}.yaml"
     experiment = yaml.safe_load(path.read_text())["experiment"]
     out = tmp_path_factory.mktemp(request.param)
+    method = [] if experiment == "calibrate-g" else ["--method", "exact"]
     return fresh_modules(RUN_CLI, experiment, "--config", str(path), "--out", str(out),
-                         "--method", "exact")
+                         *method)
 
 
 def test_exact_run_loads_no_scipy(exact_run_modules):
