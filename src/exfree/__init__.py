@@ -70,7 +70,6 @@ from .fock import (
     product_state,
 )
 from .metrics import (
-    PauliTable,
     ProcessMatrix,
     depolarizing_budget,
     negativity,

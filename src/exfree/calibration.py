@@ -20,7 +20,7 @@ from math import pi
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, RegimeError
 
 #: Parameter magnitude beyond which an estimate is reported as effectively
 #: unbounded (e.g. a decay time fitted to an undamped trace).
@@ -218,11 +218,18 @@ def _profile(shapes: np.ndarray, y: np.ndarray) -> tuple[int, float, float]:
     return k, float(amplitude[k]), float(y.mean() - amplitude[k] * shapes[k].mean())
 
 
+def _samples(points, values) -> tuple[np.ndarray, np.ndarray]:
+    """Sample points and their values as 1-D float arrays of one length."""
+    x, y = np.asarray(points, dtype=float), np.asarray(values, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape:
+        raise InvalidParameterError(f"need one value per sample point: {y.shape} for {x.shape}")
+    return x, y
+
+
 def _uniform_trace(times, values) -> tuple[np.ndarray, np.ndarray, float]:
     """A trace as float arrays with its sampling step; at least 16 samples
     on a uniform grid of increasing times."""
-    t = np.asarray(times, dtype=float)
-    y = np.asarray(values, dtype=float)
+    t, y = _samples(times, values)
     if t.size < 16:
         raise InvalidParameterError("need at least 16 samples")
     dt = t[1] - t[0]
@@ -251,6 +258,8 @@ def generate_tmsv_trace(
         raise InvalidParameterError("coupling must be positive")
     if seed is not None and seed < 0:
         raise InvalidParameterError("seed must be nonnegative")
+    if noise_sigma is not None and not noise_sigma >= 0:
+        raise InvalidParameterError("noise_sigma must be nonnegative")
     p0 = vacuum_probability(g, t_grid)
     if noise_sigma:
         rng = np.random.default_rng(seed)
@@ -258,12 +267,15 @@ def generate_tmsv_trace(
     return p0
 
 
+#: Samples a pair-strength fit needs for its three parameters (a, b, g).
+_TMS_MIN_SAMPLES = 8
+
+
 def fit_tms_strength(t, p0) -> FitResult:
     """Fit P0 = a/cosh^2(g t) + b; recovers the pair-interaction strength g."""
-    t = np.asarray(t, dtype=float)
-    p0 = np.asarray(p0, dtype=float)
-    if t.size < 8:
-        raise InvalidParameterError("need at least 8 samples to fit (a, b, g)")
+    t, p0 = _samples(t, p0)
+    if t.size < _TMS_MIN_SAMPLES:
+        raise InvalidParameterError(f"need at least {_TMS_MIN_SAMPLES} samples to fit (a, b, g)")
 
     def residual(x):
         a, b, g = x
@@ -286,16 +298,19 @@ def fit_tms_strength(t, p0) -> FitResult:
 
 
 def bus_period_model(delta_d, delta_0: float, g: float) -> np.ndarray:
-    """tau_S2 as a function of the intentional detuning, for known g."""
+    """tau_S2 as a function of the intentional detuning, for known g; a
+    RegimeError unless every (delta_d + delta_0)^2 exceeds 8 g^2."""
     delta = np.asarray(delta_d, dtype=float) + delta_0
-    return 2.0 * pi / np.sqrt(delta**2 - 8.0 * g**2)
+    arg = delta**2 - 8.0 * g**2
+    if not np.all(arg > 0):
+        raise RegimeError("a total detuning is at or below the oscillatory threshold 2*sqrt(2)*g")
+    return 2.0 * pi / np.sqrt(arg)
 
 
 def fit_stark_detuning(delta_d, tau_s2, g: float) -> FitResult:
     """Recover the pump-induced Stark detuning delta_0 from (delta_d, tau_S2)
     pairs, fitting tau_S2 = 2*pi/sqrt((delta_d + delta_0)^2 - 8 g^2)."""
-    delta_d = np.asarray(delta_d, dtype=float)
-    tau_s2 = np.asarray(tau_s2, dtype=float)
+    delta_d, tau_s2 = _samples(delta_d, tau_s2)
     if delta_d.size < 2:
         raise InvalidParameterError("under-determined: need at least 2 points")
     if delta_d.size < 4:

@@ -31,6 +31,7 @@ import yaml
 from . import __version__
 from .analytic import tau_st
 from .calibration import (
+    _TMS_MIN_SAMPLES,
     FitResult,
     bus_period_model,
     fit_stark_detuning,
@@ -239,8 +240,12 @@ def _fit_report(
 def _run_calibrate_g(cfg: RunConfig) -> ProtocolResult:
     opts = cfg.options
     g_truth = khz_to_angular(opts.get("g_truth_over_2pi_khz", 80.0))
+    if g_truth <= 0:
+        raise InvalidParameterError("g_truth_over_2pi_khz must be positive")
     t_max = opts.get("t_max_us", 2.0 / g_truth)
     n = opts.get("n_points", 64)
+    if n < _TMS_MIN_SAMPLES:
+        raise InvalidParameterError(f"n_points must be at least {_TMS_MIN_SAMPLES} to fit")
     t = np.linspace(0.0, t_max, n)
     p0 = generate_tmsv_trace(
         g_truth, t, noise_sigma=opts.get("noise_sigma"), seed=opts.get("seed")

@@ -30,7 +30,6 @@ from .dynamics import (
 from .errors import InvalidParameterError
 from .fock import (
     DensityMatrix,
-    ModeDims,
     StateVector,
     binomial_code_state,
     fock_probabilities,
@@ -290,20 +289,18 @@ def run_hom(
     series = {"P11": joint[:, 1, 1], "P20": joint[:, 2, 0], "P02": joint[:, 0, 2]}
 
     # entanglement analysis at the requested time
-    r13 = partial_trace(traj[k_a], keep=[0, 2])
-    dims13 = ModeDims((dims[0], dims[2]))
+    reduced = partial_trace(traj[k_a], keep=[0, 2])
+    r13, dims13 = reduced.elements, reduced.dims
     rho13 = DensityMatrix(0.5 * (r13 + r13.conj().T), dims13)
 
     target = np.zeros(dims13.total, dtype=complex)
     target[dims13.flat_index((0, 2))] = 1.0 / sqrt(2.0)
     target[dims13.flat_index((2, 0))] = 1j / sqrt(2.0)
-    fid, phi = optimize_mode_phase(rho13, np.outer(target, target.conj()), mode=0)
+    fid, phi = optimize_mode_phase(rho13, StateVector(target, dims13), mode=0)
 
     qubit_pair, weight = qubit_pair_02(rho13)
-    neg = negativity(qubit_pair, (2, 2))
-    table = pauli_table_02(rho13)
 
-    diag_a = np.real(np.diag(r13)).reshape(dims[0], dims[2])
+    diag_a = np.real(np.diag(r13)).reshape(tuple(dims13))
     scalars = {
         "analysis_time": float(analysis_time),
         "P11": float(diag_a[1, 1]),
@@ -311,7 +308,7 @@ def run_hom(
         "P02": float(diag_a[0, 2]),
         "fidelity": fid,
         "phase": phi,
-        "negativity": neg,
+        "negativity": negativity(qubit_pair),
         "qubit_weight": weight,
     }
     return ProtocolResult(
@@ -320,7 +317,7 @@ def run_hom(
         populations=pops,
         series=series,
         scalars=scalars,
-        tables={"pauli": dict(table.values)},
+        tables={"pauli": pauli_table_02(qubit_pair)},
         states={"analysis": rho13},
     )
 
@@ -351,22 +348,17 @@ def run_binomial_transfer(
         spec = EvolutionSpec(total_time=tau_st(params))
     t = spec.total_time
     dims = params.dims
-    code = binomial_code_state(label, dims[0])
-    vac1 = np.zeros(dims[1])
-    vac1[0] = 1.0
-    vac2 = np.zeros(dims[2])
-    vac2[0] = 1.0
-    psi0 = product_state(dims, [code.amplitudes, vac1, vac2])
+    vacua = [fock_state((n,), (0,)) for n in dims[1:]]
+    psi0 = product_state([binomial_code_state(label, dims[0]), *vacua])
     state = _evolve_trajectory(params, psi0, spec, np.array([t]))[-1]
 
     scalars = {"transfer_time": t, "loss_applied": float(loss_after_transfer)}
-    dims3 = ModeDims((dims[2],))
-    rho3 = DensityMatrix(partial_trace(state, keep=[2]), dims3)
+    rho3 = partial_trace(state, keep=[2])
     if loss_after_transfer:
         # exact on the reduced state: a3 acts only on the kept mode, so
         # Tr_12[a3 rho a3^dag] = a3 Tr_12[rho] a3^dag
         rho3, _ = apply_jump(rho3, 0)
-    rho3 = DensityMatrix(0.5 * (rho3.elements + rho3.elements.conj().T), dims3)
+    rho3 = DensityMatrix(0.5 * (rho3.elements + rho3.elements.conj().T), rho3.dims)
     target = binomial_code_state(label, dims[2])
 
     fid, phi = optimize_mode_phase(rho3, target)

@@ -302,18 +302,15 @@ def binomial_code_state(label: str, n_levels: int) -> StateVector:
     return StateVector(vec, ModeDims((n_levels,)))
 
 
-def product_state(dims, single_mode_states: Sequence[np.ndarray]) -> StateVector:
-    """Tensor product of per-mode amplitude vectors."""
-    dims = _as_dims(dims)
-    if len(single_mode_states) != dims.n_modes:
-        raise DimensionError("need one factor per mode")
-    vecs = [np.asarray(v, dtype=complex).ravel() for v in single_mode_states]
-    for v, n in zip(vecs, dims):
-        if v.size != n:
-            raise DimensionError("factor length inconsistent with mode truncation")
-    joint = reduce(np.kron, vecs)
+def product_state(factors: Sequence[StateVector]) -> StateVector:
+    """Tensor product of single StateVectors, on the joint dims of their
+    modes in order."""
+    single = [isinstance(f, StateVector) and f.amplitudes.ndim == 1 for f in factors]
+    if not single or not all(single):
+        raise InvalidParameterError("product_state takes one or more single StateVectors")
+    joint = reduce(np.kron, [f.amplitudes for f in factors])
     joint = joint / np.linalg.norm(joint)
-    return StateVector(joint, dims)
+    return StateVector(joint, ModeDims(n for f in factors for n in f.dims))
 
 
 def fock_probabilities(state) -> np.ndarray:
@@ -339,10 +336,10 @@ def mode_populations(state) -> np.ndarray:
     return np.stack(pops, axis=-1)
 
 
-def partial_trace(state, keep: Sequence[int]) -> np.ndarray:
-    """Reduced matrix of the modes in `keep` of a StateVector or
-    DensityMatrix; returns a plain ndarray, (d_keep, d_keep) for one state
-    and (T, d_keep, d_keep) for a trajectory.
+def partial_trace(state, keep: Sequence[int]) -> DensityMatrix:
+    """Reduced state of the modes in `keep` of a StateVector or
+    DensityMatrix: a DensityMatrix on the kept modes' dims, of shape
+    (d_keep, d_keep) for one state and (T, d_keep, d_keep) for a trajectory.
 
     A pure state is contracted from its amplitude tensor, so no full-space
     density matrix is formed.
@@ -350,18 +347,18 @@ def partial_trace(state, keep: Sequence[int]) -> np.ndarray:
     dims = state.dims
     keep = sorted(keep)
     _check_modes(dims, keep)
+    kept = ModeDims(dims[k] for k in keep)
     nm = dims.n_modes
     drop = [k for k in range(nm) if k not in keep]
-    d_keep = int(np.prod([dims[k] for k in keep])) if keep else 1
     if isinstance(state, StateVector):
         lead = state.amplitudes.shape[:-1]
         psi = state.amplitudes.reshape(lead + tuple(dims))
         order = [*range(len(lead)), *(len(lead) + k for k in keep + drop)]
-        x = psi.transpose(order).reshape(lead + (d_keep, -1))
-        return x @ x.conj().swapaxes(-2, -1)
+        x = psi.transpose(order).reshape(lead + (kept.total, -1))
+        return DensityMatrix(x @ x.conj().swapaxes(-2, -1), kept)
     lead = state.elements.shape[:-2]
     shaped = state.elements.reshape(lead + tuple(dims) * 2)
     for offset, k in enumerate(drop):
         ax = len(lead) + k - offset
         shaped = np.trace(shaped, axis1=ax, axis2=ax + (nm - offset))
-    return shaped.reshape(lead + (d_keep, d_keep))
+    return DensityMatrix(shaped.reshape(lead + (kept.total,) * 2), kept)

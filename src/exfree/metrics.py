@@ -13,16 +13,21 @@ from .errors import DimensionError, InvalidOperatorError, InvalidParameterError
 from .fock import DensityMatrix, ModeDims, StateVector, _check_modes
 
 
-def _as_matrix(state) -> np.ndarray:
-    if isinstance(state, StateVector):
+def _as_matrix(state, n_modes: Optional[int] = None) -> np.ndarray:
+    """Density matrix of one StateVector or DensityMatrix; with `n_modes`,
+    the state must have that many modes."""
+    if isinstance(state, StateVector) and state.amplitudes.ndim == 1:
         v = state.amplitudes
-        return np.outer(v, v.conj())
-    if isinstance(state, DensityMatrix):
-        return state.elements
-    arr = np.asarray(state, dtype=complex)
-    if arr.ndim == 1:
-        return np.outer(arr, arr.conj())
-    return arr
+        m = np.outer(v, v.conj())
+    elif isinstance(state, DensityMatrix) and state.elements.ndim == 2:
+        m = state.elements
+    else:
+        typed = isinstance(state, (StateVector, DensityMatrix))
+        kind = "a trajectory" if typed else type(state).__name__
+        raise InvalidParameterError(f"expected one StateVector or DensityMatrix, got {kind}")
+    if n_modes is not None and state.dims.n_modes != n_modes:
+        raise DimensionError(f"need a {n_modes}-mode state, got dims {tuple(state.dims)}")
+    return m
 
 
 def _best_phase(ks, coeffs) -> tuple[float, float]:
@@ -54,21 +59,23 @@ def _best_phase(ks, coeffs) -> tuple[float, float]:
 def optimize_mode_phase(state, target, mode: Optional[int] = None) -> tuple[float, float]:
     """Maximize fidelity over a deterministic phase rotation exp(i*phi*n).
 
-    `mode` selects which mode of `state` the rotation acts on (None for a
-    single-mode state).  Returns (best_fidelity, best_phi).  The transferred
-    state picks up a detuning-dependent phase per photon; comparisons to
-    fixed-frame targets are made after this one-parameter optimization.
+    `state` and `target` are StateVectors or DensityMatrices on the same
+    dims; `mode` selects which mode of `state` the rotation acts on (None
+    for a single-mode state).  Returns (best_fidelity, best_phi).  The
+    transferred state picks up a detuning-dependent phase per photon;
+    comparisons to fixed-frame targets are made after this one-parameter
+    optimization.
     """
     rho = _as_matrix(state)
-    dims = state.dims if hasattr(state, "dims") else ModeDims((rho.shape[0],))
+    dims = state.dims
     if mode is None:
         if dims.n_modes != 1:
             raise InvalidParameterError("specify the mode for a multi-mode state")
         mode = 0
     _check_modes(dims, [mode])
     tgt = _as_matrix(target)
-    if tgt.shape != rho.shape:
-        raise DimensionError(f"target shape {tgt.shape} != state shape {rho.shape}")
+    if target.dims != dims:
+        raise DimensionError(f"target dims {tuple(target.dims)} != state dims {tuple(dims)}")
 
     # F(phi) = sum_ij e^{i phi (n_i - n_j)} rho_ij tgt_ji is a short Fourier
     # series in phi with one coefficient per photon-number difference
@@ -148,25 +155,18 @@ def depolarizing_budget(infidelities: Sequence[float]) -> float:
     return 0.25 + 0.75 * prod
 
 
-def partial_transpose(rho: np.ndarray, dims2: tuple[int, int]) -> np.ndarray:
-    """Transpose the second factor of a bipartite density matrix."""
-    da, db = dims2
-    r = np.asarray(rho, dtype=complex).reshape(da, db, da, db)
-    return r.transpose(0, 3, 2, 1).reshape(da * db, da * db)
-
-
-def negativity(rho, dims2: tuple[int, int]) -> float:
-    """Entanglement negativity: sum of |negative eigenvalues| of the partial
-    transpose; zero for every separable state."""
-    m = _as_matrix(rho)
-    da, db = dims2
-    if m.shape[0] != da * db:
-        raise DimensionError("bipartition does not match matrix size")
-    eigs = np.linalg.eigvalsh(partial_transpose(m, dims2))
+def negativity(state) -> float:
+    """Entanglement negativity of a two-mode state: sum of |negative
+    eigenvalues| of its partial transpose on the second mode; zero for every
+    separable state."""
+    m = _as_matrix(state, n_modes=2)
+    da, db = state.dims
+    transposed = m.reshape(da, db, da, db).transpose(0, 3, 2, 1).reshape(da * db, da * db)
+    eigs = np.linalg.eigvalsh(transposed)
     return float(-eigs[eigs < 0].sum())
 
 
-def wigner(rho_single_mode, alphas) -> np.ndarray:
+def wigner(state, alphas) -> np.ndarray:
     """Wigner function W(alpha) = (2/pi) Tr[D(alpha)^dag rho D(alpha) P],
     with P the photon-number parity.
 
@@ -176,10 +176,11 @@ def wigner(rho_single_mode, alphas) -> np.ndarray:
         Re[rho_mk (-1)^m (2 alpha)^(k-m) sqrt(m!/k!) L_m^(k-m)(4|alpha|^2)].
     The generalized Laguerre polynomials come from the three-term recurrence
     L_0 = 1, L_1 = 1 + d - x, (m+1) L_{m+1} = (2m+1+d-x) L_m - (m+d) L_{m-1}.
-    `alphas` is any array of complex phase-space points; returns real values
-    of the same shape.
+    `state` is a one-mode StateVector or DensityMatrix; `alphas` is any
+    array of complex phase-space points; returns real values of the same
+    shape.
     """
-    rho = _as_matrix(rho_single_mode)
+    rho = _as_matrix(state, n_modes=1)
     n = rho.shape[0]
     alphas = np.asarray(alphas, dtype=complex)
     x = 4.0 * np.abs(alphas) ** 2
@@ -200,15 +201,16 @@ def wigner(rho_single_mode, alphas) -> np.ndarray:
     return (2.0 / np.pi) * np.exp(-0.5 * x) * total
 
 
-def parity_split(rho, mode: int = 0):
-    """Split a state by photon-number parity of one mode.
+def parity_split(state, mode: int = 0):
+    """Split a StateVector or DensityMatrix by photon-number parity of one
+    mode.
 
     Returns (p_even, rho_even, rho_odd); the conditioned states are
     renormalized valid density matrices (None when the branch weight
     vanishes).
     """
-    m = _as_matrix(rho)
-    dims = rho.dims if hasattr(rho, "dims") else ModeDims((m.shape[0],))
+    m = _as_matrix(state)
+    dims = state.dims
     _check_modes(dims, [mode])
     even = np.indices(tuple(dims))[mode].ravel() % 2 == 0
 
@@ -237,36 +239,15 @@ PAULI_PAIRS = tuple(
 )
 
 
-@dataclass(frozen=True)
-class PauliTable:
-    """The 15 non-identity two-qubit Pauli expectations in the {|0>,|2>}
-    subspaces, plus the in-subspace weight of the projected state.
-
-    Convention: |0> is the +Z eigenstate and |2> the -Z eigenstate of each
-    encoded qubit.
-    """
-
-    values: dict[str, float]
-    weight: float
-
-    def __getitem__(self, key: str) -> float:
-        return self.values[key]
-
-
-def qubit_pair_02(rho_two_mode, dims2: Optional[tuple[int, int]] = None):
+def qubit_pair_02(state) -> tuple[DensityMatrix, float]:
     """Project a two-mode state onto span{|0>,|2>} x span{|0>,|2>}.
 
-    Returns (renormalized 4x4 qubit-pair matrix, in-subspace weight).
-    `dims2` is required for a bare matrix.
+    Returns the renormalized qubit pair, a DensityMatrix on (2, 2), and the
+    in-subspace weight.  Convention: |0> is the +Z eigenstate and |2> the
+    -Z eigenstate of each encoded qubit.
     """
-    m = _as_matrix(rho_two_mode)
-    if dims2 is None:
-        if not hasattr(rho_two_mode, "dims") or rho_two_mode.dims.n_modes != 2:
-            raise DimensionError("provide dims2 for a bare matrix")
-        dims2 = tuple(rho_two_mode.dims)
-    da, db = dims2
-    if m.shape[0] != da * db:
-        raise DimensionError("bipartition does not match matrix size")
+    m = _as_matrix(state, n_modes=2)
+    da, db = state.dims
     if min(da, db) < 3:
         raise DimensionError("the {|0>,|2>} encoding needs at least 3 levels per mode")
     idx = [i * db + j for i in (0, 2) for j in (0, 2)]
@@ -274,15 +255,16 @@ def qubit_pair_02(rho_two_mode, dims2: Optional[tuple[int, int]] = None):
     weight = float(np.trace(qubit).real)
     if weight < 1e-6:
         raise InvalidOperatorError("state has negligible weight in the {0,2} subspaces")
-    return qubit / weight, weight
+    return DensityMatrix(qubit / weight, ModeDims((2, 2))), weight
 
 
-def pauli_table_02(rho_two_mode, dims2: Optional[tuple[int, int]] = None) -> PauliTable:
-    """All two-qubit Pauli expectations of the renormalized {|0>,|2>} qubit
-    pair of a two-mode state (see `qubit_pair_02`)."""
-    qubit, weight = qubit_pair_02(rho_two_mode, dims2)
-    values = {
-        pair: float(np.real(np.trace(qubit @ np.kron(_PAULI[pair[0]], _PAULI[pair[1]]))))
-        for pair in PAULI_PAIRS
+def pauli_table_02(pair) -> dict[str, float]:
+    """The 15 non-identity two-qubit Pauli expectations of a qubit pair on
+    (2, 2), such as the one `qubit_pair_02` returns."""
+    qubit = _as_matrix(pair)
+    if tuple(pair.dims) != (2, 2):
+        raise DimensionError(f"need a qubit pair on dims (2, 2), got {tuple(pair.dims)}")
+    return {
+        p: float(np.real(np.trace(qubit @ np.kron(_PAULI[p[0]], _PAULI[p[1]]))))
+        for p in PAULI_PAIRS
     }
-    return PauliTable(values=values, weight=weight)

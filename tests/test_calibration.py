@@ -14,7 +14,7 @@ from exfree.calibration import (
     generate_tmsv_trace,
     vacuum_probability,
 )
-from exfree.errors import InvalidParameterError
+from exfree.errors import InvalidParameterError, RegimeError
 from exfree.model import khz_to_angular
 
 
@@ -53,6 +53,10 @@ class TestTmsStrengthFit:
     def test_too_few_samples(self):
         with pytest.raises(InvalidParameterError):
             fit_tms_strength(np.linspace(0, 1, 5), np.ones(5))
+
+    def test_negative_noise_rejected(self):
+        with pytest.raises(InvalidParameterError, match="noise_sigma"):
+            generate_tmsv_trace(G_TRUE, np.linspace(0.0, 4.0, 64), noise_sigma=-0.1, seed=1)
 
     def test_vacuum_probability_at_zero(self):
         assert vacuum_probability(G_TRUE, 0.0) == pytest.approx(1.0)
@@ -94,6 +98,13 @@ class TestStarkDetuningFit:
             fit_stark_detuning(np.array([1.0]), np.array([2.0]), G_TRUE)
         with pytest.raises(InvalidParameterError):
             fit_stark_detuning(np.array([1.0, 2.0, 3.0]), np.ones(3), G_TRUE)
+
+    @pytest.mark.parametrize("d0_khz", [10.0, -100.0], ids=["below-threshold", "at-zero"])
+    def test_model_below_the_regime_raises(self, d0_khz):
+        # (100 + 10)^2 < 8 * 200^2, and 100 - 100 = 0: no bus oscillation
+        dd = np.array([khz_to_angular(x) for x in (100, 200, 300, 400, 500)])
+        with pytest.raises(RegimeError):
+            bus_period_model(dd, khz_to_angular(d0_khz), khz_to_angular(200.0))
 
     def test_nonpositive_period_rejected(self):
         dd = np.array([khz_to_angular(x) for x in (100, 200, 300, 400, 500)])
@@ -179,6 +190,18 @@ class TestDampedOscillationFit:
     def test_too_few_samples(self):
         with pytest.raises(InvalidParameterError):
             fit_damped_oscillation(np.linspace(0, 1, 8), np.ones(8))
+
+
+@pytest.mark.parametrize("n_values", [1, 19, 21])
+@pytest.mark.parametrize(
+    "fit",
+    [fit_tms_strength, fit_damped_oscillation, lambda x, y: fit_stark_detuning(x, y, G_TRUE)],
+    ids=["tms-strength", "damped-oscillation", "stark-detuning"],
+)
+def test_fits_refuse_values_of_another_length(fit, n_values):
+    # 20 uniform, positive sample points; a single value used to broadcast
+    with pytest.raises(InvalidParameterError, match="one value per sample point"):
+        fit(np.linspace(1.0, 3.0, 20), np.full(n_values, 0.5))
 
 
 def scipy_polish(residual_fn, x0, names) -> FitResult:

@@ -484,6 +484,24 @@ class TestDispatch:
         g = summary["scalars"]
         assert g["g_estimate"] == pytest.approx(g["g_truth"], rel=1e-3)
 
+    @pytest.mark.parametrize(
+        "payload,code",
+        [
+            ({"experiment": "calibrate-g", "n_points": -5}, EXIT_CONFIG),
+            ({"experiment": "calibrate-g", "noise_sigma": -0.1}, EXIT_CONFIG),
+            ({"experiment": "calibrate-delta0", "g_truth_over_2pi_khz": 200,
+              "delta0_over_2pi_khz": 10}, EXIT_REGIME),
+        ],
+        ids=["negative-n-points", "negative-noise", "delta0-below-regime"],
+    )
+    def test_bad_calibration_values_write_nothing(self, tmp_path, payload, code):
+        cfg_path = write(tmp_path, "c.yaml", payload)
+        out = tmp_path / "runs"
+        res = CliRunner().invoke(main, [payload["experiment"], "--config", cfg_path,
+                                        "--out", str(out)])
+        assert res.exit_code == code, (res.output, res.exception)
+        assert not out.exists() or not any(p.is_file() for p in out.rglob("*"))
+
     def test_sweep_writes_one_set_per_delta(self, tmp_path):
         cfg_path = write(
             tmp_path,
@@ -569,3 +587,38 @@ class TestDispatch:
         )
         assert summary["scalars"]["negativity"] == pytest.approx(0.5, abs=0.01)
         assert "pauli" in summary["tables"]
+
+
+#: Keys that take one real or whole number.
+_SCALAR_KEYS = frozenset(
+    ("g_over_2pi_khz", "g1_over_2pi_khz", "g2_over_2pi_khz", "delta_over_2pi_khz", "t1_us",
+     "tphi_us", "n_th", "rtol", "total_time_us", "trotter_dt_us", "n_samples")
+) | {k for k, convert in cli._OPTIONS.items() if convert in (cli._real, cli._whole)}
+
+#: A quick config of each experiment, at the smallest dims its runner accepts.
+_QUICK = {
+    "qst": {**BASE, "n_samples": 2, "dims": [2, 2, 2]},
+    "hom": {**BASE, "experiment": "hom", "n_samples": 2, "dims": [3, 2, 3]},
+    "binomial": {**FINAL_ONLY, "experiment": "binomial", "dims": [5, 2, 5]},
+    "purified-qst": {**FINAL_ONLY, "experiment": "purified-qst", "dims": [2, 2, 2]},
+    "calibrate-g": VALID["calibrate-g"],
+    "calibrate-delta0": VALID["calibrate-delta0"],
+    "budget": {**FINAL_ONLY, "experiment": "budget", "ablate_cavity": True, "dims": [2, 2, 2]},
+    "compare-bs": VALID["compare-bs"],
+    "sweep": {**VALID["sweep"], "n_samples": 2, "dims": [2, 2, 2]},
+}
+
+
+@pytest.mark.parametrize(
+    "experiment,key,value",
+    [(name, key, value) for name in cli._EXPERIMENTS
+     for key in sorted(_listed_keys(name) & _SCALAR_KEYS) for value in (-1, 0)],
+)
+def test_nonpositive_scalars_exit_with_a_typed_code(tmp_path, experiment, key, value):
+    # -1 and 0 are refused (2), out of regime (3), unresolved (4) or fine (0),
+    # never an uncaught exception (1)
+    cfg_path = write(tmp_path, "c.yaml", {**_QUICK[experiment], key: value})
+    res = CliRunner().invoke(
+        main, [experiment, "--config", cfg_path, "--out", str(tmp_path / "runs")]
+    )
+    assert res.exit_code in (0, 2, 3, 4), (res.output, res.exception)

@@ -516,8 +516,11 @@ def test_trajectory_reduces_as_its_samples_do(method):
     for keep in ([0], [1], [2], [0, 2], [1, 2], [0, 1, 2]):
         reduced = partial_trace(traj, keep)
         per_sample = [partial_trace(traj[k], keep) for k in range(len(times))]
-        assert reduced.shape == (len(times),) + per_sample[0].shape
-        assert np.abs(reduced - per_sample).max() < 1e-14, keep
+        kept = ModeDims(p.dims[k] for k in keep)
+        assert isinstance(reduced, DensityMatrix) and reduced.dims == kept
+        assert all(isinstance(r, DensityMatrix) and r.dims == kept for r in per_sample)
+        assert reduced.elements.shape == (len(times),) + per_sample[0].elements.shape
+        assert np.abs(reduced.elements - [r.elements for r in per_sample]).max() < 1e-14, keep
 
 
 def _dense_generator(H, c_ops):

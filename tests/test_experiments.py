@@ -282,7 +282,7 @@ class TestHom:
         res = run_hom(p, spec, analysis_time=times[3])
         traj = _evolve_trajectory(p, fock_state(p.dims, (1, 0, 1)), spec, times)
         for k in range(len(times)):
-            diag = np.diag(partial_trace(traj[k], keep=[0, 2])).real.reshape(4, 4)
+            diag = np.diag(partial_trace(traj[k], keep=[0, 2]).elements).real.reshape(4, 4)
             for key, (n1, n3) in (("P11", (1, 1)), ("P20", (2, 0)), ("P02", (0, 2))):
                 assert abs(res.series[key][k] - diag[n1, n3]) < 1e-14, (key, k)
 

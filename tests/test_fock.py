@@ -225,10 +225,27 @@ class TestStates:
             StateVector(np.full(180, np.nan), DIMS)
 
     def test_product_state_matches_fock(self):
-        factors = [np.eye(n)[k] for n, k in zip((6, 5, 6), (1, 0, 2))]
-        prod = product_state(DIMS, factors).amplitudes
+        factors = [fock_state((n,), (k,)) for n, k in zip((6, 5, 6), (1, 0, 2))]
+        prod = product_state(factors)
+        assert prod.dims == DIMS
         fock = fock_state(DIMS, (1, 0, 2)).amplitudes
-        assert abs(np.vdot(prod, fock)) ** 2 == pytest.approx(1.0)
+        assert abs(np.vdot(prod.amplitudes, fock)) ** 2 == pytest.approx(1.0)
+
+    def test_product_state_joins_multi_mode_factors(self):
+        pair = fock_state((3, 2), (2, 1))
+        prod = product_state([pair, binomial_code_state("1L", 5)])
+        assert prod.dims == ModeDims((3, 2, 5))
+        assert np.array_equal(prod.amplitudes, fock_state(prod.dims, (2, 1, 2)).amplitudes)
+
+    @pytest.mark.parametrize(
+        "factors",
+        [[], [np.eye(6)[1]], [fock_state((6,), (1,)), np.eye(5)[0]],
+         [StateVector(np.eye(6)[:2], ModeDims((6,)))]],
+        ids=["empty", "bare-array", "one-bare-array", "trajectory"],
+    )
+    def test_product_state_takes_single_states(self, factors):
+        with pytest.raises(InvalidParameterError):
+            product_state(factors)
 
     def test_density_checks(self):
         rho = pure_density(fock_state(DIMS, (0, 0, 0)))
@@ -326,14 +343,15 @@ class TestReductions:
     def test_partial_trace_pure_product(self):
         psi = fock_state(DIMS, (1, 0, 2))
         r13 = partial_trace(psi, keep=[0, 2])
+        assert isinstance(r13, DensityMatrix) and r13.dims == ModeDims((6, 6))
         expect = pure_density(fock_state(ModeDims((6, 6)), (1, 2))).elements
-        assert np.allclose(r13, expect)
+        assert np.allclose(r13.elements, expect)
 
     def test_partial_trace_entangled_is_mixed(self):
         v = np.zeros(180, dtype=complex)
         v[DIMS.flat_index((1, 0, 0))] = 1 / np.sqrt(2)
         v[DIMS.flat_index((0, 0, 1))] = 1 / np.sqrt(2)
-        r1 = partial_trace(StateVector(v, DIMS), keep=[0])
+        r1 = partial_trace(StateVector(v, DIMS), keep=[0]).elements
         assert np.trace(r1).real == pytest.approx(1.0)
         assert np.trace(r1 @ r1).real == pytest.approx(0.5)
 
@@ -349,11 +367,14 @@ class TestReductions:
         psi = StateVector(v / np.linalg.norm(v), dims)
         for keep in ([0], [1], [2], [0, 2], [0, 1]):
             red = partial_trace(rho, keep=keep)
-            assert np.trace(red).real == pytest.approx(1.0)
-            assert np.allclose(red, red.conj().T)
+            assert red.dims == ModeDims(dims[k] for k in keep)
+            assert np.trace(red.elements).real == pytest.approx(1.0)
+            assert np.allclose(red.elements, red.elements.conj().T)
             # a pure state reduces from its amplitudes as its density matrix does
             pure = partial_trace(psi, keep=keep)
-            assert np.abs(pure - partial_trace(pure_density(psi), keep=keep)).max() < 1e-12
+            assert pure.dims == red.dims
+            mixed = partial_trace(pure_density(psi), keep=keep)
+            assert np.abs(pure.elements - mixed.elements).max() < 1e-12
 
 
 _PSI = StateVector(np.full(18, 1 / np.sqrt(18)), ModeDims((3, 2, 3)))
@@ -365,13 +386,16 @@ _PSI = StateVector(np.full(18, 1 / np.sqrt(18)), ModeDims((3, 2, 3)))
         lambda: partial_trace(_PSI, keep=[0, 0]),
         lambda: partial_trace(_PSI, keep=[-1]),
         lambda: partial_trace(_PSI, keep=[5]),
-        lambda: optimize_mode_phase(binomial_code_state("0L", 6), np.full(5, 1 / np.sqrt(5))),
+        lambda: partial_trace(_PSI, keep=[]),
+        lambda: optimize_mode_phase(
+            binomial_code_state("0L", 6), StateVector(np.full(5, 1 / np.sqrt(5)), ModeDims((5,)))
+        ),
         lambda: optimize_mode_phase(_PSI, _PSI, mode=4),
         lambda: parity_split(_PSI, mode=3),
         lambda: apply_jump(_PSI, 3),
     ],
     ids=[
-        "trace-repeated", "trace-negative", "trace-too-large", "phase-target-size",
+        "trace-repeated", "trace-negative", "trace-too-large", "trace-empty", "phase-target-size",
         "phase-mode", "parity-mode", "jump-mode",
     ],
 )

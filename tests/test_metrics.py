@@ -14,10 +14,10 @@ from exfree.metrics import (
     negativity,
     optimize_mode_phase,
     parity_split,
-    partial_transpose,
     pauli_table_02,
     process_fidelity_qubit_subspace,
     process_matrix,
+    qubit_pair_02,
     wigner,
 )
 
@@ -54,6 +54,12 @@ class TestPhaseOptimization:
         with pytest.raises(InvalidParameterError):
             optimize_mode_phase(psi, psi)
 
+    def test_target_must_share_the_mode_split(self):
+        # the same 9 levels, split as (3, 3) and as one mode
+        psi = fock_state(ModeDims((3, 3)), (1, 0))
+        with pytest.raises(DimensionError):
+            optimize_mode_phase(psi, fock_state(ModeDims((9,)), (3,)), mode=0)
+
     def test_phase_cannot_fix_amplitude_mismatch(self):
         dims = ModeDims((4,))
         fid, _ = optimize_mode_phase(fock_state(dims, (1,)), fock_state(dims, (2,)))
@@ -87,7 +93,8 @@ class TestPhaseOptimization:
             v = np.exp(1j * np.multiply.outer(phi, occ)) * psi.conj()
             return np.real(np.einsum("...i,ij,...j->...", v, rho, v.conj()))
 
-        fid, phi = optimize_mode_phase(rho, np.outer(psi, psi.conj()))
+        dims = ModeDims((n,))
+        fid, phi = optimize_mode_phase(DensityMatrix(rho, dims), StateVector(psi, dims))
         grid = np.linspace(-np.pi, np.pi, 4096, endpoint=False)
         assert fid >= fourier_sum(grid).max() - 1e-12
         assert fourier_sum(phi) == pytest.approx(fid, abs=1e-12)
@@ -161,19 +168,21 @@ class TestBudget:
 
 class TestNegativity:
     def test_bell_state(self):
-        assert negativity(bell_pair(), (2, 2)) == pytest.approx(0.5)
+        assert negativity(DensityMatrix(bell_pair(), ModeDims((2, 2)))) == pytest.approx(0.5)
 
     def test_separable_is_zero(self):
         rho = np.kron(np.diag([0.6, 0.4]), np.diag([0.3, 0.7])).astype(complex)
-        assert negativity(rho, (2, 2)) == pytest.approx(0.0, abs=1e-12)
+        assert negativity(DensityMatrix(rho, ModeDims((2, 2)))) == pytest.approx(0.0, abs=1e-12)
 
-    def test_partial_transpose_involution(self):
-        rho = bell_pair()
-        assert np.allclose(partial_transpose(partial_transpose(rho, (2, 2)), (2, 2)), rho)
+    def test_split_is_read_from_dims(self):
+        # (|00> + |11> + |22>)/sqrt3 has negativity (3 - 1)/2 = 1 on (3, 3)
+        v = np.eye(3).ravel() / np.sqrt(3)
+        assert negativity(StateVector(v, ModeDims((3, 3)))) == pytest.approx(1.0)
 
     def test_dimension_check(self):
+        # the same nine levels as one mode have no bipartition
         with pytest.raises(DimensionError):
-            negativity(bell_pair(), (2, 3))
+            negativity(StateVector(np.eye(3).ravel() / np.sqrt(3), ModeDims((9,))))
 
 
 class TestWigner:
@@ -224,7 +233,8 @@ class TestWigner:
         for al in alphas:
             d = expm(al * a.conj().T - np.conj(al) * a)
             expect.append(2 / np.pi * np.trace(d.conj().T @ padded @ d @ parity).real)
-        assert np.allclose(wigner(rho, alphas), expect, rtol=0, atol=1e-10)
+        assert np.allclose(wigner(DensityMatrix(rho, ModeDims((n,))), alphas), expect,
+                           rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 9, 16, 30])
     def test_matches_scipy_laguerre_sum(self, n):
@@ -247,7 +257,8 @@ class TestWigner:
                 np.tensordot(coef, lag, axes=1) * (2.0 * alphas) ** d
             ).real
         expect = (2.0 / np.pi) * np.exp(-0.5 * x) * total
-        assert np.allclose(wigner(rho, alphas), expect, rtol=0, atol=1e-12)
+        assert np.allclose(wigner(DensityMatrix(rho, ModeDims((n,))), alphas), expect,
+                           rtol=0, atol=1e-12)
 
 
 class TestParitySplit:
@@ -280,23 +291,96 @@ class TestPauliTable:
         v = np.zeros(9, dtype=complex)
         v[dims.flat_index((0, 2))] = 1 / np.sqrt(2)
         v[dims.flat_index((2, 0))] = 1j / np.sqrt(2)
-        table = pauli_table_02(StateVector(v, dims))
+        pair, weight = qubit_pair_02(StateVector(v, dims))
+        assert isinstance(pair, DensityMatrix) and pair.dims == ModeDims((2, 2))
+        assert weight == pytest.approx(1.0)
+        table = pauli_table_02(pair)
         assert table["XY"] == pytest.approx(-1.0)
         assert table["YX"] == pytest.approx(1.0)
         assert table["ZZ"] == pytest.approx(-1.0)
         assert table["XX"] == pytest.approx(0.0, abs=1e-12)
-        assert table.weight == pytest.approx(1.0)
-        assert len(table.values) == len(PAULI_PAIRS) == 15
+        assert len(table) == len(PAULI_PAIRS) == 15
 
     def test_zero_weight_rejected(self):
         dims = ModeDims((3, 3))
         with pytest.raises(InvalidOperatorError):
-            pauli_table_02(fock_state(dims, (1, 1)))
+            qubit_pair_02(fock_state(dims, (1, 1)))
 
     def test_needs_three_levels(self):
         with pytest.raises(DimensionError):
-            pauli_table_02(np.eye(4) / 4.0, (2, 2))
+            qubit_pair_02(DensityMatrix(np.eye(4) / 4.0, ModeDims((2, 2))))
 
-    def test_dims_must_match_matrix(self):
+    def test_table_needs_a_qubit_pair(self):
         with pytest.raises(DimensionError):
-            pauli_table_02(np.eye(16) / 16.0, (3, 3))
+            pauli_table_02(DensityMatrix(np.eye(9) / 9.0, ModeDims((3, 3))))
+
+
+_ONE = binomial_code_state("0L", 6)
+_TWO = StateVector(np.eye(3).ravel() / np.sqrt(3), ModeDims((3, 3)))
+_THREE = fock_state(ModeDims((3, 3, 2)), (2, 0, 1))
+_QUBITS = DensityMatrix(np.eye(4) / 4.0, ModeDims((2, 2)))
+
+
+def _trajectory(state):
+    """Two copies of `state` as a trajectory of the same type."""
+    if isinstance(state, StateVector):
+        return StateVector(np.stack([state.amplitudes] * 2), state.dims)
+    return DensityMatrix(np.stack([state.elements] * 2), state.dims)
+
+
+_ORIGIN = np.array([0j])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: wigner(_ONE.amplitudes, _ORIGIN),
+        lambda: wigner(pure_density(_ONE).elements, _ORIGIN),
+        lambda: optimize_mode_phase(_ONE.amplitudes, _ONE),
+        lambda: optimize_mode_phase(_ONE, pure_density(_ONE).elements),
+        lambda: parity_split(pure_density(_ONE).elements),
+        lambda: negativity(pure_density(_TWO).elements),
+        lambda: qubit_pair_02(_TWO.amplitudes),
+        lambda: pauli_table_02(_QUBITS.elements),
+        lambda: wigner(_trajectory(_ONE), _ORIGIN),
+        lambda: wigner(_trajectory(pure_density(_ONE)), _ORIGIN),
+        lambda: optimize_mode_phase(_trajectory(_ONE), _ONE),
+        lambda: optimize_mode_phase(_ONE, _trajectory(_ONE)),
+        lambda: parity_split(_trajectory(_ONE)),
+        lambda: negativity(_trajectory(_TWO)),
+        lambda: qubit_pair_02(_trajectory(pure_density(_TWO))),
+        lambda: pauli_table_02(_trajectory(_QUBITS)),
+    ],
+    ids=[
+        "wigner-vector", "wigner-matrix", "phase-state", "phase-target", "parity",
+        "negativity", "qubit-pair", "pauli", "wigner-trajectory", "wigner-density-trajectory",
+        "phase-state-trajectory", "phase-target-trajectory", "parity-trajectory",
+        "negativity-trajectory", "qubit-pair-trajectory", "pauli-trajectory",
+    ],
+)
+def test_metrics_refuse_bare_arrays_and_trajectories(call):
+    with pytest.raises(InvalidParameterError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: wigner(_TWO, _ORIGIN),
+        lambda: wigner(_THREE, _ORIGIN),
+        lambda: negativity(_ONE),
+        lambda: negativity(_THREE),
+        lambda: qubit_pair_02(_ONE),
+        lambda: qubit_pair_02(_THREE),
+        lambda: pauli_table_02(_TWO),
+        lambda: pauli_table_02(_ONE),
+    ],
+    ids=[
+        "wigner-two-modes", "wigner-three-modes", "negativity-one-mode",
+        "negativity-three-modes", "qubit-pair-one-mode", "qubit-pair-three-modes",
+        "pauli-on-3x3", "pauli-one-mode",
+    ],
+)
+def test_metrics_refuse_a_wrong_mode_count(call):
+    with pytest.raises(DimensionError):
+        call()
