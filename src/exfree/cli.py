@@ -243,6 +243,8 @@ def _run_calibrate_g(cfg: RunConfig) -> ProtocolResult:
     if g_truth <= 0:
         raise InvalidParameterError("g_truth_over_2pi_khz must be positive")
     t_max = opts.get("t_max_us", 2.0 / g_truth)
+    if t_max <= 0:
+        raise InvalidParameterError("t_max_us must be positive")
     n = opts.get("n_points", 64)
     if n < _TMS_MIN_SAMPLES:
         raise InvalidParameterError(f"n_points must be at least {_TMS_MIN_SAMPLES} to fit")

@@ -6,9 +6,11 @@ components of a sparse nonzero pattern on which the start is nonzero,
 labelled in numpy (`_occupied_sectors`).  The exact path is the one-factor
 case of the Trotter split-step kernel, which samples off its dt grid by a
 remainder step; both read the operators' numpy triplets and import no scipy.
-The Lindblad path integrates the sparse Liouvillian with RK45, importing
-`scipy.sparse` and `scipy.integrate` inside the call.  All propagators share
-one time contract (`_check_times`) and are deterministic.
+The Lindblad path assembles the Liouvillian only on the components its start
+occupies, never the d^2 x d^2 one (`_lindblad_blocks`), and integrates each
+with DOP853, importing `scipy.sparse` and `scipy.integrate` inside the call.
+All propagators share one time contract (`_check_times`) and are
+deterministic.
 
 A propagator returns its whole trajectory as one state with a leading sample
 axis: a `StateVector` of shape (T, d) or a `DensityMatrix` of shape
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -218,24 +220,109 @@ def evolve_lindblad(
     return DensityMatrix(herm, rho.dims)
 
 
-def _liouvillian(
-    H: OperatorMatrix, collapse_ops: Sequence[OperatorMatrix]
-) -> "scipy.sparse.csr_matrix":
-    """Sparse Lindblad generator on the row-major vectorized matrix,
-    vec(A rho B) = (A kron B^T) vec rho."""
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges starts[k] + arange(counts[k]), concatenated in order of k."""
+    return np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+
+
+def _row_entries(op: OperatorMatrix, which: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs (k, e): triplet e of `op` lies in row which[k], for every k and
+    every such e, grouped by k in order."""
+    ptr = np.searchsorted(op.rows, np.arange(op.dims.total + 1))
+    count = (ptr[1:] - ptr[:-1])[which]
+    return np.repeat(np.arange(which.size), count), _ranges(ptr[which], count)
+
+
+def _lindblad_blocks(
+    H: OperatorMatrix, collapse_ops: Sequence[OperatorMatrix], starts: Sequence[np.ndarray]
+) -> Iterator[tuple[np.ndarray, "scipy.sparse.csr_matrix", list[int]]]:
+    """The components of the Lindblad generator that the starts (d x d
+    matrices) occupy, one at a time in the order of their smallest entry, as
+    (keep, block, owners): the row-major flat indices i*d + j of the
+    component, the generator on them as CSR, and the indices of the starts
+    that occupy it.
+
+    With K = -iH - sum_c c^dag c / 2 the generator is
+    K rho + rho K^dag + sum_c c rho c^dag, so a Hilbert sector of the
+    pattern of K, which is that of H + sum_c c^dag c, is closed under K, and
+    the entries (i, j) of a sector pair (S, S') form one connected set.  The
+    pairs are joined only by c rho c^dag: through each c's sector edges, the
+    edge (Sa, Sb) times the edge (Sc, Sd) joins (Sa, Sc) with (Sb, Sd).  Each
+    component is assembled from the triplets of K and of each c when it is
+    reached: the d^2 x d^2 generator is never formed.
+    """
+    d = H.dims.total
+    K = -1j * H
+    for c in collapse_ops:  # c^dag c from the pairs of entries in one row of c
+        e, f = _row_entries(c, c.rows)
+        K = K + OperatorMatrix((c.cols[e], c.cols[f], -0.5 * c.vals[e].conj() * c.vals[f]), H.dims)
+    sectors = _occupied_sectors((K.rows, K.cols, d), [np.ones(d)])[0]
+    ns = len(sectors)
+    sec = np.empty(d, dtype=np.intp)
+    for k, idx in enumerate(sectors):
+        sec[idx] = k
+    joins = [np.zeros(0, dtype=np.intp)] * 2
+    for c in collapse_ops:
+        edge = np.zeros((ns, ns), dtype=bool)
+        edge[sec[c.rows], sec[c.cols]] = True
+        a, b = np.nonzero(edge)
+        joins = [np.r_[j, np.add.outer(x * ns, x).ravel()] for j, x in zip(joins, (a, b))]
+    occupied = [np.bincount(sec[r] * ns + sec[s], minlength=ns * ns)
+                for r, s in (np.nonzero(x) for x in starts)]
+    owners = {}
+    for k, components in enumerate(_occupied_sectors((*joins, ns * ns), occupied)):
+        for pairs in components:
+            owners.setdefault(pairs[0], (pairs, []))[1].append(k)
+    for first in sorted(owners):
+        pairs, starts_in = owners[first]
+        yield *_assemble(K, collapse_ops, sectors, pairs), starts_in
+
+
+def _assemble(
+    K: OperatorMatrix, collapse_ops: Sequence[OperatorMatrix], sectors: list[np.ndarray],
+    pairs: np.ndarray,
+) -> tuple[np.ndarray, "scipy.sparse.csr_matrix"]:
+    """(keep, block) of the component made of the sector pairs `pairs`
+    (node a * len(sectors) + b for the pair (S_a, S_b)), the pairs one
+    after another in `keep`."""
     from scipy import sparse
 
-    d = H.dims.total
-    h, *cs = [sparse.csr_matrix((op.vals, (op.rows, op.cols)), shape=(d, d))
-              for op in (H, *collapse_ops)]
-    eye = sparse.identity(d, dtype=complex, format="csr")
-    out = -1j * (sparse.kron(h, eye) - sparse.kron(eye, h.T))
-    for c in cs:
-        cdc = (c.conj().T @ c).tocsr()
-        out = out + sparse.kron(c, c.conj()) - 0.5 * (
-            sparse.kron(cdc, eye) + sparse.kron(eye, cdc.T)
-        )
-    return out.tocsr()
+    d = K.dims.total
+    a, b = np.divmod(pairs, len(sectors))
+    i = np.concatenate([np.repeat(sectors[x], sectors[y].size) for x, y in zip(a, b)])
+    j = np.concatenate([np.tile(sectors[y], sectors[x].size) for x, y in zip(a, b)])
+    keep = i * d + j
+    at = np.empty(d * d, dtype=np.int32)  # the place in keep of each kept entry
+    at[keep] = np.arange(keep.size)
+
+    def place(k, l):
+        return at[k * d + l]
+
+    def terms():
+        # K rho: (i, j) <- (k, j); rho K^dag: (i, j) <- (i, l)
+        n, e = _row_entries(K, i)
+        yield place(K.cols[e], j[n]), K.vals[e]
+        n, e = _row_entries(K, j)
+        yield place(i[n], K.cols[e]), K.vals[e].conj()
+        for c in collapse_ops:  # c rho c^dag: (i, j) <- (k, l)
+            n, e = _row_entries(c, i)
+            m, f = _row_entries(c, j[n])
+            yield place(c.cols[e[m]], c.cols[f]), c.vals[e[m]] * c.vals[f].conj()
+
+    # each term yields its entries grouped by row, in row order, so they go
+    # straight to their CSR slots: no COO copy of the entries is formed
+    per_row = [np.bincount(op.rows, minlength=d) for op in (K, *collapse_ops)]
+    counts = [per_row[0][i], per_row[0][j], *(n[i] * n[j] for n in per_row[1:])]
+    indptr = np.r_[0, np.cumsum(sum(counts))]
+    indices, data = np.empty(indptr[-1], dtype=np.int32), np.empty(indptr[-1], dtype=complex)
+    free = indptr[:-1].copy()
+    for count, (cols, vals) in zip(counts, terms()):
+        slot = _ranges(free, count)
+        indices[slot], data[slot] = cols, vals
+        free += count
+    block = sparse.csr_matrix((data, indices, indptr), shape=(i.size, i.size))
+    block.sum_duplicates()
+    return keep, block
 
 
 def propagate_lindblad_matrix(
@@ -246,15 +333,15 @@ def propagate_lindblad_matrix(
     rtol: float = 1e-8,
 ) -> list[np.ndarray]:
     """Linear Lindblad propagation of arbitrary (not necessarily Hermitian)
-    matrices, used both for states and for channel basis elements; returns
-    one (len(times), d, d) array per initial matrix in `rho0s`.
+    matrices, used both for states and for channel inputs; returns one
+    (len(times), d, d) array per initial matrix in `rho0s`.
 
-    The Liouvillian and the connected components of its nonzero pattern are
-    built once.  Only the components that touch the support of an initial
-    matrix are integrated; every other entry stays zero.  With collapse
-    operators a, a^dag and n these are the coherence sectors of the charge
-    Q, so a channel matrix unit moves in one sector.  Each block is
-    integrated with adaptive RK45 (atol = rtol * 1e-2) and scattered back.
+    Only the components of the generator that an initial matrix occupies
+    are assembled (`_lindblad_blocks`) and integrated; every other entry
+    stays zero.  With collapse operators a, a^dag and n a component is a
+    set of coherence sectors (Q, Q') of the charge Q; with cavity T1 each
+    channel input occupies one.  Each occupied component of each matrix is
+    integrated with adaptive DOP853 (atol = rtol * 1e-2) and scattered back.
     """
     from scipy.integrate import solve_ivp
 
@@ -267,22 +354,16 @@ def propagate_lindblad_matrix(
     times = _check_times(times)
     if not times.any():  # no sample after t = 0
         return [np.repeat(rho0[None], times.size, axis=0) for rho0 in rho0s]
-    gen = _liouvillian(H, collapse_ops)
-    out = []
-    occupied = _occupied_sectors((*gen.nonzero(), d * d), [r.ravel() for r in rho0s])
-    for rho0, sectors in zip(rho0s, occupied):
-        full = np.zeros((times.size, d * d), dtype=complex)
-        if sectors:  # a zero matrix occupies no sector and stays zero
-            # sorted: the RK45 state keeps its order
-            keep = np.sort(np.concatenate(sectors))
-            block = gen[keep][:, keep]
-            sol = solve_ivp(lambda _t, y: block @ y, (0.0, times[-1]), rho0.ravel()[keep],
-                            t_eval=times, rtol=rtol, atol=rtol * 1e-2, method="RK45")
+    out = [np.zeros((times.size, d * d), dtype=complex) for _ in rho0s]
+    # a zero matrix occupies no component and stays zero
+    for keep, block, owners in _lindblad_blocks(H, collapse_ops, rho0s):
+        for k in owners:
+            sol = solve_ivp(lambda _t, y: block @ y, (0.0, times[-1]), rho0s[k].ravel()[keep],
+                            t_eval=times, rtol=rtol, atol=rtol * 1e-2, method="DOP853")
             if not sol.success:
                 raise ConvergenceError(f"Lindblad integrator failed: {sol.message}")
-            full[:, keep] = sol.y.T
-        out.append(full.reshape(-1, d, d))
-    return out
+            out[k][:, keep] = sol.y.T
+    return [full.reshape(-1, d, d) for full in out]
 
 
 def apply_jump(state, mode: int):

@@ -169,7 +169,8 @@ def transfer_choi(params: SystemParams, spec: EvolutionSpec) -> tuple[np.ndarray
     rows and columns of the propagated matrix.  Traces below 2 measure
     leakage and, with conditioning, the discarded bus-occupied branch.
     The exact and Trotter methods propagate the two inputs; "lindblad"
-    propagates three matrix units at `spec.rtol`.
+    propagates two matrices at `spec.rtol`: |000><100| and
+    |000><000| + i |100><100|.
     """
     dims = params.dims
     t = np.array([spec.total_time])
@@ -185,17 +186,24 @@ def transfer_choi(params: SystemParams, spec: EvolutionSpec) -> tuple[np.ndarray
         conditioned = np.einsum("iak,jal->ikjl", vac, vac.conj()).reshape(4, 4)
         return raw, conditioned
     a, b = (psi.amplitudes for psi in inputs)
-    u00, u01, u11 = (np.outer(x, y.conj()) for x, y in ((a, a), (a, b), (b, b)))
     mats = propagate_lindblad_matrix(
-        build_h_full(params), collapse_operators(params), [u00, u01, u11], t, spec.rtol
+        build_h_full(params), collapse_operators(params),
+        [np.outer(a, a) + 1j * np.outer(b, b), np.outer(a, b)], t, spec.rtol,
     )
-    u00, u01, u11 = (m[0] for m in mats)
-    # both maps commute with Hermitian conjugation: unit (1,0) is (0,1)^dag
-    units = [[u00, u01], [u01.conj().T, u11]]
-    # axes (i, j, n1, n2, n3, n1', n2', n3'), output restricted to n3, n3' < 2
-    full = np.array(units).reshape((2, 2) + tuple(dims) * 2)[..., :2, :, :, :2]
-    raw = np.einsum("ijabkabl->ikjl", full).reshape(4, 4)
-    conditioned = np.einsum("ijakal->ikjl", full[:, :, :, 0, :, :, 0, :]).reshape(4, 4)
+
+    def traced(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The S3 {|0>,|1>} blocks, raw and on the bus vacuum, of one
+        propagated matrix: axes (n1, n2, n3, n1', n2', n3'), n3, n3' < 2."""
+        m = m[0].reshape(tuple(dims) * 2)[:, :, :2, :, :, :2]
+        return np.einsum("abkabl->kl", m), np.einsum("akal->kl", m[:, 0, :, :, 0, :])
+
+    # the map and the partial trace keep Hermiticity: the images of u00 and
+    # u11 are the Hermitian and anti-Hermitian parts of that of u00 + i u11,
+    # and unit (1,0) is (0,1)^dag
+    raw, conditioned = (
+        np.block([[0.5 * (p + p.conj().T), u01], [u01.conj().T, -0.5j * (p - p.conj().T)]])
+        for p, u01 in zip(*map(traced, mats))
+    )
     return raw, conditioned
 
 

@@ -489,10 +489,13 @@ class TestDispatch:
         [
             ({"experiment": "calibrate-g", "n_points": -5}, EXIT_CONFIG),
             ({"experiment": "calibrate-g", "noise_sigma": -0.1}, EXIT_CONFIG),
+            ({"experiment": "calibrate-g", "t_max_us": 0}, EXIT_CONFIG),
+            ({"experiment": "calibrate-g", "t_max_us": -1.5}, EXIT_CONFIG),
             ({"experiment": "calibrate-delta0", "g_truth_over_2pi_khz": 200,
               "delta0_over_2pi_khz": 10}, EXIT_REGIME),
         ],
-        ids=["negative-n-points", "negative-noise", "delta0-below-regime"],
+        ids=["negative-n-points", "negative-noise", "zero-t-max", "negative-t-max",
+             "delta0-below-regime"],
     )
     def test_bad_calibration_values_write_nothing(self, tmp_path, payload, code):
         cfg_path = write(tmp_path, "c.yaml", payload)

@@ -7,7 +7,7 @@ from scipy.linalg import expm
 from exfree.analytic import mean_photon_numbers, tau_st
 from exfree.dynamics import (
     EvolutionSpec,
-    _liouvillian,
+    _lindblad_blocks,
     _occupied_sectors,
     apply_jump,
     evolve_lindblad,
@@ -32,6 +32,8 @@ from exfree.fock import (
     partial_trace,
 )
 from exfree.model import (
+    CAVITY_N_TH,
+    CAVITY_T1_US,
     SystemParams,
     build_h_bs_reference,
     build_h_detune,
@@ -278,8 +280,27 @@ def _random_pattern(seed: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.r_[rows, cols, linked[:2]], np.r_[cols, rows, linked[:2]]
 
 
+def _kron_liouvillian(H: OperatorMatrix, collapse_ops) -> "scipy.sparse.csr_matrix":
+    """The full d^2 x d^2 Lindblad generator on the row-major vectorized
+    matrix, vec(A rho B) = (A kron B^T) vec rho: the reference for the
+    assembled blocks."""
+    from scipy import sparse
+
+    d = H.dims.total
+    h, *cs = [sparse.csr_matrix((op.vals, (op.rows, op.cols)), shape=(d, d))
+              for op in (H, *collapse_ops)]
+    eye = sparse.identity(d, dtype=complex, format="csr")
+    out = -1j * (sparse.kron(h, eye) - sparse.kron(eye, h.T))
+    for c in cs:
+        cdc = (c.conj().T @ c).tocsr()
+        out = out + sparse.kron(c, c.conj()) - 0.5 * (
+            sparse.kron(cdc, eye) + sparse.kron(eye, cdc.T)
+        )
+    return out.tocsr()
+
+
 def _liouvillian_edges(p: SystemParams, collapse) -> tuple[np.ndarray, np.ndarray, int]:
-    return (*_liouvillian(build_h_full(p), collapse).nonzero(), p.dims.total ** 2)
+    return (*_kron_liouvillian(build_h_full(p), collapse).nonzero(), p.dims.total ** 2)
 
 
 def _sector_mixing(p: SystemParams) -> list[OperatorMatrix]:
@@ -335,6 +356,54 @@ class TestSectorLabelling:
         edges = (np.array([0, 3]), np.array([1, 4]), 5)
         ((block,),) = _occupied_sectors(edges, [np.eye(5)[4]])
         assert block.tolist() == [3, 4]
+
+
+def _channel_starts(dims: ModeDims) -> list[np.ndarray]:
+    """The two matrices of a Lindblad channel, u00 + i u11 and u01, and a
+    start on every entry."""
+    a, b = (fock_state(dims, occ).amplitudes for occ in ((0, 0, 0), (1, 0, 0)))
+    return [np.outer(a, a) + 1j * np.outer(b, b), np.outer(a, b),
+            np.ones((dims.total, dims.total))]
+
+
+def _collapse_set(name: str, dims) -> tuple[SystemParams, list[OperatorMatrix]]:
+    p = SystemParams.from_khz(
+        80, 60, 373, dims=dims,
+        t1=CAVITY_T1_US if name in ("t1", "thermal") else (None, None, None),
+        n_th=CAVITY_N_TH if name == "thermal" else (0.0, 0.0, 0.0),
+        tphi=(30.0, 40.0, 50.0) if name == "dephasing" else (None, None, None),
+    )
+    return p, _sector_mixing(p) if name == "sector-mixing" else collapse_operators(p)
+
+
+class TestLindbladBlocks:
+    """The occupied components of the generator, assembled without the
+    d^2 x d^2 one, equal those of the kron reference: the same entries,
+    labelled by csgraph, and the same generator on them."""
+
+    @pytest.mark.parametrize("dims", [(5, 4, 5), (6, 5, 6)])
+    @pytest.mark.parametrize("collapse", ["t1", "thermal", "dephasing", "sector-mixing"])
+    def test_match_kron_reference(self, dims, collapse):
+        from scipy.sparse.csgraph import connected_components
+
+        p, c_ops = _collapse_set(collapse, dims)
+        H = build_h_full(p)
+        starts = _channel_starts(p.dims)
+        blocks = list(_lindblad_blocks(H, c_ops, starts))
+        gen = _kron_liouvillian(H, c_ops)
+        _, labels = connected_components(gen != 0, directed=False)
+        for k, start in enumerate(starts):
+            # csgraph numbers components in order of their smallest member
+            occupied = np.flatnonzero(np.bincount(labels, start.ravel() != 0))
+            got = [(keep, block) for keep, block, owners in blocks if k in owners]
+            assert len(got) == occupied.size
+            for (keep, block), label in zip(got, occupied):
+                assert np.array_equal(np.sort(keep), np.flatnonzero(labels == label))
+                assert abs(block - gen[keep][:, keep]).max() <= 1e-15
+        # the channel's two matrices occupy one component each, except that
+        # without T1 nothing joins the sector pairs of |000> and |100>
+        per_start = [sum(k in owners for *_, owners in blocks) for k in range(2)]
+        assert per_start == ([2, 1] if collapse == "dephasing" else [1, 1])
 
 
 class TestTrotter:
@@ -457,6 +526,39 @@ class TestLindblad:
         for t, rho in zip(times, out):
             ref = (expm(gen * t) @ rho0.ravel()).reshape(rho0.shape)
             assert np.max(np.abs(rho - ref)) < 1e-6
+
+    @pytest.mark.parametrize(
+        "g_khz, collapse",
+        [((80, 80), "t1"), ((80, 80), "thermal"), ((80, 80), "dephasing"),
+         ((80, 60), "all")],
+        ids=["t1", "thermal", "dephasing", "asymmetric"],
+    )
+    def test_packed_channel_matches_dense_expm(self, g_khz, collapse):
+        # transfer_choi propagates u00 + i u11 and u01; the reference
+        # propagates all four matrix units with the dense generator's expm
+        every = collapse == "all"
+        p = SystemParams.from_khz(
+            *g_khz, 475, dims=(3, 2, 3),
+            t1=(20.0, 15.0, 25.0) if every or collapse != "dephasing" else (None,) * 3,
+            n_th=(0.05, 0.0, 0.1) if every or collapse == "thermal" else (0.0,) * 3,
+            tphi=(30.0, 40.0, 50.0) if every or collapse == "dephasing" else (None,) * 3,
+        )
+        dims, t = p.dims, 4.0  # a quarter of the transfer: the bus is occupied
+        H = build_h_full(p)
+        prop = expm(t * _dense_generator(H.elements, [c.elements for c in collapse_operators(p)]))
+        src = [dims.flat_index((i, 0, 0)) for i in range(2)]
+        raw, cond = np.zeros((4, 4), dtype=complex), np.zeros((4, 4), dtype=complex)
+        for i in range(2):
+            for j in range(2):
+                unit = np.zeros((dims.total,) * 2)
+                unit[src[i], src[j]] = 1.0
+                out = (prop @ unit.ravel()).reshape(tuple(dims) * 2)
+                raw[2 * i:2 * i + 2, 2 * j:2 * j + 2] = np.einsum("abkabl->kl", out)[:2, :2]
+                vac = np.einsum("akal->kl", out[:, 0, :, :, 0])
+                cond[2 * i:2 * i + 2, 2 * j:2 * j + 2] = vac[:2, :2]
+        got = transfer_choi(p, EvolutionSpec(total_time=t, method="lindblad", rtol=1e-8))
+        assert np.abs(got[0] - raw).max() < 1e-6
+        assert np.abs(got[1] - cond).max() < 1e-6
 
     @pytest.mark.parametrize("times", [[2.0, 1.0], [-1.0, 1.0]], ids=["unsorted", "negative"])
     def test_rejects_bad_times(self, times):

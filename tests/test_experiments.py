@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from exfree import dynamics
+from exfree import dynamics, experiments
 from exfree.analytic import sweet_point_detuning, tau_st
 from exfree.dynamics import EvolutionSpec
 from exfree.errors import InvalidParameterError
@@ -115,16 +115,17 @@ class TestTransferChannel:
         for coarse, fine in zip(errors, errors[1:]):
             assert coarse / fine == pytest.approx(2.0, abs=0.05)
 
-    def test_lindblad_builds_one_liouvillian(self, params, monkeypatch):
-        build = dynamics._liouvillian
+    def test_lindblad_propagates_two_matrices_in_one_call(self, params, monkeypatch):
+        propagate = experiments.propagate_lindblad_matrix
         calls = []
         monkeypatch.setattr(
-            dynamics, "_liouvillian", lambda *args: calls.append(args) or build(*args)
+            experiments, "propagate_lindblad_matrix",
+            lambda *args: calls.append(args) or propagate(*args),
         )
         p = with_cavity_decoherence(params.with_dims((4, 3, 4)))
         spec = EvolutionSpec(total_time=0.4 * tau_st(p), method="lindblad", rtol=1e-6)
         raw, _ = transfer_choi(p, spec)
-        assert len(calls) == 1
+        assert len(calls) == 1 and len(calls[0][2]) == 2
         assert np.abs(raw[2:, :2] - raw[:2, 2:].conj().T).max() < 1e-14
 
     @pytest.mark.parametrize("dims", [(6, 5, 6), (12, 12, 12)])
