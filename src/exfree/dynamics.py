@@ -7,8 +7,9 @@ labelled in numpy (`_occupied_sectors`).  The exact path is the one-factor
 case of the Trotter split-step kernel, which samples off its dt grid by a
 remainder step; both read the operators' numpy triplets and import no scipy.
 The Lindblad path assembles the Liouvillian only on the components its start
-occupies, never the d^2 x d^2 one (`_lindblad_blocks`), and integrates each
-with DOP853, importing `scipy.sparse` and `scipy.integrate` inside the call.
+occupies, never the d^2 x d^2 one (`_lindblad_blocks`), and propagates each
+by a Chebyshev series of its generator on an ellipse that holds the block's
+field of values (`_chebyshev`), importing only `scipy.sparse` inside the call.
 All propagators share one time contract (`_check_times`) and are
 deterministic.
 
@@ -208,16 +209,20 @@ def evolve_lindblad(
     """Master-equation evolution, sampled at the sorted `times`, as one
     (T, d, d) state.
 
-    drho/dt = -i[H, rho] + sum_k (L rho L^dag - {L^dag L, rho}/2), integrated
-    by `propagate_lindblad_matrix`.  Raises ConvergenceError if the
-    integrator fails.
+    drho/dt = -i[H, rho] + sum_k (L rho L^dag - {L^dag L, rho}/2), propagated
+    from the Hermitian part of rho as `propagate_lindblad_matrix` does,
+    except that of a component and its mirror image (the coherences (S', S)
+    of its (S, S')) only one is propagated and the other filled with its
+    conjugate transpose: each sample is exactly Hermitian.  Raises
+    ConvergenceError if a Chebyshev series does not meet its tail bound or
+    the result is not finite.
     """
     _check_start(rho, H.dims)
-    (mats,) = propagate_lindblad_matrix(H, collapse_ops, [rho.elements], times, rtol)
-    herm = mats.conj().swapaxes(-2, -1)
-    herm += mats
-    herm *= 0.5
-    return DensityMatrix(herm, rho.dims)
+    start = rho.elements.conj().T
+    start += rho.elements
+    start *= 0.5  # exactly Hermitian
+    (mats,) = _propagate(H, collapse_ops, [start], times, rtol, mirrored=True)
+    return DensityMatrix(mats, rho.dims)
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -234,7 +239,8 @@ def _row_entries(op: OperatorMatrix, which: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def _lindblad_blocks(
-    H: OperatorMatrix, collapse_ops: Sequence[OperatorMatrix], starts: Sequence[np.ndarray]
+    H: OperatorMatrix, collapse_ops: Sequence[OperatorMatrix], starts: Sequence[np.ndarray],
+    mirrored: bool = False,
 ) -> Iterator[tuple[np.ndarray, "scipy.sparse.csr_matrix", list[int]]]:
     """The components of the Lindblad generator that the starts (d x d
     matrices) occupy, one at a time in the order of their smallest entry, as
@@ -250,6 +256,12 @@ def _lindblad_blocks(
     edge (Sa, Sb) times the edge (Sc, Sd) joins (Sa, Sc) with (Sb, Sd).  Each
     component is assembled from the triplets of K and of each c when it is
     reached: the d^2 x d^2 generator is never formed.
+
+    The generator commutes with the conjugate transpose, so it maps the
+    pairs (S', S) of a component's (S, S') to one component, its mirror
+    image.  With `mirrored` the starts are Hermitian, occupy a component
+    whenever they occupy its mirror image, and of the two only the one
+    reached first is yielded.
     """
     d = H.dims.total
     K = -1j * H
@@ -275,6 +287,8 @@ def _lindblad_blocks(
             owners.setdefault(pairs[0], (pairs, []))[1].append(k)
     for first in sorted(owners):
         pairs, starts_in = owners[first]
+        if mirrored and (pairs % ns * ns + pairs // ns).min() < first:
+            continue
         yield *_assemble(K, collapse_ops, sectors, pairs), starts_in
 
 
@@ -325,6 +339,196 @@ def _assemble(
     return keep, block
 
 
+def _bessel_j(x: np.ndarray, n: int) -> np.ndarray:
+    """J_k(x) for k = 0..n and each x >= 0 of a 1-D array, as (n + 1, x.size).
+
+    Miller's backward recurrence f_(k-1) = (2k/x) f_k - f_(k+1) from f_m = 1
+    far above max(n, x), carried as the ratios f_k / f_(k+1) so that nothing
+    overflows, and normalized by J_0^2 + 2 sum J_k^2 = 1 (Abramowitz &
+    Stegun 9.1.76, 9.12); J_m(x) > 0 for m > x, so f has the sign of J.  An
+    x of 0 gives J_0 = 1 and J_k = 0.
+    """
+    x = np.maximum(x, 1e-300)
+    m = int(max(n, x.max())) + 16 + int(np.sqrt(40.0 * max(n, x.max())))
+    twice_k = np.arange(1, m + 1)[:, None] * (2.0 / x)
+    ratio = np.empty((m, x.size))  # ratio[k] = f_k / f_(k+1)
+    ratio[-1] = twice_k[-1]
+    for k in range(m - 1, 0, -1):
+        ratio[k - 1] = twice_k[k - 1] - 1.0 / ratio[k]
+    with np.errstate(divide="ignore"):  # an f_k of exactly 0 has log -inf
+        log_f = np.cumsum(np.log(np.abs(ratio[::-1])), axis=0)[::-1]
+    f = np.cumprod(np.sign(ratio[::-1]), axis=0)[::-1] * np.exp(log_f - log_f.max(axis=0))
+    return f[: n + 1] / np.sqrt(f[0] ** 2 + 2.0 * (f[1:] ** 2).sum(axis=0))
+
+
+#: A window of the Chebyshev series spans at most this many radians of its
+#: box's half-height: a longer one costs fewer terms per unit time, a
+#: shorter one fewer coefficient-vector products per sample.
+_WINDOW_PHASE = 20.0
+
+#: The growth e^(b t) over a window that the enclosing ellipse may allow,
+#: b its minor semi-axis: a thinner ellipse needs fewer terms to reach its
+#: tip, and more to outgrow this factor in the tail.
+_ELLIPSE_GROWTH = 2.0
+
+
+def _spectral_bounds(
+    H: OperatorMatrix, collapse_ops: Sequence[OperatorMatrix]
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """(low, high, jumps): the least and the greatest eigenvalue of the
+    sector of H that holds each basis index, one `eigvalsh` per sector, and
+    sum_c ||c||_1 ||c||_inf, a bound on sum_c ||c||^2."""
+    d = H.dims.total
+    (sectors,) = _occupied_sectors((H.rows, H.cols, d), [np.ones(d)])
+    low, high, pos = np.empty(d), np.empty(d), np.full(d, -1)
+    for idx in sectors:
+        pos[idx] = np.arange(idx.size)
+        evals = np.linalg.eigvalsh(_sector_block(H, pos, idx.size))
+        pos[idx] = -1
+        low[idx], high[idx] = evals[0], evals[-1]
+    jumps = sum(np.bincount(c.rows, np.abs(c.vals), d).max()
+                * np.bincount(c.cols, np.abs(c.vals), d).max() for c in collapse_ops)
+    return low, high, float(jumps)
+
+
+def _field_box(
+    gen: "scipy.sparse.csr_matrix", keep: np.ndarray, d: int,
+    bounds: tuple[np.ndarray, np.ndarray, float],
+) -> tuple[float, float, float, float]:
+    """A rectangle (re_lo, re_hi, im_lo, im_hi) that holds the field of
+    values, and so the spectrum, of the generator block `gen` on the
+    entries `keep`, from the `_spectral_bounds` of its H and collapse
+    operators.
+
+    The generator is -i[H, .] plus a dissipator.  The first is
+    skew-Hermitian with eigenvalues i(E' - E), E in the sector of H of an
+    entry's row and E' in that of its column.  The skew-Hermitian part of
+    the dissipator is that of sum_c c . c^dag, of norm at most
+    sum_c ||c||^2.  The real part is bounded by the Gershgorin discs of the
+    Hermitian part (gen + gen^dag) / 2.
+    """
+    low, high, jumps = bounds
+    row, col = np.divmod(keep, d)
+    im_lo = (low[col] - high[row]).min() - jumps
+    im_hi = (high[col] - low[row]).max() + jumps
+    twice = (gen + gen.conj().T).tocsr()
+    centre = twice.diagonal().real
+    radius = np.asarray(abs(twice).sum(axis=1)).ravel() - np.abs(centre)
+    return 0.5 * (centre - radius).min(), 0.5 * (centre + radius).max(), im_lo, im_hi
+
+
+def _half_height(box: tuple[float, float, float, float]) -> float:
+    """Half the height of the `box` (re_lo, re_hi, im_lo, im_hi), raised to
+    its width if that is more, so that an ellipse about it has distinct
+    foci on a vertical line."""
+    re_lo, re_hi, im_lo, im_hi = box
+    return max((im_hi - im_lo) / 2, re_hi - re_lo)
+
+
+def _windows(times: np.ndarray, height: float) -> list[tuple[int, int, float]]:
+    """(first, stop, origin) of each window of the sorted `times`: samples
+    first..stop-1, reached from the window's origin, the previous window's
+    last sample (t = 0 for the first).  A window takes samples while its
+    span times `height` stays within `_WINDOW_PHASE`, and at least one, so
+    a single interval is never split."""
+    firsts, origins = [0], [0.0]
+    for k in range(1, times.size):
+        if (times[k] - origins[-1]) * height > _WINDOW_PHASE:
+            firsts.append(k)
+            origins.append(times[k - 1])
+    return list(zip(firsts, firsts[1:] + [times.size], origins))
+
+
+def _ellipse(box: tuple[float, float, float, float], span: float) -> tuple[complex, float, float]:
+    """(c, R, rho): an ellipse with foci c +- iR, and semi-axes R (rho +-
+    1/rho) / 2, that holds the `box` (re_lo, re_hi, im_lo, im_hi), made
+    `_half_height` tall.
+
+    It passes through the box's corners.  Its minor semi-axis b lets
+    e^(b t) grow to e^_ELLIPSE_GROWTH over `span`, but is at least sqrt 2
+    times the box's half-width, where the major one is sqrt 2 times its
+    half-height, and at most half-height / sqrt 2, so that the foci stay
+    apart; b = 0 for a box of no width.
+    """
+    re_lo, re_hi, im_lo, im_hi = box
+    width = (re_hi - re_lo) / 2
+    height = _half_height(box)
+    minor = min(max(_ELLIPSE_GROWTH / span, np.sqrt(2.0) * width), height / np.sqrt(2.0)) if width else 0.0
+    major = height / np.sqrt(1.0 - (width / minor) ** 2) if minor else height
+    focal = np.sqrt(major ** 2 - minor ** 2)
+    rho = (major + minor) / focal if focal else 1.0
+    return complex(re_lo + re_hi, im_lo + im_hi) / 2, focal, rho
+
+
+def _chebyshev(
+    gen: "scipy.sparse.csr_matrix", y0: np.ndarray, times: np.ndarray, rtol: float,
+    box: tuple[float, float, float, float],
+) -> np.ndarray:
+    """e^(gen t) y0 for the columns of y0 (n, s) at each of the sorted
+    `times` >= 0, as (T, n, s), for a `box` (re_lo, re_hi, im_lo, im_hi)
+    that holds the field of values of gen.
+
+    With an ellipse of foci c +- iR around the box (`_ellipse`), X = (gen -
+    c) / (iR) has its field of values in the ellipse E_rho of foci +-1, and
+    e^(gen t) = e^(ct) sum_k a_k T_k(X), a_k = eps_k i^k J_k(Rt), eps_0 = 1,
+    eps_k = 2 (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)): one
+    matvec per term by T_(k+1) = 2X T_k - T_(k-1).  As |T_k| <= rho^k on
+    E_rho, the tail beyond K has norm at most (1 + sqrt 2) sum_(k >= K)
+    |a_k| rho^k times that of the start (Crouzeix & Palencia, SIAM J. Matrix
+    Anal. Appl. 38, 649 (2017)); a sample keeps the terms that bring this
+    below rtol * 1e-2.
+
+    Samples go in windows (`_windows`), each evaluated from one recurrence
+    from the previous window's last sample, with its own coefficients per
+    sample.  Raises ConvergenceError if the tail bound is not met within
+    the term cap, which only a non-finite coefficient can cause, or if the
+    result is not finite.
+    """
+    from scipy import sparse
+
+    windows = _windows(times, _half_height(box))
+    span = max(times[stop - 1] - origin for _, stop, origin in windows)
+    centre, focal, rho = _ellipse(box, span)
+    if focal == 0:  # the box is the point c, so gen = c
+        return np.exp(centre * times)[:, None, None] * y0
+    shifted = (gen - centre * sparse.identity(gen.shape[0], format="csr")) * (2.0 / (1j * focal))
+    tol = rtol * 1e-2 / (1.0 + np.sqrt(2.0))
+    out = np.empty((times.size, *y0.shape), dtype=complex)
+    i_to_the = np.array([1, 1j, -1, -1j])
+    y = y0
+    for first, stop, origin in windows:
+        step = times[first:stop] - origin
+        # |J_k(w)| <= (w/2)^k / k!, so |a_k| rho^k <= 2 e^(Re c t) from k0 = e rho w / 2
+        # on and falls by e per term: past the cap the rest is below tol / 300
+        cap = 2 + int(np.e / 2 * rho * focal * step[-1] + np.log(1e3 / tol)
+                      + max(centre.real * step[-1], 0.0))
+        bessel = _bessel_j(focal * step, cap)  # (cap + 1, samples)
+        k = np.arange(cap + 1)[:, None]
+        with np.errstate(divide="ignore"):
+            size = np.exp(np.log(np.abs(bessel)) + k * np.log(rho) + centre.real * step)
+        size[1:] *= 2.0
+        below = np.cumsum(size[::-1], axis=0)[::-1] <= tol
+        if not below.any(axis=0).all():
+            raise ConvergenceError("Chebyshev series of a Lindblad block did not converge")
+        terms = max(int(np.argmax(below, axis=0).max()), 1)
+        coef = bessel[:terms] * i_to_the[k[:terms] % 4] * np.exp(centre * step)
+        coef[1:] *= 2.0
+        acc = np.multiply.outer(coef[0], y)
+        if terms > 1:
+            prev, cur = y, 0.5 * (shifted @ y)
+            acc += np.multiply.outer(coef[1], cur)
+            for a in coef[2:]:
+                nxt = shifted @ cur
+                nxt -= prev
+                prev, cur = cur, nxt
+                acc += np.multiply.outer(a, cur)
+        out[first:stop] = acc
+        y = acc[-1]
+    if not np.isfinite(out).all():
+        raise ConvergenceError("Lindblad propagation produced non-finite values")
+    return out
+
+
 def propagate_lindblad_matrix(
     H: OperatorMatrix,
     collapse_ops: Sequence[OperatorMatrix],
@@ -337,14 +541,26 @@ def propagate_lindblad_matrix(
     (len(times), d, d) array per initial matrix in `rho0s`.
 
     Only the components of the generator that an initial matrix occupies
-    are assembled (`_lindblad_blocks`) and integrated; every other entry
+    are assembled (`_lindblad_blocks`) and propagated; every other entry
     stays zero.  With collapse operators a, a^dag and n a component is a
     set of coherence sectors (Q, Q') of the charge Q; with cavity T1 each
-    channel input occupies one.  Each occupied component of each matrix is
-    integrated with adaptive DOP853 (atol = rtol * 1e-2) and scattered back.
+    channel input occupies one.  Each occupied component is propagated
+    for all the matrices that occupy it at once, by a Chebyshev series of
+    its generator (`_chebyshev`) whose tail bound is below rtol * 1e-2
+    times the norm of the start, and scattered back.
     """
-    from scipy.integrate import solve_ivp
+    return _propagate(H, collapse_ops, rho0s, times, rtol, mirrored=False)
 
+
+def _propagate(
+    H: OperatorMatrix, collapse_ops: Sequence[OperatorMatrix], rho0s: Sequence[np.ndarray],
+    times: Sequence[float], rtol: float, mirrored: bool,
+) -> list[np.ndarray]:
+    """`propagate_lindblad_matrix`.  With `mirrored` the starts are
+    Hermitian: of a component and its mirror image only the first is
+    propagated (`_lindblad_blocks`) and the other filled with its conjugate
+    transpose, and a component that is its own mirror image is replaced by
+    its Hermitian part, so each result is exactly Hermitian."""
     if not H.is_hermitian(tol=1e-10):
         raise InvalidOperatorError("Hamiltonian must be Hermitian")
     if not 0 < rtol < np.inf:
@@ -355,14 +571,22 @@ def propagate_lindblad_matrix(
     if not times.any():  # no sample after t = 0
         return [np.repeat(rho0[None], times.size, axis=0) for rho0 in rho0s]
     out = [np.zeros((times.size, d * d), dtype=complex) for _ in rho0s]
+    bounds = _spectral_bounds(H, collapse_ops)
     # a zero matrix occupies no component and stays zero
-    for keep, block, owners in _lindblad_blocks(H, collapse_ops, rho0s):
+    for keep, block, owners in _lindblad_blocks(H, collapse_ops, rho0s, mirrored=mirrored):
+        box = _field_box(block, keep, d, bounds)
+        starts = np.stack([rho0s[k].ravel()[keep] for k in owners], axis=1)
+        moved = _chebyshev(block, starts, times, rtol, box)
+        for col, k in enumerate(owners):
+            out[k][:, keep] = moved[:, :, col]
+        if not mirrored:
+            continue
+        flip = (keep % d) * d + keep // d  # the entry (j, i) of each (i, j)
         for k in owners:
-            sol = solve_ivp(lambda _t, y: block @ y, (0.0, times[-1]), rho0s[k].ravel()[keep],
-                            t_eval=times, rtol=rtol, atol=rtol * 1e-2, method="DOP853")
-            if not sol.success:
-                raise ConvergenceError(f"Lindblad integrator failed: {sol.message}")
-            out[k][:, keep] = sol.y.T
+            if (keep == flip[0]).any():  # the component is its own mirror image
+                out[k][:, keep] = 0.5 * (out[k][:, keep] + out[k][:, flip].conj())
+            else:
+                out[k][:, flip] = out[k][:, keep].conj()
     return [full.reshape(-1, d, d) for full in out]
 
 

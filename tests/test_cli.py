@@ -7,9 +7,10 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from exfree import cli
+from exfree import cli, dynamics
 from exfree.cli import (
     EXIT_CONFIG,
+    EXIT_NUMERICS,
     EXIT_OK,
     EXIT_REGIME,
     ConfigError,
@@ -226,6 +227,14 @@ class TestDispatch:
         cfg_path = write(tmp_path, "c.yaml", {**BASE, "delta_over_2pi_khz": 100})
         res = CliRunner().invoke(main, ["qst", "--config", cfg_path])
         assert res.exit_code == EXIT_REGIME
+
+    def test_unconverged_lindblad_series_exit_code(self, tmp_path, monkeypatch):
+        # NaN Bessel coefficients: the series never meets its tail bound
+        monkeypatch.setattr(dynamics, "_bessel_j", lambda x, n: np.full((n + 1, x.size), np.nan))
+        cfg_path = write(tmp_path, "c.yaml", {**BASE, "method": "lindblad", "dims": [3, 2, 3]})
+        res = CliRunner().invoke(main, ["qst", "--config", cfg_path, "--out", str(tmp_path / "o")])
+        assert res.exit_code == EXIT_NUMERICS, res.output
+        assert not (tmp_path / "o").exists()
 
     def test_config_error_exit_code(self, tmp_path):
         cfg_path = write(tmp_path, "c.yaml", {**BASE, "dims": "6;5;6"})

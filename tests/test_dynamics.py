@@ -4,11 +4,17 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from exfree import dynamics
 from exfree.analytic import mean_photon_numbers, tau_st
 from exfree.dynamics import (
     EvolutionSpec,
+    _bessel_j,
+    _ellipse,
+    _field_box,
     _lindblad_blocks,
     _occupied_sectors,
+    _spectral_bounds,
+    _windows,
     apply_jump,
     evolve_lindblad,
     evolve_trotter,
@@ -16,6 +22,7 @@ from exfree.dynamics import (
     propagate_lindblad_matrix,
 )
 from exfree.errors import (
+    ConvergenceError,
     ImpossibleOutcomeError,
     InvalidOperatorError,
     InvalidParameterError,
@@ -513,13 +520,9 @@ class TestLindblad:
         # the sectors into one component, and its complex phase makes L^dag L
         # differ from its transpose
         p = LINDBLAD_P
-        dims = p.dims
         c_ops = collapse_operators(p) if collapse == "model" else _sector_mixing(p)
         H = build_h_full(p)
-        vec = np.zeros(dims.total, dtype=complex)
-        for occ in ((0, 0, 0), (1, 0, 0), (0, 1, 0)):
-            vec[dims.flat_index(occ)] = 1.0 / np.sqrt(3.0)
-        rho0 = np.outer(vec, vec.conj())
+        rho0 = _spread_start(p.dims)
         times = (0.0, 1.3, 4.0)
         out = propagate_lindblad_matrix(H, c_ops, [rho0], times, rtol=1e-8)[0]
         gen = _dense_generator(H.elements, [c.elements for c in c_ops])
@@ -594,6 +597,122 @@ class TestLindblad:
         rho = evolve_lindblad(build_h_full(params), [], pure_density(psi), (2.0,))[-1]
         expect = pure_density(evolve_unitary(build_h_full(params), psi, (2.0,))[0])
         assert np.max(np.abs(rho.elements - expect.elements)) < 1e-6
+
+
+def _spread_start(dims: ModeDims) -> np.ndarray:
+    """A pure start over three charge sectors."""
+    vec = np.zeros(dims.total, dtype=complex)
+    for occ in ((0, 0, 0), (1, 0, 0), (0, 1, 0)):
+        vec[dims.flat_index(occ)] = 1.0 / np.sqrt(3.0)
+    return np.outer(vec, vec.conj())
+
+
+#: t = 0, two samples 1e-3 apart, samples a window or more apart, then one
+#: gap that spans several windows.
+IRREGULAR = (0.0, 0.7, 0.701, 3.0, 10.0, 17.0, 60.0)
+
+
+class TestChebyshev:
+    """The Chebyshev propagator of a Lindblad block: its Bessel
+    coefficients, the ellipse that holds the block's spectrum, and its
+    error against the dense generator's expm."""
+
+    @pytest.mark.parametrize("n", [3, 60, 500])
+    def test_bessel_matches_scipy(self, n):
+        from scipy.special import jv
+
+        # 2.404825557695773 is the first zero of J_0 in double precision
+        x = np.array([0.0, 1e-3, 0.3, 2.404825557695773, 10.0, 136.0, 420.5])
+        assert np.abs(_bessel_j(x, n) - jv(np.arange(n + 1)[:, None], x)).max() < 1e-13
+
+    @pytest.mark.parametrize("dims", [(3, 2, 3), (4, 3, 4)])
+    @pytest.mark.parametrize("collapse", ["t1", "thermal", "dephasing", "sector-mixing"])
+    def test_ellipse_holds_every_eigenvalue(self, dims, collapse):
+        # the block of the channel's coherence u01, whose spectrum is not
+        # symmetric about the real axis
+        p, c_ops = _collapse_set(collapse, dims)
+        H = build_h_full(p)
+        bounds = _spectral_bounds(H, c_ops)
+        ((keep, block, _),) = _lindblad_blocks(H, c_ops, _channel_starts(p.dims)[1:2])
+        box = _field_box(block, keep, p.dims.total, bounds)
+        evals = np.linalg.eigvals(block.toarray())
+        slack = 1e-12 * np.abs(evals).max()  # the rounding of eigvals
+        assert box[0] - slack <= evals.real.min() and evals.real.max() <= box[1] + slack
+        assert box[2] - slack <= evals.imag.min() and evals.imag.max() <= box[3] + slack
+        for span in (1e-3, 4.0, 1e3):  # the widest, a middle and a thin ellipse
+            centre, focal, rho = _ellipse(box, span)
+            foci = np.abs(evals - centre - 1j * focal) + np.abs(evals - centre + 1j * focal)
+            assert foci.max() <= focal * (rho + 1.0 / rho) + slack, span
+
+    @pytest.mark.parametrize("collapse", ["model", "sector-mixing"])
+    def test_matches_expm_on_an_irregular_grid(self, collapse):
+        p = LINDBLAD_P
+        c_ops = collapse_operators(p) if collapse == "model" else _sector_mixing(p)
+        H = build_h_full(p)
+        rho0 = _spread_start(p.dims)
+        times = np.array(IRREGULAR)
+        gen = _kron_liouvillian(H, c_ops).toarray()
+        ref = np.array([expm(gen * t) @ rho0.ravel() for t in times])
+        errs = []
+        for rtol in (1e-4, 1e-6, 1e-8, 1e-10):
+            out = propagate_lindblad_matrix(H, c_ops, [rho0], times, rtol=rtol)[0]
+            errs.append(np.abs(out.reshape(times.size, -1) - ref).max())
+            assert errs[-1] < rtol, rtol
+        assert errs[-1] < 1e-9
+        assert errs[0] > errs[1] > errs[2], errs
+        # the grid is what it claims: several windows, and the last gap
+        # is one window of its own that spans several
+        bounds = _spectral_bounds(H, c_ops)
+        for keep, block, _ in _lindblad_blocks(H, c_ops, [rho0]):
+            height = dynamics._half_height(_field_box(block, keep, p.dims.total, bounds))
+            windows = _windows(times, height)
+            assert len(windows) >= 4 and windows[-1] == (times.size - 1, times.size, times[-2])
+            assert (times[-1] - times[-2]) * height > 3 * dynamics._WINDOW_PHASE
+
+    def test_zero_generator_keeps_the_start(self):
+        # no H and no collapse: the box is a point and no series is summed
+        dims = ModeDims((3, 2))
+        rho0 = np.outer(np.arange(6.0), np.arange(6.0) + 1j)
+        H = OperatorMatrix(np.zeros((6, 6), dtype=complex), dims)
+        (out,) = propagate_lindblad_matrix(H, [], [rho0], (0.0, 2.0, 50.0))
+        assert np.array_equal(out, np.repeat(rho0[None], 3, axis=0))
+
+    def test_non_finite_coefficients_raise_convergence_error(self, monkeypatch):
+        p = LINDBLAD_P
+        monkeypatch.setattr(dynamics, "_bessel_j", lambda x, n: np.full((n + 1, x.size), np.nan))
+        with pytest.raises(ConvergenceError):
+            propagate_lindblad_matrix(
+                build_h_full(p), collapse_operators(p), [_spread_start(p.dims)], (1.0,)
+            )
+
+    def test_hermitian_start_propagates_one_of_each_mirrored_pair(self, monkeypatch):
+        # |0> + |4> on S1: the charge-difference +4 and -4 components are
+        # mirror images, and the diagonal one is its own
+        p = SystemParams.from_khz(
+            80, 80, 475, dims=(5, 3, 3), t1=(20.0, 15.0, 25.0), tphi=(30.0, 40.0, 50.0)
+        )
+        H, c_ops = build_h_full(p), collapse_operators(p)
+        vec = np.zeros(p.dims.total, dtype=complex)
+        vec[[p.dims.flat_index((0, 0, 0)), p.dims.flat_index((4, 0, 0))]] = 1.0 / np.sqrt(2.0)
+        rho = pure_density(StateVector(vec, p.dims))
+        times = (0.0, 1.5, 4.0, 9.0)
+        assembled = []
+        assemble = dynamics._assemble
+
+        def counted(*args):
+            keep, block = assemble(*args)
+            i, j = np.divmod(keep, p.dims.total)
+            assembled.append(bool((i == j).any()))
+            return keep, block
+
+        monkeypatch.setattr(dynamics, "_assemble", counted)
+        got = evolve_lindblad(H, c_ops, rho, times).elements
+        mirrored, assembled[:] = assembled[:], []
+        full = propagate_lindblad_matrix(H, c_ops, [rho.elements], times)[0]
+        assert sorted(mirrored) == [False, True]
+        assert sorted(assembled) == [False, False, True]
+        assert np.array_equal(got, got.conj().swapaxes(-2, -1))
+        assert np.abs(got - 0.5 * (full + full.conj().swapaxes(-2, -1))).max() < 1e-13
 
 
 @pytest.mark.parametrize("method", ["exact-unitary", "trotter", "lindblad"])
