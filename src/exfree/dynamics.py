@@ -6,10 +6,13 @@ components of a sparse nonzero pattern on which the start is nonzero,
 labelled in numpy (`_occupied_sectors`).  The exact path is the one-factor
 case of the Trotter split-step kernel, which samples off its dt grid by a
 remainder step; both read the operators' numpy triplets and import no scipy.
-The Lindblad path assembles the Liouvillian only on the components its start
-occupies, never the d^2 x d^2 one (`_lindblad_blocks`), and propagates each
-by a Chebyshev series of its generator on an ellipse that holds the block's
-field of values (`_chebyshev`), importing only `scipy.sparse` inside the call.
+The Lindblad path, one for states and channel inputs alike, assembles the
+Liouvillian only on the components its starts occupy, never the d^2 x d^2
+one, and of a component and its mirror image (the coherences (S', S) of its
+(S, S')) only one (`_lindblad_blocks`).  It propagates a start and its
+conjugate transpose on that one by a Chebyshev series of its generator on an
+ellipse that holds the block's field of values (`_chebyshev`), importing only
+`scipy.sparse` inside the call.
 All propagators share one time contract (`_check_times`) and are
 deterministic.
 
@@ -210,19 +213,14 @@ def evolve_lindblad(
     (T, d, d) state.
 
     drho/dt = -i[H, rho] + sum_k (L rho L^dag - {L^dag L, rho}/2), propagated
-    from the Hermitian part of rho as `propagate_lindblad_matrix` does,
-    except that of a component and its mirror image (the coherences (S', S)
-    of its (S, S')) only one is propagated and the other filled with its
-    conjugate transpose: each sample is exactly Hermitian.  Raises
-    ConvergenceError if a Chebyshev series does not meet its tail bound or
-    the result is not finite.
+    by `propagate_lindblad_matrix`; the trajectory holds its Hermitian part,
+    as every `DensityMatrix` does.  Raises ConvergenceError if a Chebyshev
+    series does not meet its tail bound or the result is not finite.
     """
     _check_start(rho, H.dims)
-    start = rho.elements.conj().T
-    start += rho.elements
-    start *= 0.5  # exactly Hermitian
-    (mats,) = _propagate(H, collapse_ops, [start], times, rtol, mirrored=True)
-    return DensityMatrix(mats, rho.dims)
+    return DensityMatrix(
+        propagate_lindblad_matrix(H, collapse_ops, [rho.elements], times, rtol)[0], rho.dims
+    )
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -239,14 +237,14 @@ def _row_entries(op: OperatorMatrix, which: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def _lindblad_blocks(
-    H: OperatorMatrix, collapse_ops: Sequence[OperatorMatrix], starts: Sequence[np.ndarray],
-    mirrored: bool = False,
-) -> Iterator[tuple[np.ndarray, "scipy.sparse.csr_matrix", list[int]]]:
+    H: OperatorMatrix, collapse_ops: Sequence[OperatorMatrix], starts: Sequence[np.ndarray]
+) -> Iterator[tuple[np.ndarray, "scipy.sparse.csr_matrix", tuple, list[int]]]:
     """The components of the Lindblad generator that the starts (d x d
-    matrices) occupy, one at a time in the order of their smallest entry, as
-    (keep, block, owners): the row-major flat indices i*d + j of the
-    component, the generator on them as CSR, and the indices of the starts
-    that occupy it.
+    matrices) occupy, one of each mirror pair, in the order of their
+    smallest sector pair, as (keep, block, box, owners): the row-major flat
+    indices i*d + j of the component, the generator on them as CSR, a
+    `_field_box` that holds the block's field of values, and the indices of
+    the starts that occupy the component or its mirror image.
 
     With K = -iH - sum_c c^dag c / 2 the generator is
     K rho + rho K^dag + sum_c c rho c^dag, so a Hilbert sector of the
@@ -259,9 +257,9 @@ def _lindblad_blocks(
 
     The generator commutes with the conjugate transpose, so it maps the
     pairs (S', S) of a component's (S, S') to one component, its mirror
-    image.  With `mirrored` the starts are Hermitian, occupy a component
-    whenever they occupy its mirror image, and of the two only the one
-    reached first is yielded.
+    image, which may be the component itself.  Of the two only the one whose
+    smallest pair comes first is yielded: the image of a start x on the
+    other is the conjugate transpose of that of x^dag on this one.
     """
     d = H.dims.total
     K = -1j * H
@@ -284,12 +282,28 @@ def _lindblad_blocks(
     owners = {}
     for k, components in enumerate(_occupied_sectors((*joins, ns * ns), occupied)):
         for pairs in components:
-            owners.setdefault(pairs[0], (pairs, []))[1].append(k)
+            mirror = np.sort(pairs % ns * ns + pairs // ns)
+            if mirror[0] < pairs[0]:
+                pairs = mirror
+            found = owners.setdefault(pairs[0], (pairs, []))[1]
+            if found[-1:] != [k]:  # a start on both the component and its mirror
+                found.append(k)
+    # the least and the greatest eigenvalue of H on each sector reached
+    spread, pos = {}, np.full(d, -1)
+    jumps = float(sum(np.bincount(c.rows, np.abs(c.vals), d).max()
+                      * np.bincount(c.cols, np.abs(c.vals), d).max() for c in collapse_ops))
     for first in sorted(owners):
         pairs, starts_in = owners[first]
-        if mirrored and (pairs % ns * ns + pairs // ns).min() < first:
-            continue
-        yield *_assemble(K, collapse_ops, sectors, pairs), starts_in
+        a, b = np.divmod(pairs, ns)
+        for s in (set(a.tolist()) | set(b.tolist())) - spread.keys():
+            pos[sectors[s]] = np.arange(sectors[s].size)
+            evals = np.linalg.eigvalsh(_sector_block(H, pos, sectors[s].size))
+            pos[sectors[s]] = -1
+            spread[s] = evals[0], evals[-1]
+        im_lo = min(spread[y][0] - spread[x][1] for x, y in zip(a, b)) - jumps
+        im_hi = max(spread[y][1] - spread[x][0] for x, y in zip(a, b)) + jumps
+        keep, block = _assemble(K, collapse_ops, sectors, pairs)
+        yield keep, block, _field_box(block, im_lo, im_hi), starts_in
 
 
 def _assemble(
@@ -372,45 +386,23 @@ _WINDOW_PHASE = 20.0
 _ELLIPSE_GROWTH = 2.0
 
 
-def _spectral_bounds(
-    H: OperatorMatrix, collapse_ops: Sequence[OperatorMatrix]
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """(low, high, jumps): the least and the greatest eigenvalue of the
-    sector of H that holds each basis index, one `eigvalsh` per sector, and
-    sum_c ||c||_1 ||c||_inf, a bound on sum_c ||c||^2."""
-    d = H.dims.total
-    (sectors,) = _occupied_sectors((H.rows, H.cols, d), [np.ones(d)])
-    low, high, pos = np.empty(d), np.empty(d), np.full(d, -1)
-    for idx in sectors:
-        pos[idx] = np.arange(idx.size)
-        evals = np.linalg.eigvalsh(_sector_block(H, pos, idx.size))
-        pos[idx] = -1
-        low[idx], high[idx] = evals[0], evals[-1]
-    jumps = sum(np.bincount(c.rows, np.abs(c.vals), d).max()
-                * np.bincount(c.cols, np.abs(c.vals), d).max() for c in collapse_ops)
-    return low, high, float(jumps)
-
-
 def _field_box(
-    gen: "scipy.sparse.csr_matrix", keep: np.ndarray, d: int,
-    bounds: tuple[np.ndarray, np.ndarray, float],
+    gen: "scipy.sparse.csr_matrix", im_lo: float, im_hi: float
 ) -> tuple[float, float, float, float]:
     """A rectangle (re_lo, re_hi, im_lo, im_hi) that holds the field of
-    values, and so the spectrum, of the generator block `gen` on the
-    entries `keep`, from the `_spectral_bounds` of its H and collapse
-    operators.
+    values, and so the spectrum, of the generator block `gen`, given bounds
+    on the imaginary part from `_lindblad_blocks`.
 
     The generator is -i[H, .] plus a dissipator.  The first is
     skew-Hermitian with eigenvalues i(E' - E), E in the sector of H of an
-    entry's row and E' in that of its column.  The skew-Hermitian part of
-    the dissipator is that of sum_c c . c^dag, of norm at most
-    sum_c ||c||^2.  The real part is bounded by the Gershgorin discs of the
+    entry's row and E' in that of its column: over the sector pairs (a, b)
+    of the block these lie between min(low_b - high_a) and
+    max(high_b - low_a), from the extreme eigenvalues of H on each sector.
+    The skew-Hermitian part of the dissipator is that of sum_c c . c^dag, of
+    norm at most sum_c ||c||^2 <= sum_c ||c||_1 ||c||_inf, which widens
+    those bounds.  The real part is bounded by the Gershgorin discs of the
     Hermitian part (gen + gen^dag) / 2.
     """
-    low, high, jumps = bounds
-    row, col = np.divmod(keep, d)
-    im_lo = (low[col] - high[row]).min() - jumps
-    im_hi = (high[col] - low[row]).max() + jumps
     twice = (gen + gen.conj().T).tocsr()
     centre = twice.diagonal().real
     radius = np.asarray(abs(twice).sum(axis=1)).ravel() - np.abs(centre)
@@ -541,26 +533,18 @@ def propagate_lindblad_matrix(
     (len(times), d, d) array per initial matrix in `rho0s`.
 
     Only the components of the generator that an initial matrix occupies
-    are assembled (`_lindblad_blocks`) and propagated; every other entry
-    stays zero.  With collapse operators a, a^dag and n a component is a
-    set of coherence sectors (Q, Q') of the charge Q; with cavity T1 each
-    channel input occupies one.  Each occupied component is propagated
-    for all the matrices that occupy it at once, by a Chebyshev series of
-    its generator (`_chebyshev`) whose tail bound is below rtol * 1e-2
-    times the norm of the start, and scattered back.
+    are assembled, one of each mirror pair (`_lindblad_blocks`); every other
+    entry stays zero.  With collapse operators a, a^dag and n a component is
+    a set of coherence sectors (Q, Q') of the charge Q; with cavity T1 each
+    channel input occupies one.  A start x puts two columns on a component
+    C: x on C, and x^dag on C, whose image is the conjugate transpose of
+    that of x on the mirror image of C; on a component that is its own
+    mirror image the first is enough.  A zero column is dropped, and a
+    column equal to the one before it shares it, as x^dag does with x for a
+    Hermitian x.  The columns of a component are propagated at once, by a
+    Chebyshev series of its generator (`_chebyshev`) whose tail bound is
+    below rtol * 1e-2 times the norm of the start, and scattered back.
     """
-    return _propagate(H, collapse_ops, rho0s, times, rtol, mirrored=False)
-
-
-def _propagate(
-    H: OperatorMatrix, collapse_ops: Sequence[OperatorMatrix], rho0s: Sequence[np.ndarray],
-    times: Sequence[float], rtol: float, mirrored: bool,
-) -> list[np.ndarray]:
-    """`propagate_lindblad_matrix`.  With `mirrored` the starts are
-    Hermitian: of a component and its mirror image only the first is
-    propagated (`_lindblad_blocks`) and the other filled with its conjugate
-    transpose, and a component that is its own mirror image is replaced by
-    its Hermitian part, so each result is exactly Hermitian."""
     if not H.is_hermitian(tol=1e-10):
         raise InvalidOperatorError("Hamiltonian must be Hermitian")
     if not 0 < rtol < np.inf:
@@ -571,22 +555,23 @@ def _propagate(
     if not times.any():  # no sample after t = 0
         return [np.repeat(rho0[None], times.size, axis=0) for rho0 in rho0s]
     out = [np.zeros((times.size, d * d), dtype=complex) for _ in rho0s]
-    bounds = _spectral_bounds(H, collapse_ops)
     # a zero matrix occupies no component and stays zero
-    for keep, block, owners in _lindblad_blocks(H, collapse_ops, rho0s, mirrored=mirrored):
-        box = _field_box(block, keep, d, bounds)
-        starts = np.stack([rho0s[k].ravel()[keep] for k in owners], axis=1)
-        moved = _chebyshev(block, starts, times, rtol, box)
-        for col, k in enumerate(owners):
-            out[k][:, keep] = moved[:, :, col]
-        if not mirrored:
-            continue
+    for keep, block, box, owners in _lindblad_blocks(H, collapse_ops, rho0s):
         flip = (keep % d) * d + keep // d  # the entry (j, i) of each (i, j)
+        own = (keep == flip[0]).any()  # the component is its own mirror image
+        columns, writes = [], []  # (start, column, whether it fills the mirror)
         for k in owners:
-            if (keep == flip[0]).any():  # the component is its own mirror image
-                out[k][:, keep] = 0.5 * (out[k][:, keep] + out[k][:, flip].conj())
-            else:
-                out[k][:, flip] = out[k][:, keep].conj()
+            x = rho0s[k].ravel()
+            for dag, col in enumerate([x[keep]] if own else [x[keep], x[flip].conj()]):
+                if not col.any():
+                    continue  # a zero column stays zero
+                if not (columns and np.array_equal(col, columns[-1])):
+                    columns.append(col)
+                writes.append((k, len(columns) - 1, dag))
+        moved = _chebyshev(block, np.stack(columns, axis=1), times, rtol, box)
+        for k, col, dag in writes:
+            image = moved[:, :, col]
+            out[k][:, flip if dag else keep] = image.conj() if dag else image
     return [full.reshape(-1, d, d) for full in out]
 
 

@@ -297,9 +297,8 @@ def run_hom(
     series = {"P11": joint[:, 1, 1], "P20": joint[:, 2, 0], "P02": joint[:, 0, 2]}
 
     # entanglement analysis at the requested time
-    reduced = partial_trace(traj[k_a], keep=[0, 2])
-    r13, dims13 = reduced.elements, reduced.dims
-    rho13 = DensityMatrix(0.5 * (r13 + r13.conj().T), dims13)
+    rho13 = partial_trace(traj[k_a], keep=[0, 2])
+    r13, dims13 = rho13.elements, rho13.dims
 
     target = np.zeros(dims13.total, dtype=complex)
     target[dims13.flat_index((0, 2))] = 1.0 / sqrt(2.0)
@@ -366,7 +365,6 @@ def run_binomial_transfer(
         # exact on the reduced state: a3 acts only on the kept mode, so
         # Tr_12[a3 rho a3^dag] = a3 Tr_12[rho] a3^dag
         rho3, _ = apply_jump(rho3, 0)
-    rho3 = DensityMatrix(0.5 * (rho3.elements + rho3.elements.conj().T), rho3.dims)
     target = binomial_code_state(label, dims[2])
 
     fid, phi = optimize_mode_phase(rho3, target)

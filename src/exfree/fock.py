@@ -158,13 +158,10 @@ class OperatorMatrix:
 
 def _check_samples(arr: np.ndarray, state_ndim: int, dims: ModeDims, kind: str) -> None:
     """Raise unless `arr` is one state or a stack of them along one leading
-    sample axis: each state has `state_ndim` axes of length dims.total and
-    only finite entries."""
+    sample axis: each state has `state_ndim` axes of length dims.total."""
     shape = (dims.total,) * state_ndim
     if arr.ndim not in (state_ndim, state_ndim + 1) or arr.shape[-state_ndim:] != shape:
         raise DimensionError(f"{kind} shape {arr.shape} inconsistent with dims {tuple(dims)}")
-    if not np.isfinite(arr).all():
-        raise InvalidParameterError(f"{kind} has a non-finite entry")
 
 
 @dataclass(frozen=True)
@@ -181,6 +178,8 @@ class StateVector:
     def __post_init__(self):
         vec = np.asarray(self.amplitudes, dtype=complex).view()  # freezes no caller's array
         _check_samples(vec, 1, self.dims, "state")
+        if not np.isfinite(vec).all():
+            raise InvalidParameterError("state has a non-finite entry")
         re, im = vec.real, vec.imag  # views: the norms allocate no (T, d) array
         nrm = np.ravel(np.sqrt(np.einsum("...i,...i", re, re) + np.einsum("...i,...i", im, im)))
         bad = np.abs(nrm - 1.0) > NORM_TOL
@@ -201,25 +200,34 @@ class DensityMatrix:
     positive, which would cost an eigendecomposition per sample.
 
     `elements` has shape (d, d), or (T, d, d) for a trajectory of T samples
-    that is validated once; `traj[k]` is sample k as a single state.
+    that is checked one sample at a time; `traj[k]` is sample k as a single
+    state.  It holds the exact Hermitian part (m + m^dag) / 2 of the given
+    m, in a new read-only array: m itself is neither changed nor frozen,
+    and no caller needs to symmetrize what it passes.
     """
 
     elements: np.ndarray
     dims: ModeDims
 
     def __post_init__(self):
-        mat = np.asarray(self.elements, dtype=complex)
-        _check_samples(mat, 2, self.dims, "density matrix")
-        size = np.linalg.norm(mat, axis=(-2, -1))
-        defect = np.linalg.norm(mat - mat.conj().swapaxes(-2, -1), axis=(-2, -1))
-        if np.any(defect > 1e-9 * np.maximum(1.0, size)):
-            raise InvalidParameterError("density matrix is not Hermitian")
-        tr = np.ravel(np.trace(mat, axis1=-2, axis2=-1).real)
-        bad = np.abs(tr - 1.0) > 1e-6
-        if bad.any():
-            raise InvalidParameterError(f"density matrix trace {tr[bad][0]} deviates from 1")
+        given = np.asarray(self.elements)
+        _check_samples(given, 2, self.dims, "density matrix")
+        d = self.dims.total
+        mat = np.empty(given.shape, dtype=complex)
+        # per sample, so that no scratch array is the size of a trajectory
+        for m, out in zip(given.reshape(-1, d, d), mat.reshape(-1, d, d)):
+            if not np.isfinite(m).all():
+                raise InvalidParameterError("density matrix has a non-finite entry")
+            dag = m.conj().T
+            np.add(m, dag, out=out)
+            out *= 0.5
+            if np.linalg.norm(m - dag) > 1e-9 * max(1.0, np.linalg.norm(m)):
+                raise InvalidParameterError("density matrix is not Hermitian")
+            tr = np.trace(m).real
+            if abs(tr - 1.0) > 1e-6:
+                raise InvalidParameterError(f"density matrix trace {tr} deviates from 1")
+        mat.setflags(write=False)
         object.__setattr__(self, "elements", mat)
-        self.elements.setflags(write=False)
 
     def __getitem__(self, k) -> "DensityMatrix":
         if self.elements.ndim == 2:

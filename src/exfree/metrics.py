@@ -219,8 +219,7 @@ def parity_split(state, mode: int = 0):
         w = float(np.trace(sub).real)
         if w <= 1e-12:
             return w, None
-        sub = sub / w
-        return w, DensityMatrix(0.5 * (sub + sub.conj().T), dims)
+        return w, DensityMatrix(sub / w, dims)
 
     p_even, rho_even = branch(even)
     p_odd, rho_odd = branch(~even)

@@ -168,15 +168,12 @@ def collapse_operators(params: SystemParams) -> list[OperatorMatrix]:
 
 
 #: Cavity T1 lifetimes (us) of the device characterization table, in mode
-#: order (S1, S2, S3); thermal populations in the same order.
+#: order (S1, S2, S3), and its thermal populations in the same order, which
+#: no runner attaches.
 CAVITY_T1_US = (265.0, 300.0, 314.0)
 CAVITY_N_TH = (0.03, 0.02, 0.025)
 
 
-def with_cavity_decoherence(params: SystemParams, thermal: bool = False) -> SystemParams:
-    """Attach the measured cavity T1s (optionally thermal populations)."""
-    return replace(
-        params,
-        t1=CAVITY_T1_US,
-        n_th=CAVITY_N_TH if thermal else (0.0, 0.0, 0.0),
-    )
+def with_cavity_decoherence(params: SystemParams) -> SystemParams:
+    """Attach the measured cavity T1s, with no thermal population."""
+    return replace(params, t1=CAVITY_T1_US, n_th=(0.0, 0.0, 0.0))

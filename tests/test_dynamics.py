@@ -10,10 +10,8 @@ from exfree.dynamics import (
     EvolutionSpec,
     _bessel_j,
     _ellipse,
-    _field_box,
     _lindblad_blocks,
     _occupied_sectors,
-    _spectral_bounds,
     _windows,
     apply_jump,
     evolve_lindblad,
@@ -395,18 +393,30 @@ class TestLindbladBlocks:
 
         p, c_ops = _collapse_set(collapse, dims)
         H = build_h_full(p)
+        d = p.dims.total
         starts = _channel_starts(p.dims)
         blocks = list(_lindblad_blocks(H, c_ops, starts))
         gen = _kron_liouvillian(H, c_ops)
         _, labels = connected_components(gen != 0, directed=False)
+
+        def components(keep):
+            """The csgraph labels of a block and of its mirror image."""
+            return {labels[keep[0]], labels[keep[0] % d * d + keep[0] // d]}
+
+        covered = []
+        for keep, block, _, _ in blocks:
+            # the block and its mirror image are csgraph components
+            for entries in (keep, keep % d * d + keep // d):
+                assert np.array_equal(np.sort(entries), np.flatnonzero(labels == labels[entries[0]]))
+            assert abs(block - gen[keep][:, keep]).max() <= 1e-15
+            covered += components(keep)
+        assert len(covered) == len(set(covered))  # no component is in two blocks
         for k, start in enumerate(starts):
-            # csgraph numbers components in order of their smallest member
-            occupied = np.flatnonzero(np.bincount(labels, start.ravel() != 0))
-            got = [(keep, block) for keep, block, owners in blocks if k in owners]
-            assert len(got) == occupied.size
-            for (keep, block), label in zip(got, occupied):
-                assert np.array_equal(np.sort(keep), np.flatnonzero(labels == label))
-                assert abs(block - gen[keep][:, keep]).max() <= 1e-15
+            occupied = set(np.flatnonzero(np.bincount(labels, start.ravel() != 0)))
+            owned = [components(keep) for keep, _, _, owners in blocks if k in owners]
+            # every component the start occupies is in a block it owns, and
+            # it owns no block whose pair it does not occupy
+            assert occupied <= set().union(*owned) and all(c & occupied for c in owned)
         # the channel's two matrices occupy one component each, except that
         # without T1 nothing joins the sector pairs of |000> and |100>
         per_start = [sum(k in owners for *_, owners in blocks) for k in range(2)]
@@ -632,9 +642,7 @@ class TestChebyshev:
         # symmetric about the real axis
         p, c_ops = _collapse_set(collapse, dims)
         H = build_h_full(p)
-        bounds = _spectral_bounds(H, c_ops)
-        ((keep, block, _),) = _lindblad_blocks(H, c_ops, _channel_starts(p.dims)[1:2])
-        box = _field_box(block, keep, p.dims.total, bounds)
+        ((_, block, box, _),) = _lindblad_blocks(H, c_ops, _channel_starts(p.dims)[1:2])
         evals = np.linalg.eigvals(block.toarray())
         slack = 1e-12 * np.abs(evals).max()  # the rounding of eigvals
         assert box[0] - slack <= evals.real.min() and evals.real.max() <= box[1] + slack
@@ -662,9 +670,8 @@ class TestChebyshev:
         assert errs[0] > errs[1] > errs[2], errs
         # the grid is what it claims: several windows, and the last gap
         # is one window of its own that spans several
-        bounds = _spectral_bounds(H, c_ops)
-        for keep, block, _ in _lindblad_blocks(H, c_ops, [rho0]):
-            height = dynamics._half_height(_field_box(block, keep, p.dims.total, bounds))
+        for _, _, box, _ in _lindblad_blocks(H, c_ops, [rho0]):
+            height = dynamics._half_height(box)
             windows = _windows(times, height)
             assert len(windows) >= 4 and windows[-1] == (times.size - 1, times.size, times[-2])
             assert (times[-1] - times[-2]) * height > 3 * dynamics._WINDOW_PHASE
@@ -688,6 +695,8 @@ class TestChebyshev:
     def test_hermitian_start_propagates_one_of_each_mirrored_pair(self, monkeypatch):
         # |0> + |4> on S1: the charge-difference +4 and -4 components are
         # mirror images, and the diagonal one is its own
+        from scipy.sparse.linalg import expm_multiply
+
         p = SystemParams.from_khz(
             80, 80, 475, dims=(5, 3, 3), t1=(20.0, 15.0, 25.0), tphi=(30.0, 40.0, 50.0)
         )
@@ -696,23 +705,63 @@ class TestChebyshev:
         vec[[p.dims.flat_index((0, 0, 0)), p.dims.flat_index((4, 0, 0))]] = 1.0 / np.sqrt(2.0)
         rho = pure_density(StateVector(vec, p.dims))
         times = (0.0, 1.5, 4.0, 9.0)
-        assembled = []
-        assemble = dynamics._assemble
-
-        def counted(*args):
-            keep, block = assemble(*args)
-            i, j = np.divmod(keep, p.dims.total)
-            assembled.append(bool((i == j).any()))
-            return keep, block
-
-        monkeypatch.setattr(dynamics, "_assemble", counted)
-        got = evolve_lindblad(H, c_ops, rho, times).elements
-        mirrored, assembled[:] = assembled[:], []
-        full = propagate_lindblad_matrix(H, c_ops, [rho.elements], times)[0]
-        assert sorted(mirrored) == [False, True]
-        assert sorted(assembled) == [False, False, True]
+        assembled = _count_assembled(monkeypatch, p.dims.total)
+        got = evolve_lindblad(H, c_ops, rho, times, rtol=1e-10).elements
+        by_state, assembled[:] = assembled[:], []
+        full = propagate_lindblad_matrix(H, c_ops, [rho.elements], times, rtol=1e-10)[0]
+        # one path: both entry points assemble the diagonal component and
+        # one of the +-4 pair
+        assert sorted(by_state) == sorted(assembled) == [False, True]
         assert np.array_equal(got, got.conj().swapaxes(-2, -1))
-        assert np.abs(got - 0.5 * (full + full.conj().swapaxes(-2, -1))).max() < 1e-13
+        assert np.array_equal(got, 0.5 * (full + full.conj().swapaxes(-2, -1)))
+        gen = _kron_liouvillian(H, c_ops)
+        ref = np.array([expm_multiply(gen * t, rho.elements.ravel()) for t in times])
+        assert np.abs(full.reshape(len(times), -1) - ref).max() < 1e-9
+
+    def test_general_start_fills_a_mirror_from_its_conjugate_transpose(self, monkeypatch):
+        # u00 + u01 + 2 u10 occupies the diagonal component, its own mirror
+        # image, and the (0, 1) component with its mirror, the (1, 0) one
+        p = SystemParams.from_khz(
+            80, 60, 475, dims=(3, 2, 3), t1=(20.0, 15.0, 25.0), n_th=(0.05, 0.0, 0.1),
+            tphi=(30.0, 40.0, 50.0),
+        )
+        H, c_ops = build_h_full(p), collapse_operators(p)
+        i, j = (p.dims.flat_index(occ) for occ in ((0, 0, 0), (1, 0, 0)))
+        rho0 = np.zeros((p.dims.total,) * 2, dtype=complex)
+        rho0[i, i], rho0[i, j], rho0[j, i] = 1.0, 1.0, 2.0
+        assembled = _count_assembled(monkeypatch, p.dims.total)
+        columns = []
+        chebyshev = dynamics._chebyshev
+
+        def counted(gen, y0, *args):
+            columns.append(y0.shape[1])
+            return chebyshev(gen, y0, *args)
+
+        monkeypatch.setattr(dynamics, "_chebyshev", counted)
+        times = np.array(IRREGULAR)
+        (out,) = propagate_lindblad_matrix(H, c_ops, [rho0], times, rtol=1e-10)
+        # one block per mirror pair; the (0, 1) one carries x and x^dag
+        assert sorted(assembled) == [False, True] and sorted(columns) == [1, 2]
+        gen = _dense_generator(H.elements, [c.elements for c in c_ops])
+        for t, rho in zip(times, out):
+            ref = (expm(gen * t) @ rho0.ravel()).reshape(rho0.shape)
+            assert np.abs(rho - ref).max() < 1e-9, t
+
+
+def _count_assembled(monkeypatch, d: int) -> list[bool]:
+    """Record, for each component `dynamics._assemble` builds, whether it
+    holds a diagonal entry."""
+    assembled = []
+    assemble = dynamics._assemble
+
+    def counted(*args):
+        keep, block = assemble(*args)
+        i, j = np.divmod(keep, d)
+        assembled.append(bool((i == j).any()))
+        return keep, block
+
+    monkeypatch.setattr(dynamics, "_assemble", counted)
+    return assembled
 
 
 @pytest.mark.parametrize("method", ["exact-unitary", "trotter", "lindblad"])

@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -325,7 +326,39 @@ class TestTrajectoryValidation:
         m[0] *= 1.0 + 0.5e-6  # trace defect 5e-7 < 1e-6
         m[3, 0, 1] += 0.5e-9  # Hermiticity defect 7e-10 < 1e-9
         traj = DensityMatrix(m, self.DIMS)
-        assert np.array_equal(traj[3].elements, m[3])
+        assert np.array_equal(traj[3].elements, 0.5 * (m[3] + m[3].conj().T))
+
+    def test_stores_the_hermitian_part_and_leaves_the_callers_array(self):
+        m = self._slices()
+        m[3, 0, 1] += 0.5e-9
+        given = m.copy()
+        rho = DensityMatrix(m, self.DIMS)
+        assert np.array_equal(rho.elements, 0.5 * (m + m.conj().swapaxes(-2, -1)))
+        assert np.array_equal(rho.elements, rho.elements.conj().swapaxes(-2, -1))
+        assert not rho.elements.flags.writeable
+        assert np.array_equal(m, given) and m.flags.writeable
+        m[3, 0, 1] = 0.0  # the caller's array stays the caller's
+        assert rho.elements[3, 0, 1] != 0.0
+        real = np.eye(18) / 18  # a real array too is read, not written
+        assert DensityMatrix(real, self.DIMS).elements.dtype == complex
+        assert np.array_equal(real, np.eye(18) / 18)
+
+    def test_checks_a_trajectory_without_full_size_scratch(self):
+        # a (401, 180, 180) trajectory is 208 MB: its check may add the
+        # stored Hermitian part and scratch of a few samples, no more
+        d = DIMS.total
+        m = np.zeros((401, d, d), dtype=complex)
+        m[:, np.arange(d), np.arange(d)] = 1.0 / d
+        m[:, 0, 1], m[:, 1, 0] = 0.1j, -0.1j
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            rho = DensityMatrix(m, DIMS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(rho.elements, m)
+        assert peak < m.nbytes + 8 * m[0].nbytes
 
     def test_wrong_state_shape(self):
         with pytest.raises(DimensionError):
