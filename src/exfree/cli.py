@@ -38,7 +38,7 @@ from .calibration import (
     fit_tms_strength,
     generate_tmsv_trace,
 )
-from .dynamics import EvolutionSpec
+from .dynamics import METHODS, EvolutionSpec
 from .errors import (
     ConvergenceError,
     DimensionError,
@@ -64,13 +64,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_REGIME = 3
 EXIT_NUMERICS = 4
-
-_METHOD_ALIASES = {
-    "exact": "exact-unitary",
-    "exact-unitary": "exact-unitary",
-    "trotter": "trotter",
-    "lindblad": "lindblad",
-}
 
 
 class ConfigError(ExfreeError):
@@ -373,9 +366,9 @@ def _parse_mapping(raw: dict, echo: dict) -> RunConfig:
         except InvalidParameterError as exc:
             raise ConfigError(str(exc)) from exc
 
-    method = _METHOD_ALIASES.get(raw.get("method", "exact"))
-    if method is None:
-        raise ConfigError(f"unknown method {raw['method']!r}")
+    method = raw.get("method", "exact")
+    if method not in METHODS:
+        raise ConfigError(f"unknown method {method!r}; choose from {METHODS}")
     total_time = _real(raw["total_time_us"]) if "total_time_us" in raw else None
     if total_time is not None and total_time <= 0:
         raise ConfigError("total_time_us must be positive")
@@ -501,7 +494,7 @@ def _dispatch(cfg: RunConfig) -> int:
 @click.option("--out", "out_dir", default=None, help="Artifact output directory.")
 @click.option(
     "--method",
-    type=click.Choice(["exact", "trotter", "lindblad"]),
+    type=click.Choice(METHODS),
     default=None,
     help="Override the propagation method.",
 )

@@ -54,12 +54,18 @@ def _check_times(times) -> np.ndarray:
     return times
 
 
+#: The propagation methods: the exact unitary, the first-order split-step
+#: and the master equation.
+METHODS = ("exact", "trotter", "lindblad")
+
+
 @dataclass(frozen=True)
 class EvolutionSpec:
-    """How to propagate: method, step/tolerance controls, output times."""
+    """How to propagate: method (one of `METHODS`), step/tolerance controls,
+    output times."""
 
     total_time: float
-    method: str = "exact-unitary"  # or "trotter" / "lindblad"
+    method: str = "exact"
     trotter_dt: Optional[float] = None
     rtol: float = 1e-8
     sample_times: tuple[float, ...] = ()
@@ -67,7 +73,7 @@ class EvolutionSpec:
     def __post_init__(self):
         if not 0 <= self.total_time < np.inf:
             raise InvalidParameterError("total_time must be finite and nonnegative")
-        if self.method not in ("exact-unitary", "trotter", "lindblad"):
+        if self.method not in METHODS:
             raise InvalidParameterError(f"unknown method {self.method!r}")
         if self.method == "trotter" and not 0 < (self.trotter_dt or 0) < np.inf:
             raise InvalidParameterError("trotter method needs a finite trotter_dt > 0")
@@ -112,13 +118,15 @@ def _occupied_sectors(
     return [[blocks[k] for k in np.flatnonzero(np.bincount(labels, x != 0))] for x in starts]
 
 
-def _sector_block(h: OperatorMatrix, pos: np.ndarray, size: int) -> np.ndarray:
-    """Dense block of h on one sector: `pos` maps each index of the sector to
-    its place in the block and every other index to -1.  A sector is closed
-    under h, so an entry whose row lies in it has its column there too."""
+def _sector_block(h: OperatorMatrix, idx: np.ndarray) -> np.ndarray:
+    """Dense block of h on one sector, in the order of its indices `idx`.  A
+    sector is closed under h, so an entry whose row lies in it has its column
+    there too."""
+    pos = np.full(h.dims.total, -1)  # the place in the block of each index, else -1
+    pos[idx] = np.arange(idx.size)
     place = pos[h.rows]
     inside = place >= 0
-    block = np.zeros((size, size), dtype=complex)
+    block = np.zeros((idx.size, idx.size), dtype=complex)
     block[place[inside], pos[h.cols[inside]]] = h.vals[inside]
     return block
 
@@ -152,11 +160,8 @@ def _split_step(
     rows = np.concatenate([h.rows for h in factors])
     cols = np.concatenate([h.cols for h in factors])
     (sectors,) = _occupied_sectors((rows, cols, d), [psi.amplitudes])
-    pos = np.full(d, -1)
     for idx in sectors:
-        pos[idx] = np.arange(idx.size)
-        eigs = [np.linalg.eigh(_sector_block(h, pos, idx.size)) for h in factors]
-        pos[idx] = -1
+        eigs = [np.linalg.eigh(_sector_block(h, idx)) for h in factors]
         x = grid = psi.amplitudes[idx]
         if n_steps.any():
             step = reduce(np.matmul, [(v * np.exp(-1j * e * dt)) @ v.conj().T for e, v in eigs])
@@ -289,16 +294,14 @@ def _lindblad_blocks(
             if found[-1:] != [k]:  # a start on both the component and its mirror
                 found.append(k)
     # the least and the greatest eigenvalue of H on each sector reached
-    spread, pos = {}, np.full(d, -1)
+    spread = {}
     jumps = float(sum(np.bincount(c.rows, np.abs(c.vals), d).max()
                       * np.bincount(c.cols, np.abs(c.vals), d).max() for c in collapse_ops))
     for first in sorted(owners):
         pairs, starts_in = owners[first]
         a, b = np.divmod(pairs, ns)
         for s in (set(a.tolist()) | set(b.tolist())) - spread.keys():
-            pos[sectors[s]] = np.arange(sectors[s].size)
-            evals = np.linalg.eigvalsh(_sector_block(H, pos, sectors[s].size))
-            pos[sectors[s]] = -1
+            evals = np.linalg.eigvalsh(_sector_block(H, sectors[s]))
             spread[s] = evals[0], evals[-1]
         im_lo = min(spread[y][0] - spread[x][1] for x, y in zip(a, b)) - jumps
         im_hi = max(spread[y][1] - spread[x][0] for x, y in zip(a, b)) + jumps

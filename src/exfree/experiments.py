@@ -94,7 +94,7 @@ def _evolve_trajectory(
 ):
     """The trajectory at the requested times: one StateVector or
     DensityMatrix with a leading sample axis."""
-    if spec.method == "exact-unitary":
+    if spec.method == "exact":
         return evolve_unitary(build_h_full(params), psi0, times)
     if spec.method == "trotter":
         return evolve_trotter(params, psi0, times, spec.trotter_dt)
@@ -482,9 +482,4 @@ def compare_tms_vs_bs(g: float, delta_values: Sequence[float]) -> ProtocolResult
                 "leak_ratio": tms_leak / bs_leak,
             }
         )
-    result = ProtocolResult(name="pair-vs-exchange", tables={"rows": {"data": rows}})
-    result.series = {
-        key: np.array([r[key] for r in rows])
-        for key in ("delta", "tau_pair", "leak_pair", "tau_exchange", "leak_exchange")
-    }
-    return result
+    return ProtocolResult(name="pair-vs-exchange", tables={"rows": {"data": rows}})

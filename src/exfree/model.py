@@ -168,10 +168,8 @@ def collapse_operators(params: SystemParams) -> list[OperatorMatrix]:
 
 
 #: Cavity T1 lifetimes (us) of the device characterization table, in mode
-#: order (S1, S2, S3), and its thermal populations in the same order, which
-#: no runner attaches.
+#: order (S1, S2, S3).
 CAVITY_T1_US = (265.0, 300.0, 314.0)
-CAVITY_N_TH = (0.03, 0.02, 0.025)
 
 
 def with_cavity_decoherence(params: SystemParams) -> SystemParams:

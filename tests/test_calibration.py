@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,28 @@ class TestTmsStrengthFit:
         t = np.linspace(0.0, 4.0, 64)
         fit = fit_tms_strength(t, np.full_like(t, 0.7))
         assert not fit.converged or "degenerate-data" in fit.flags
+
+    def test_window_too_short_for_g_flagged_degenerate(self):
+        # a 1e-3 us window at t = 1000 us: the polish converges, but g times
+        # the window's span is below 1e-6, so the data cannot resolve g
+        t = np.linspace(1000.0, 1000.001, 16)
+        fit = fit_tms_strength(t, vacuum_probability(1e-4, t))
+        assert not fit.converged
+        assert fit.flags == ("degenerate-data",)
+
+    def test_negative_g_of_the_polish_reported_positive(self, monkeypatch):
+        # cosh is even in g, so -g fits as well as g: the polish may land on either
+        polish = calibration._polish
+
+        def mirrored(residual_fn, x0, names):
+            fit = polish(residual_fn, x0, names)
+            return replace(fit, estimates={**fit.estimates, "g": -fit.estimates["g"]})
+
+        monkeypatch.setattr(calibration, "_polish", mirrored)
+        t = np.linspace(0.0, 4.0, 64)
+        fit = fit_tms_strength(t, generate_tmsv_trace(G_TRUE, t))
+        assert fit.converged
+        assert fit.estimates["g"] == pytest.approx(G_TRUE, rel=1e-6)
 
     def test_too_few_samples(self):
         with pytest.raises(InvalidParameterError):
@@ -134,6 +158,17 @@ class TestDampedOscillationFit:
         assert fit.estimates["omega"] == pytest.approx(1.3, abs=1e-6)
         assert fit.estimates["amplitude"] == pytest.approx(0.4, abs=1e-6)
         assert fit.estimates["offset"] == pytest.approx(0.1, abs=1e-6)
+
+    def test_short_undamped_trace_flags_decay_times_beyond_its_span(self):
+        # 1e-4 us long: every estimate is below UNBOUNDED_SCALE, but the decay
+        # times exceed UNBOUNDED_SCALE spans, far beyond what the trace resolves
+        t = np.linspace(0.0, 1e-4, 200)
+        omega = 2 * np.pi * 5e4
+        fit = fit_damped_oscillation(t, 0.1 + 0.4 * (1 + np.cos(omega * t)))
+        assert max(abs(v) for v in fit.estimates.values()) < UNBOUNDED_SCALE
+        assert min(fit.estimates["tau1"], fit.estimates["tau_phi"]) > UNBOUNDED_SCALE * 1e-4
+        assert fit.flags == ("unbounded-parameter",)
+        assert fit.estimates["omega"] == pytest.approx(omega, rel=1e-6)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_noisy_roundtrip(self, seed):

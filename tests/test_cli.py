@@ -8,6 +8,7 @@ import yaml
 from click.testing import CliRunner
 
 from exfree import cli, dynamics
+from exfree.dynamics import METHODS
 from exfree.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICS,
@@ -87,6 +88,16 @@ class TestLoadConfig:
     def test_trotter_needs_dt(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(write(tmp_path, "c.yaml", {**BASE, "method": "trotter"}))
+
+    def test_per_mode_coherence_lists(self):
+        cfg = parse_config({**BASE, "t1_us": [265, None, 314], "tphi_us": [None, 50, None]})
+        assert cfg.params.t1 == (265.0, None, 314.0)
+        assert cfg.params.tphi == (None, 50.0, None)
+
+    @pytest.mark.parametrize("key", ["t1_us", "tphi_us", "n_th"])
+    def test_two_entry_coherence_list_refused(self, key):
+        with pytest.raises(ConfigError, match=f"{key} must be a scalar or a 3-list"):
+            parse_config({**BASE, key: [100, 200]})
 
     def test_cli_experiment_overrides_file(self, tmp_path):
         cfg = load_config(write(tmp_path, "c.yaml", BASE), {"experiment": "hom"})
@@ -321,6 +332,42 @@ class TestDispatch:
         assert res.exit_code == EXIT_CONFIG, res.output
         assert "config error:" in res.output
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["c.yaml"]
+
+    @pytest.mark.parametrize(
+        "experiment,text,named",
+        [
+            ("qst", "experiment: [qst\n", "cannot parse config"),
+            ("qst", "- qst\n", "config must be a mapping"),
+            ("qst", yaml.safe_dump({**BASE, "method": "magic"}), "unknown method 'magic'"),
+            # the exact method has one name, in configs as on the command line
+            ("qst", yaml.safe_dump({**BASE, "method": "exact-unitary"}),
+             "unknown method 'exact-unitary'"),
+            ("sweep", yaml.safe_dump({**BASE, "experiment": "sweep", "sweep_experiment": "teleport",
+                                      "delta_over_2pi_khz_values": [475]}),
+             "cannot sweep experiment 'teleport'"),
+            ("sweep", yaml.safe_dump({**BASE, "experiment": "sweep"}),
+             "sweep needs delta_over_2pi_khz_values"),
+        ],
+        ids=["yaml-syntax", "not-a-mapping", "unknown-method", "long-exact-spelling",
+             "unknown-sweep-experiment", "sweep-without-detunings"],
+    )
+    def test_malformed_config_exits_2_and_writes_nothing(self, tmp_path, experiment, text, named):
+        cfg_path = tmp_path / "c.yaml"
+        cfg_path.write_text(text)
+        out = tmp_path / "runs"
+        res = CliRunner().invoke(main, [experiment, "--config", str(cfg_path), "--out", str(out)])
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert f"config error: {named}" in res.output
+        assert not out.exists()
+
+    def test_method_option_offers_the_methods(self, tmp_path):
+        (option,) = [p for p in main.params if p.name == "method"]
+        assert tuple(option.type.choices) == METHODS
+        out = tmp_path / "runs"
+        res = CliRunner().invoke(main, ["qst", "--config", write(tmp_path, "c.yaml", BASE),
+                                        "--method", "exact-unitary", "--out", str(out)])
+        assert res.exit_code == EXIT_CONFIG, res.output  # click's usage error is exit 2 too
+        assert not out.exists()
 
     def test_nonpositive_rtol_exit_code(self, tmp_path):
         payload = {**FINAL_ONLY, "experiment": "purified-qst", "method": "lindblad", "rtol": -1}

@@ -7,6 +7,7 @@ from scipy.linalg import expm
 from exfree import dynamics
 from exfree.analytic import mean_photon_numbers, tau_st
 from exfree.dynamics import (
+    METHODS,
     EvolutionSpec,
     _bessel_j,
     _ellipse,
@@ -37,7 +38,6 @@ from exfree.fock import (
     partial_trace,
 )
 from exfree.model import (
-    CAVITY_N_TH,
     CAVITY_T1_US,
     SystemParams,
     build_h_bs_reference,
@@ -46,6 +46,11 @@ from exfree.model import (
     build_h_tms,
     collapse_operators,
 )
+
+
+#: Thermal populations of the cavities of the device characterization table,
+#: in mode order (S1, S2, S3), which no runner attaches.
+CAVITY_N_TH = (0.03, 0.02, 0.025)
 
 
 def pure_density(psi: StateVector) -> DensityMatrix:
@@ -73,7 +78,7 @@ class TestEvolutionSpec:
         with pytest.raises(InvalidParameterError):
             EvolutionSpec(total_time=1.0, sample_times=(0.8, 0.2))
 
-    @pytest.mark.parametrize("method", ["exact-unitary", "trotter", "lindblad"])
+    @pytest.mark.parametrize("method", METHODS)
     def test_sample_times_strictly_increasing(self, method):
         dt = 0.5 if method == "trotter" else None
         with pytest.raises(InvalidParameterError):
@@ -81,7 +86,7 @@ class TestEvolutionSpec:
                 total_time=2.0, method=method, trotter_dt=dt, sample_times=(0.0, 1.0, 1.0, 2.0)
             )
 
-    @pytest.mark.parametrize("method", ["exact-unitary", "trotter", "lindblad"])
+    @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize(
         "sample_times",
         [(-1e-13, 0.5, 1.0), (0.0, np.nan), (0.0, np.inf)],
@@ -524,6 +529,19 @@ class TestLindblad:
             assert np.trace(rho.elements).real == pytest.approx(1.0, abs=1e-6)
             assert np.linalg.eigvalsh(rho.elements)[0] > -1e-6
 
+    def test_only_t_zero_returns_the_starts_unpropagated(self, monkeypatch):
+        p = LINDBLAD_P
+        H, c_ops = build_h_full(p), collapse_operators(p)
+        assembled = _count_assembled(monkeypatch, p.dims.total)
+        general = _spread_start(p.dims) + np.triu(np.ones((p.dims.total,) * 2), 1)
+        (out,) = propagate_lindblad_matrix(H, c_ops, [general], (0.0,))
+        assert out.shape == (1, *general.shape) and np.array_equal(out[0], general)
+        rho0 = DensityMatrix(_spread_start(p.dims), p.dims)
+        traj = evolve_lindblad(H, c_ops, rho0, (0.0,))
+        assert traj.elements.shape == (1, *rho0.elements.shape)
+        assert np.array_equal(traj[0].elements, rho0.elements)
+        assert assembled == []
+
     @pytest.mark.parametrize("collapse", ["model", "sector-mixing"])
     def test_matches_dense_liouvillian_expm(self, collapse):
         # the initial matrix spans several coherence sectors; a1 + i a2 joins
@@ -764,7 +782,7 @@ def _count_assembled(monkeypatch, d: int) -> list[bool]:
     return assembled
 
 
-@pytest.mark.parametrize("method", ["exact-unitary", "trotter", "lindblad"])
+@pytest.mark.parametrize("method", METHODS)
 def test_trajectory_reduces_as_its_samples_do(method):
     # g1 != g2 and a start spread over several charge sectors
     p = SystemParams.from_khz(80, 60, 475, dims=(4, 3, 4), t1=(20.0, 15.0, 25.0))
@@ -774,7 +792,7 @@ def test_trajectory_reduces_as_its_samples_do(method):
     psi = StateVector(vec, p.dims)
     dt = 0.05
     times = dt * np.array([0, 3, 10, 41, 80])
-    if method == "exact-unitary":
+    if method == "exact":
         traj = evolve_unitary(build_h_full(p), psi, times)
     elif method == "trotter":
         traj = evolve_trotter(p, psi, times, dt)
@@ -829,13 +847,13 @@ class TestConditioning:
             apply_jump(pure_density(psi) if density else psi, 2)
 
 
-@pytest.mark.parametrize("method", ["exact-unitary", "trotter", "lindblad"])
+@pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("start_dims", [(6, 5, 6), (2, 2, 2)], ids=["larger", "smaller"])
 def test_start_dims_must_match(method, start_dims):
     p = SystemParams.from_khz(80, 80, 475, dims=(3, 2, 3), t1=(20.0, 15.0, 25.0))
     psi = fock_state(start_dims, (1, 0, 0))
     with pytest.raises(InvalidParameterError):
-        if method == "exact-unitary":
+        if method == "exact":
             evolve_unitary(build_h_full(p), psi, (1.0,))
         elif method == "trotter":
             evolve_trotter(p, psi, [1.0], 0.1)

@@ -3,7 +3,7 @@ import pytest
 
 from exfree import dynamics, experiments
 from exfree.analytic import sweet_point_detuning, tau_st
-from exfree.dynamics import EvolutionSpec
+from exfree.dynamics import METHODS, EvolutionSpec
 from exfree.errors import InvalidParameterError
 from exfree.dynamics import evolve_trotter, evolve_unitary
 from exfree.fock import DensityMatrix, fock_state, partial_trace
@@ -272,7 +272,7 @@ class TestHom:
         assert set(hom_result.series) >= {"P11", "P20", "P02"}
         assert hom_result.series["P11"].shape == hom_result.times.shape
 
-    @pytest.mark.parametrize("method", ["exact-unitary", "trotter", "lindblad"])
+    @pytest.mark.parametrize("method", METHODS)
     def test_series_are_per_sample_reduced_diagonals(self, method):
         p = SystemParams.from_khz(80, 80, 775, dims=(4, 3, 4), t1=(20.0, 15.0, 25.0))
         dt = 0.05
@@ -302,6 +302,18 @@ class TestHom:
         for key, value in exact.series.items():
             assert np.abs(lindblad.series[key] - value).max() < 1e-6, key
         assert np.abs(lindblad.populations - exact.populations).max() < 1e-6
+
+
+@pytest.mark.parametrize("runner", [run_single_photon_qst, run_hom], ids=["qst", "hom"])
+def test_default_spec_is_exact_over_two_swap_times(runner):
+    p = SystemParams.from_khz(80, 80, 775, dims=(4, 3, 4))
+    total = 2.0 * tau_st(p)
+    grid = np.linspace(0.0, total, 801)
+    default = runner(p)
+    given = runner(p, EvolutionSpec(total_time=total, sample_times=tuple(grid)))
+    assert np.array_equal(default.times, grid)
+    assert np.array_equal(default.populations, given.populations)
+    assert default.scalars == given.scalars
 
 
 def test_runners_never_form_a_full_space_density(monkeypatch, sweet7):

@@ -124,6 +124,15 @@ class TestProcessMatrix:
         for build in (ProcessMatrix, process_matrix):
             with pytest.raises(InvalidOperatorError):
                 build(np.full((4, 4), np.nan, dtype=complex))
+            with pytest.raises(DimensionError):
+                build(np.eye(2, dtype=complex) / 2.0)
+        # unit trace, but no channel
+        with pytest.raises(InvalidOperatorError, match="Hermitian"):
+            ProcessMatrix(IDEAL + 0.1 * np.triu(np.ones((4, 4)), 1))
+        with pytest.raises(InvalidOperatorError, match="completely positive"):
+            ProcessMatrix(np.diag([0.5, 0.5, 0.5, -0.5]))
+        with pytest.raises(InvalidOperatorError, match="vanishing weight"):
+            process_matrix(np.zeros((4, 4)))
 
     def test_phase_optimized_identity_with_phase(self):
         # the channel x -> v x v^dag has the Choi matrix w IDEAL w^dag, w = 1 (x) v
