@@ -5,9 +5,9 @@ Config files are YAML with frequencies quoted as f/2pi in kHz and times in
 us (the loader converts to internal angular units).  Each experiment reads
 the keys its entry in `_EXPERIMENTS` lists, and the loader refuses any
 other.  Artifacts land in `<outdir>/<experiment>/<label>/`: a
-`manifest.json` with the config echo and versions (the only file carrying a
-timestamp), `trajectory.csv` and `summary.json` with the data.  Identical
-configs produce byte-identical data files.
+`manifest.json` with the config echo, the overrides and versions (the only
+file carrying a timestamp), `trajectory.csv` and `summary.json` with the
+data.  Identical configs produce byte-identical data files.
 
 Exit codes: 0 success, 2 config error, 3 regime error, 4 numerical
 nonconvergence.
@@ -85,6 +85,7 @@ class RunConfig:
     trotter_dt: Optional[float]
     rtol: float
     options: dict[str, Any]
+    overrides: dict[str, Any]
 
 
 def _whole(value) -> int:
@@ -123,6 +124,8 @@ def _triple(value, name):
     vals = tuple(None if v is None else _real(v) for v in value)
     if len(vals) != 3:
         raise ConfigError(f"{name} must be a scalar or a 3-list")
+    if name == "n_th" and None in vals:  # a null means no decay only for a time
+        raise ConfigError("n_th entries must be numbers, not null")
     return vals
 
 
@@ -303,7 +306,7 @@ def parse_config(raw: dict, overrides: Optional[dict] = None) -> RunConfig:
     All frequencies are f/2pi in kHz.  Every value is converted here, so a
     value of the wrong type is a `ConfigError`, and so is a key the
     experiment does not read; a null value counts as absent.  `RunConfig.raw`
-    echoes `raw`.
+    echoes `raw`; `RunConfig.overrides` keeps the overrides but the experiment.
     """
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping")
@@ -311,15 +314,17 @@ def parse_config(raw: dict, overrides: Optional[dict] = None) -> RunConfig:
     unknown = sorted(str(k) for k in merged if k not in _VOCABULARY)
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+    # as text, which is how the command line gives them and the manifest takes them
+    given = {k: str(v) for k, v in (overrides or {}).items() if k != "experiment" and v is not None}
     try:
-        return _parse_mapping({k: v for k, v in merged.items() if v is not None}, raw)
+        return _parse_mapping({k: v for k, v in merged.items() if v is not None}, raw, given)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config value: {exc}") from exc
 
 
-def _parse_mapping(raw: dict, echo: dict) -> RunConfig:
+def _parse_mapping(raw: dict, echo: dict, overrides: dict) -> RunConfig:
     """The run configuration of `raw`, which holds no null value; the
-    manifest echoes `echo`."""
+    manifest echoes `echo` and records `overrides`."""
     exp = raw.get("experiment")
     if exp not in _EXPERIMENTS:
         raise ConfigError(f"unknown experiment {exp!r}; choose from {EXPERIMENTS}")
@@ -384,7 +389,7 @@ def _parse_mapping(raw: dict, echo: dict) -> RunConfig:
 
     out_dir = Path(raw.get("out_dir", "runs"))
     return RunConfig(exp, dict(echo), params, method, out_dir, label, total_time, n_samples,
-                     trotter_dt, rtol, options)
+                     trotter_dt, rtol, options, overrides)
 
 
 def run_experiment(cfg: RunConfig) -> ProtocolResult:
@@ -439,6 +444,7 @@ def write_artifacts(result: ProtocolResult, cfg: RunConfig) -> Path:
             "experiment": cfg.experiment,
             "label": cfg.label,
             "config": cfg.raw,
+            "overrides": cfg.overrides,
             "versions": {"package": __version__, "python": sys.version.split()[0],
                          "numpy": np.__version__},
             "created": _dt.datetime.now(_dt.timezone.utc).isoformat(),

@@ -267,10 +267,12 @@ def _lindblad_blocks(
     other is the conjugate transpose of that of x^dag on this one.
     """
     d = H.dims.total
-    K = -1j * H
+    parts = [(H.rows, H.cols, H.vals * -1j)]
     for c in collapse_ops:  # c^dag c from the pairs of entries in one row of c
         e, f = _row_entries(c, c.rows)
-        K = K + OperatorMatrix((c.cols[e], c.cols[f], -0.5 * c.vals[e].conj() * c.vals[f]), H.dims)
+        parts.append((c.cols[e], c.cols[f], -0.5 * c.vals[e].conj() * c.vals[f]))
+    # one canonicalization: an entry's terms are summed in the order of parts
+    K = OperatorMatrix(tuple(map(np.concatenate, zip(*parts))), H.dims)
     sectors = _occupied_sectors((K.rows, K.cols, d), [np.ones(d)])[0]
     ns = len(sectors)
     sec = np.empty(d, dtype=np.intp)

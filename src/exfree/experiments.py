@@ -465,21 +465,10 @@ def compare_tms_vs_bs(g: float, delta_values: Sequence[float]) -> ProtocolResult
     for delta in delta_values:
         params = SystemParams(g1=g, g2=g, delta=float(delta))
         bs_tau, bs_leak = bs_reference_timing(params)
-        if is_oscillatory(params):
-            tms_tau = tau_st(params)
-            tms_leak = n2_amplitude(params)
-        else:
-            tms_tau = float("nan")
-            tms_leak = float("nan")
-        rows.append(
-            {
-                "delta": float(delta),
-                "tau_pair": tms_tau,
-                "leak_pair": tms_leak,
-                "tau_exchange": bs_tau,
-                "leak_exchange": bs_leak,
-                "tau_ratio": tms_tau / bs_tau,
-                "leak_ratio": tms_leak / bs_leak,
-            }
-        )
+        oscillatory = is_oscillatory(params)
+        tms_tau = tau_st(params) if oscillatory else float("nan")
+        tms_leak = n2_amplitude(params) if oscillatory else float("nan")
+        rows.append({"delta": float(delta), "tau_pair": tms_tau, "leak_pair": tms_leak,
+                     "tau_exchange": bs_tau, "leak_exchange": bs_leak,
+                     "tau_ratio": tms_tau / bs_tau, "leak_ratio": tms_leak / bs_leak})
     return ProtocolResult(name="pair-vs-exchange", tables={"rows": {"data": rows}})

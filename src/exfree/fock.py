@@ -5,7 +5,8 @@ with the last mode fastest, i.e. the amplitude of |n1 n2 n3> sits at index
 n1*N2*N3 + n2*N3 + n3.  All other modules share this convention.
 Operators are canonical COO triplets in numpy, so no dense full-space operator
 is formed unless `OperatorMatrix.elements` is read.  Every operator of the
-model is a sum of `ladder_op` products, built from Fock indices alone.
+model is one `ladder_sum`, built from Fock indices and canonicalized once;
+`OperatorMatrix.is_hermitian` builds no operator.
 """
 
 from __future__ import annotations
@@ -95,8 +96,8 @@ class OperatorMatrix:
 
     Stored as canonical COO triplets `rows`, `cols`, `vals` (`_canonical`),
     so the stored pattern is the operator's structure.  The constructor takes
-    a dense array or a triplet tuple (rows, cols, vals).  The algebra is
-    numpy on the triplets.
+    a dense array or a triplet tuple (rows, cols, vals); a sum of ladder
+    products is one `ladder_sum`, and `@` applies the matrix to an array.
     """
 
     rows: np.ndarray
@@ -128,12 +129,14 @@ class OperatorMatrix:
         out[self.rows, self.cols] = self.vals
         return out
 
-    @property
-    def dag(self) -> "OperatorMatrix":
-        return OperatorMatrix((self.cols, self.rows, self.vals.conj()), self.dims)
-
     def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return np.linalg.norm((self + -1 * self.dag).vals) < tol
+        """Whether ||M - M^dag||_F < tol, from the sorted keys row * d + col:
+        an entry meets its mirror by binary search, or counts twice."""
+        d = self.dims.total
+        key, mirror = self.rows * d + self.cols, self.cols * d + self.rows
+        at = np.minimum(np.searchsorted(key, mirror), key.size - 1)
+        diff = np.where(key[at] == mirror, self.vals - self.vals[at].conj(), np.sqrt(2) * self.vals)
+        return np.linalg.norm(diff) < tol
 
     def __matmul__(self, other):
         """Product with a vector (d,) or a matrix (d, k)."""
@@ -143,17 +146,6 @@ class OperatorMatrix:
         out = np.zeros(x.shape, dtype=np.result_type(complex, x))
         np.add.at(out, self.rows, self.vals.reshape((-1,) + (1,) * (x.ndim - 1)) * x[self.cols])
         return out
-
-    def __add__(self, other):
-        if other.dims.total != self.dims.total:
-            raise DimensionError(f"operators on {tuple(self.dims)} and {tuple(other.dims)}")
-        pairs = zip((self.rows, self.cols, self.vals), (other.rows, other.cols, other.vals))
-        return OperatorMatrix(tuple(np.concatenate(pair) for pair in pairs), self.dims)
-
-    def __mul__(self, scalar):
-        return OperatorMatrix((self.rows, self.cols, self.vals * scalar), self.dims)
-
-    __rmul__ = __mul__
 
 
 def _check_samples(arr: np.ndarray, state_ndim: int, dims: ModeDims, kind: str) -> None:
@@ -178,12 +170,12 @@ class StateVector:
     def __post_init__(self):
         vec = np.asarray(self.amplitudes, dtype=complex).view()  # freezes no caller's array
         _check_samples(vec, 1, self.dims, "state")
-        if not np.isfinite(vec).all():
-            raise InvalidParameterError("state has a non-finite entry")
         re, im = vec.real, vec.imag  # views: the norms allocate no (T, d) array
         nrm = np.ravel(np.sqrt(np.einsum("...i,...i", re, re) + np.einsum("...i,...i", im, im)))
-        bad = np.abs(nrm - 1.0) > NORM_TOL
+        bad = ~(np.abs(nrm - 1.0) <= NORM_TOL)  # a NaN or inf entry makes its norm fail too
         if bad.any():
+            if not np.isfinite(vec).all():
+                raise InvalidParameterError("state has a non-finite entry")
             raise InvalidParameterError(f"state norm {nrm[bad][0]} deviates from 1")
         object.__setattr__(self, "amplitudes", vec)
         self.amplitudes.setflags(write=False)
@@ -244,30 +236,40 @@ _LADDER = {
 }
 
 
-def ladder_op(dims, factors: dict[int, str]) -> OperatorMatrix:
-    """Product of ladder operators on distinct modes, identity on the rest.
+def ladder_sum(dims, terms: Sequence[tuple[complex, dict[int, str]]]) -> OperatorMatrix:
+    """Sum of coef * (product of ladder operators on distinct modes, identity
+    on the rest) over the (coef, factors) pairs of `terms`.
 
     `factors` maps a mode index to "a" (<n-1|a|n> = sqrt(n)), "adag"
     (<n+1|a^dag|n> = sqrt(n+1)) or "n" (<n|n|n> = n).  Such a product sends
-    each joint Fock state to at most one Fock state, so it is built from the
-    shifted joint indices alone; a state shifted out of the truncation is
-    dropped.
+    each joint Fock state to at most one Fock state, so its triplets come
+    from the shifted joint indices alone; a state shifted out of the
+    truncation is dropped.  The scaled triplets of all terms are
+    canonicalized once, duplicates summed in term order.
     """
     dims = _as_dims(dims)
-    _check_modes(dims, list(factors))
-    unknown = set(factors.values()) - set(_LADDER)
-    if unknown:
-        raise InvalidParameterError(f"unknown ladder factors {unknown}; use {list(_LADDER)}")
     occ = np.indices(dims.dims).reshape(dims.n_modes, -1)  # occupations of each column
-    shifted = occ.copy()
-    vals = np.ones(dims.total)
-    for mode, factor in sorted(factors.items()):
-        shift, element = _LADDER[factor]
-        shifted[mode] += shift
-        vals *= element(occ[mode])
-    inside = np.all((shifted >= 0) & (shifted < np.array(dims.dims)[:, None]), axis=0)
-    rows = np.ravel_multi_index(tuple(shifted[:, inside]), dims.dims)
-    return OperatorMatrix((rows, np.flatnonzero(inside), vals[inside]), dims)
+    stride = np.cumprod((1,) + dims.dims[:0:-1])[::-1]  # of each mode in a flat index
+    triplets = [(np.zeros(0, dtype=np.intp),) * 2 + (np.zeros(0, dtype=complex),)]  # sum of none: 0
+    for coef, factors in terms:
+        _check_modes(dims, list(factors))
+        unknown = set(factors.values()) - set(_LADDER)
+        if unknown:
+            raise InvalidParameterError(f"unknown ladder factors {unknown}; use {list(_LADDER)}")
+        inside, vals, offset = np.ones(dims.total, dtype=bool), np.ones(dims.total), 0
+        for mode, factor in sorted(factors.items()):
+            shift, element = _LADDER[factor]
+            inside &= (occ[mode] + shift >= 0) & (occ[mode] + shift < dims[mode])
+            vals *= element(occ[mode])
+            offset += shift * int(stride[mode])
+        cols = np.flatnonzero(inside)
+        triplets.append((cols + offset, cols, vals[inside].astype(complex) * coef))
+    return OperatorMatrix(tuple(map(np.concatenate, zip(*triplets))), dims)
+
+
+def ladder_op(dims, factors: dict[int, str]) -> OperatorMatrix:
+    """The one product of ladder operators `factors` (`ladder_sum`)."""
+    return ladder_sum(dims, [(1, factors)])
 
 
 def fock_state(dims, occupations: Sequence[int]) -> StateVector:

@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidParameterError, RegimeError
-from .fock import ModeDims, OperatorMatrix, ladder_op
+from .fock import ModeDims, OperatorMatrix, ladder_sum
 
 TWO_PI = 2.0 * np.pi
 
@@ -98,29 +98,32 @@ def require_oscillatory(params: SystemParams) -> None:
         )
 
 
+def _tms_terms(params: SystemParams, pair: str) -> list:
+    """The `ladder_sum` terms of g*(a_x a_2 + a_x^dag a_2^dag) for one pump:
+    pair "S1S2" (x = mode 0, strength g1) or "S3S2" (x = mode 2, g2)."""
+    if pair not in ("S1S2", "S3S2"):
+        raise InvalidParameterError(f"pair must be 'S1S2' or 'S3S2', got {pair!r}")
+    x, g = (0, params.g1) if pair == "S1S2" else (2, params.g2)
+    return [(g, {x: "a", 1: "a"}), (g, {x: "adag", 1: "adag"})]
+
+
 def build_h_tms(params: SystemParams, pair: str) -> OperatorMatrix:
     """Pair-creation coupling g*(a_x^dag a_2^dag + a_x a_2) for one pump.
 
     pair is "S1S2" (x = mode 0, strength g1) or "S3S2" (x = mode 2, g2).
     """
-    if pair == "S1S2":
-        x, g = 0, params.g1
-    elif pair == "S3S2":
-        x, g = 2, params.g2
-    else:
-        raise InvalidParameterError(f"pair must be 'S1S2' or 'S3S2', got {pair!r}")
-    pair_annihilation = ladder_op(params.dims, {x: "a", 1: "a"})
-    return g * (pair_annihilation + pair_annihilation.dag)
+    return ladder_sum(params.dims, _tms_terms(params, pair))
 
 
 def build_h_detune(params: SystemParams) -> OperatorMatrix:
     """Bus detuning term delta * n_2."""
-    return params.delta * ladder_op(params.dims, {1: "n"})
+    return ladder_sum(params.dims, [(params.delta, {1: "n"})])
 
 
 def build_h_full(params: SystemParams) -> OperatorMatrix:
     """Full detuned two-pump Hamiltonian: both pair couplings plus delta*n_2."""
-    return build_h_tms(params, "S1S2") + build_h_tms(params, "S3S2") + build_h_detune(params)
+    terms = _tms_terms(params, "S1S2") + _tms_terms(params, "S3S2")
+    return ladder_sum(params.dims, terms + [(params.delta, {1: "n"})])
 
 
 def build_h_eff(params: SystemParams) -> OperatorMatrix:
@@ -131,8 +134,7 @@ def build_h_eff(params: SystemParams) -> OperatorMatrix:
     if params.delta == 0:
         raise InvalidParameterError("effective coupling g1*g2/delta undefined at delta=0")
     g_eff = params.g1 * params.g2 / params.delta
-    exchange = ladder_op(params.dims, {0: "adag", 2: "a"})
-    return g_eff * (exchange + exchange.dag)
+    return ladder_sum(params.dims, [(g_eff, {0: "adag", 2: "a"}), (g_eff, {0: "a", 2: "adag"})])
 
 
 def build_h_bs_reference(params: SystemParams) -> OperatorMatrix:
@@ -141,9 +143,11 @@ def build_h_bs_reference(params: SystemParams) -> OperatorMatrix:
     g1*(a1^dag a2 + h.c.) + g2*(a3^dag a2 + h.c.) + delta*n_2; conserves the
     total photon number.
     """
-    hop1 = ladder_op(params.dims, {0: "adag", 1: "a"})
-    hop3 = ladder_op(params.dims, {2: "adag", 1: "a"})
-    return params.g1 * (hop1 + hop1.dag) + params.g2 * (hop3 + hop3.dag) + build_h_detune(params)
+    return ladder_sum(params.dims, [
+        (params.g1, {0: "adag", 1: "a"}), (params.g1, {0: "a", 1: "adag"}),
+        (params.g2, {2: "adag", 1: "a"}), (params.g2, {2: "a", 1: "adag"}),
+        (params.delta, {1: "n"}),
+    ])
 
 
 def collapse_operators(params: SystemParams) -> list[OperatorMatrix]:
@@ -152,19 +156,15 @@ def collapse_operators(params: SystemParams) -> list[OperatorMatrix]:
     Per mode with finite T1: sqrt((1+n_th)/T1)*a (and sqrt(n_th/T1)*a^dag if
     n_th > 0); per mode with finite Tphi: sqrt(2/Tphi)*n.
     """
-    dims = params.dims
-    ops: list[OperatorMatrix] = []
-    for k in range(dims.n_modes):
-        t1 = params.t1[k]
+    terms = []
+    for k, (t1, nth, tphi) in enumerate(zip(params.t1, params.n_th, params.tphi)):
         if t1 is not None:
-            nth = params.n_th[k]
-            ops.append(float(np.sqrt((1.0 + nth) / t1)) * ladder_op(dims, {k: "a"}))
+            terms.append((float(np.sqrt((1.0 + nth) / t1)), {k: "a"}))
             if nth > 0:
-                ops.append(float(np.sqrt(nth / t1)) * ladder_op(dims, {k: "adag"}))
-        tphi = params.tphi[k]
+                terms.append((float(np.sqrt(nth / t1)), {k: "adag"}))
         if tphi is not None:
-            ops.append(float(np.sqrt(2.0 / tphi)) * ladder_op(dims, {k: "n"}))
-    return ops
+            terms.append((float(np.sqrt(2.0 / tphi)), {k: "n"}))
+    return [ladder_sum(params.dims, [term]) for term in terms]
 
 
 #: Cavity T1 lifetimes (us) of the device characterization table, in mode

@@ -99,6 +99,15 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=f"{key} must be a scalar or a 3-list"):
             parse_config({**BASE, key: [100, 200]})
 
+    def test_null_inside_an_n_th_list_is_named(self, tmp_path):
+        # a null T1 or Tphi means no decay; a null thermal population means nothing
+        assert parse_config({**BASE, "t1_us": [100, None, 100], "n_th": 0.01}).params.t1[1] is None
+        cfg_path = write(tmp_path, "c.yaml", {**BASE, "t1_us": 100, "n_th": [0.01, None, 0.02]})
+        res = CliRunner().invoke(main, ["qst", "--config", cfg_path, "--out", str(tmp_path / "o")])
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert "config error: n_th entries must be numbers, not null" in res.output
+        assert not (tmp_path / "o").exists()
+
     def test_cli_experiment_overrides_file(self, tmp_path):
         cfg = load_config(write(tmp_path, "c.yaml", BASE), {"experiment": "hom"})
         assert cfg.experiment == "hom"
@@ -413,6 +422,7 @@ class TestDispatch:
             (tmp_path / "runs" / "qst" / "t" / "manifest.json").read_text()
         )
         assert manifest["config"]["dims"] == [6, 5, 6]  # echo of the file, not override
+        assert manifest["overrides"] == {"dims": "7,6,7", "out_dir": str(tmp_path / "runs")}
 
     def test_binomial_runs_trotter(self, tmp_path):
         payload = {
@@ -630,6 +640,10 @@ class TestDispatch:
         swept = tmp_path / "runs" / "sweep" / "qst" / "delta-475" / "trajectory.csv"
         single = tmp_path / "runs" / "qst" / "t" / "trajectory.csv"
         assert swept.read_bytes() == single.read_bytes()
+        given = dict(zip(overrides[::2], overrides[1::2]), out_dir=str(tmp_path / "runs"))
+        for manifest in (swept.parent / "manifest.json", single.parent / "manifest.json"):
+            recorded = json.loads(manifest.read_text())["overrides"]
+            assert recorded == {k.lstrip("-"): v for k, v in given.items()}
 
     def test_hom_summary_fields(self, tmp_path):
         cfg_path = write(

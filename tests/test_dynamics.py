@@ -34,6 +34,7 @@ from exfree.fock import (
     StateVector,
     fock_state,
     ladder_op,
+    ladder_sum,
     mode_populations,
     partial_trace,
 )
@@ -315,8 +316,8 @@ def _liouvillian_edges(p: SystemParams, collapse) -> tuple[np.ndarray, np.ndarra
 
 def _sector_mixing(p: SystemParams) -> list[OperatorMatrix]:
     """a1 + i a2: changes Q = n2 - n1 - n3 by +1 or -1 and joins sectors."""
-    a1, a2 = ladder_op(p.dims, {0: "a"}), ladder_op(p.dims, {1: "a"})
-    return [float(np.sqrt(1.0 / 20.0)) * (a1 + 1j * a2)]
+    rate = float(np.sqrt(1.0 / 20.0))
+    return [ladder_sum(p.dims, [(rate, {0: "a"}), (1j * rate, {1: "a"})])]
 
 
 LINDBLAD_P = SystemParams.from_khz(
@@ -511,7 +512,7 @@ class TestLindblad:
         dims = ModeDims((6,))
         h = OperatorMatrix(np.zeros((6, 6), dtype=complex), dims)
         t1 = 25.0
-        c = float(np.sqrt(1.0 / t1)) * ladder_op(dims, {0: "a"})
+        c = ladder_sum(dims, [(float(np.sqrt(1.0 / t1)), {0: "a"})])
         rho0 = pure_density(fock_state(dims, (3,)))
         times = (5.0, 10.0, 20.0)
         out = evolve_lindblad(h, [c], rho0, times)

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from functools import reduce
 
@@ -22,6 +23,7 @@ from exfree.fock import (
     binomial_code_state,
     fock_state,
     ladder_op,
+    ladder_sum,
     mode_populations,
     partial_trace,
     product_state,
@@ -132,6 +134,15 @@ class TestLadderOperators:
         with pytest.raises(error):
             ladder_op(DIMS, factors)
 
+    def test_ladder_sum_adds_in_one_canonicalization(self):
+        dims = ModeDims((2, 3, 4))
+        a0, n2 = ladder_op(dims, {0: "a", 1: "adag"}).elements, ladder_op(dims, {2: "n"}).elements
+        terms = [(0.5j, {0: "a", 1: "adag"}), (2.0, {2: "n"}), (-0.5j, {0: "a", 1: "adag"})]
+        assert np.array_equal(ladder_sum(dims, terms).elements, 2.0 * n2)  # the first pair cancels
+        assert np.array_equal(ladder_sum(dims, terms[:2]).elements, 0.5j * a0 + 2.0 * n2)
+        empty = ladder_sum(dims, [])  # the sum of no terms is the zero operator
+        assert empty.vals.size == 0 and not empty.elements.any()
+
 
 def _sparse_complex(dims: ModeDims, rng, density=0.4) -> np.ndarray:
     """A random complex matrix on `dims` with about `density` of it nonzero."""
@@ -141,7 +152,8 @@ def _sparse_complex(dims: ModeDims, rng, density=0.4) -> np.ndarray:
 
 
 class TestOperatorMatrix:
-    """The triplet algebra against the same operations on dense arrays."""
+    """The triplets, the Hermiticity check and the products against the same
+    operations on dense arrays."""
 
     dims = ModeDims((2, 3))
 
@@ -168,14 +180,6 @@ class TestOperatorMatrix:
         assert op.rows.tolist() == [1] and op.cols.tolist() == [0]
         assert op.vals.tolist() == [2 + 3j]
 
-    def test_algebra_matches_dense(self, pair):
-        m, n = pair
-        a, b = OperatorMatrix(m, self.dims), OperatorMatrix(n, self.dims)
-        assert np.array_equal(a.dag.elements, m.conj().T)
-        assert np.array_equal((a + b).elements, m + n)
-        assert np.array_equal((2.5 * a).elements, 2.5 * m)
-        assert np.array_equal((a * (1 - 2j)).elements, m * (1 - 2j))
-
     def test_product_with_vector_and_matrix(self, pair):
         m, n = pair
         a = OperatorMatrix(m, self.dims)
@@ -187,6 +191,38 @@ class TestOperatorMatrix:
         m, _ = pair
         assert OperatorMatrix(m + m.conj().T, self.dims).is_hermitian()
         assert not OperatorMatrix(m, self.dims).is_hermitian()
+        assert OperatorMatrix(np.zeros((6, 6)), self.dims).is_hermitian()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.floats(0.05, 1.0))
+    def test_is_hermitian_matches_the_dense_norm(self, seed, density):
+        # asymmetric patterns with complex diagonals, their Hermitian parts
+        # and those parts plus an anti-Hermitian defect of random size
+        rng = np.random.default_rng(seed)
+        m = _sparse_complex(self.dims, rng, density)
+        h = 0.5 * (m + m.conj().T)
+        defect = 10.0 ** rng.uniform(-14, -8) * (m - m.conj().T)
+        for op in (m, h, h + defect):
+            dense = np.linalg.norm(op - op.conj().T)
+            for tol in (1e-12, 1e-10, 1e-8, 1.0, 10.0):
+                assert OperatorMatrix(op, self.dims).is_hermitian(tol) == (dense < tol)
+
+    @pytest.mark.parametrize("factor", [0.9, 1.1], ids=["below", "above"])
+    @pytest.mark.parametrize("where", ["paired", "unpaired", "diagonal"])
+    def test_is_hermitian_at_the_tolerance(self, where, factor):
+        # a defect whose ||M - M^dag||_F is just below or just above tol
+        tol = 1e-10
+        rng = np.random.default_rng(5)
+        m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        h = 0.5 * (m + m.conj().T)  # every entry nonzero, so every entry is paired
+        if where == "unpaired":
+            h[0, 1] = h[1, 0] = 0.0  # (0, 1) is then an entry without a mirror
+        if where == "diagonal":
+            h[2, 2] += 1j * factor * tol / 2.0  # the defect 2i Im h_22 sits on the diagonal
+        else:
+            h[0, 1] += factor * tol / np.sqrt(2.0)  # at (0, 1) and, conjugated, at (1, 0)
+        assert np.linalg.norm(h - h.conj().T) == pytest.approx(factor * tol, rel=1e-4)
+        assert OperatorMatrix(h, self.dims).is_hermitian(tol) == (factor < 1)
 
     @pytest.mark.parametrize(
         "build",
@@ -197,12 +233,11 @@ class TestOperatorMatrix:
             lambda op: op @ np.zeros(5),
             lambda op: op @ np.zeros((5, 6)),
             lambda op: op @ np.zeros((6, 6, 6)),
-            lambda op: op + ladder_op((5,), {0: "n"}),
             lambda op: op @ ladder_op((5,), {0: "n"}),
             lambda op: op @ op,
         ],
         ids=["dense", "vector", "triplet-index", "short-vector", "short-matrix",
-             "three-axes", "sum", "product", "operator-product"],
+             "three-axes", "product", "operator-product"],
     )
     def test_wrong_shape_raises(self, pair, build):
         with pytest.raises(DimensionError):
@@ -298,6 +333,28 @@ class TestTrajectoryValidation:
         m[1, 3, 3] = np.nan
         with pytest.raises(InvalidParameterError):
             DensityMatrix(m, self.DIMS)
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [(np.nan, "state has a non-finite entry"), (np.inf, "state has a non-finite entry"),
+         (-np.inf, "state has a non-finite entry"),
+         (complex(0.0, -np.inf), "state has a non-finite entry"),
+         (1e200, "state norm inf deviates from 1")],
+        ids=["nan", "inf", "minus-inf", "imaginary-inf", "square-overflows"],
+    )
+    def test_non_finite_entries(self, value, message):
+        exact = f"^{re.escape(message)}$"
+        v = self._rows()
+        v[2, 5] = value
+        with pytest.raises(InvalidParameterError, match=exact):
+            StateVector(v, self.DIMS)
+        with pytest.raises(InvalidParameterError, match=exact):
+            StateVector(v[2], self.DIMS)
+        if message.endswith("entry"):
+            # the entry is named even when an earlier sample's norm is off
+            v[0] *= 1.0 + 2.0 * NORM_TOL
+            with pytest.raises(InvalidParameterError, match=exact):
+                StateVector(v, self.DIMS)
 
     def test_one_row_norm_off(self):
         v = self._rows()

@@ -1,10 +1,13 @@
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 import pytest
 
 from exfree.errors import InvalidParameterError, RegimeError
-from exfree.fock import fock_state, ladder_op
+from exfree import dynamics, fock
+from exfree.dynamics import EvolutionSpec
+from exfree.experiments import run_single_photon_qst
+from exfree.fock import ModeDims, OperatorMatrix, fock_state, ladder_op
 from exfree.model import (
     CAVITY_T1_US,
     REGIME_FACTOR,
@@ -228,3 +231,122 @@ class TestCollapseOperators:
         p = with_cavity_decoherence(SystemParams.from_khz(80, 80, 475))
         assert p.t1 == CAVITY_T1_US
         assert len(collapse_operators(p)) == 3
+
+
+def _chained_ladder_op(dims: ModeDims, factors: dict) -> OperatorMatrix:
+    """One ladder product as it was built before `ladder_sum`: real matrix
+    elements, canonicalized on their own."""
+    occ = np.indices(dims.dims).reshape(dims.n_modes, -1)
+    shifted, vals = occ.copy(), np.ones(dims.total)
+    for mode, factor in sorted(factors.items()):
+        shift, element = fock._LADDER[factor]
+        shifted[mode] += shift
+        vals *= element(occ[mode])
+    inside = np.all((shifted >= 0) & (shifted < np.array(dims.dims)[:, None]), axis=0)
+    rows = np.ravel_multi_index(tuple(shifted[:, inside]), dims.dims)
+    return OperatorMatrix((rows, np.flatnonzero(inside), vals[inside]), dims)
+
+
+def _chained_sum(*ops: OperatorMatrix) -> OperatorMatrix:
+    """a + b + ... of the former operator algebra: each + canonicalizes the
+    concatenated triplets."""
+    return reduce(lambda a, b: OperatorMatrix(
+        tuple(np.concatenate(pair) for pair in zip((a.rows, a.cols, a.vals),
+                                                   (b.rows, b.cols, b.vals))), a.dims), ops)
+
+
+def _chained_scale(c, op: OperatorMatrix) -> OperatorMatrix:
+    return OperatorMatrix((op.rows, op.cols, op.vals * c), op.dims)
+
+
+def _chained_hermitian(c, op: OperatorMatrix) -> OperatorMatrix:
+    """c * (op + op.dag) of the former operator algebra."""
+    return _chained_scale(c, _chained_sum(op, OperatorMatrix((op.cols, op.rows, op.vals.conj()),
+                                                             op.dims)))
+
+
+def _chained_builders(p: SystemParams) -> list[OperatorMatrix]:
+    """The six builders and the collapse operators, in the order of
+    `_kron_reference`, as the chains of +, * and dag they were before each
+    became one `ladder_sum`."""
+    lad = partial(_chained_ladder_op, p.dims)
+    tms1 = _chained_hermitian(p.g1, lad({0: "a", 1: "a"}))
+    tms3 = _chained_hermitian(p.g2, lad({2: "a", 1: "a"}))
+    detune = _chained_scale(p.delta, lad({1: "n"}))
+    out = [
+        tms1, tms3, detune, _chained_sum(tms1, tms3, detune),
+        _chained_hermitian(p.g1 * p.g2 / p.delta, lad({0: "adag", 2: "a"})),
+        _chained_sum(_chained_hermitian(p.g1, lad({0: "adag", 1: "a"})),
+                     _chained_hermitian(p.g2, lad({2: "adag", 1: "a"})), detune),
+    ]
+    for k in range(3):
+        t1, nth, tphi = p.t1[k], p.n_th[k], p.tphi[k]
+        if t1 is not None:
+            out.append(_chained_scale(float(np.sqrt((1.0 + nth) / t1)), lad({k: "a"})))
+            if nth > 0:
+                out.append(_chained_scale(float(np.sqrt(nth / t1)), lad({k: "adag"})))
+        if tphi is not None:
+            out.append(_chained_scale(float(np.sqrt(2.0 / tphi)), lad({k: "n"})))
+    return out
+
+
+def _same_bits(got: OperatorMatrix, want: OperatorMatrix) -> bool:
+    """Equal triplets, bit for bit: dtypes, order and the signs of zeros."""
+    pairs = zip((got.rows, got.cols, got.vals), (want.rows, want.cols, want.vals))
+    return all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in pairs)
+
+
+#: Unequal couplings, both signs of the detuning, and T1, thermal and Tphi
+#: collapse operators.
+_PINNED = [
+    SystemParams.from_khz(80, 60, delta, dims=dims, t1=(20.0, 15.0, 25.0),
+                          tphi=(30.0, None, 40.0), n_th=(0.05, 0.0, 0.1))
+    for dims in [(2, 2, 2), (3, 2, 3), (6, 5, 6)] for delta in (475, -475)
+]
+
+
+class TestOneCanonicalization:
+    """Each operator is one `ladder_sum`, bit for bit the chain of +, * and
+    dag it replaces, and sorted once."""
+
+    @pytest.mark.parametrize("p", _PINNED, ids=lambda p: f"{p.dims.dims}-{p.delta:+.3g}")
+    def test_builders_equal_the_chained_form(self, p):
+        built = [build_h_tms(p, "S1S2"), build_h_tms(p, "S3S2"), build_h_detune(p),
+                 build_h_full(p), build_h_eff(p), build_h_bs_reference(p),
+                 *collapse_operators(p)]
+        chained = _chained_builders(p)
+        assert len(built) == len(chained) == 13
+        for k, (got, want) in enumerate(zip(built, chained)):
+            assert _same_bits(got, want), k
+
+    @pytest.mark.parametrize("p", _PINNED[:4], ids=lambda p: f"{p.dims.dims}-{p.delta:+.3g}")
+    def test_lindblad_generator_equals_the_chained_form(self, p, monkeypatch):
+        # K = -iH - sum_c c^dag c / 2 as _lindblad_blocks hands it on
+        seen = []
+        assemble = dynamics._assemble
+        monkeypatch.setattr(dynamics, "_assemble", lambda K, *a: seen.append(K) or assemble(K, *a))
+        H, cs = build_h_full(p), collapse_operators(p)
+        start = fock_state(p.dims, (1, 0, 0)).amplitudes
+        next(dynamics._lindblad_blocks(H, cs, [np.outer(start, start)]))
+        want = _chained_scale(-1j, H)
+        for c in cs:
+            e, f = dynamics._row_entries(c, c.rows)
+            cdc = (c.cols[e], c.cols[f], -0.5 * c.vals[e].conj() * c.vals[f])
+            want = _chained_sum(want, OperatorMatrix(cdc, H.dims))
+        assert _same_bits(seen[0], want)
+
+    def test_canonicalization_count(self, monkeypatch):
+        calls = []
+        canonical = fock._canonical
+        monkeypatch.setattr(fock, "_canonical", lambda *a: calls.append(a) or canonical(*a))
+        p = SystemParams.from_khz(80, 80, 475, dims=(3, 2, 3))  # the runner's oracle needs g1 = g2
+        H = build_h_full(p)
+        assert len(calls) == 1
+        assert H.is_hermitian(tol=1e-12) and len(calls) == 1  # builds no operator
+        times = (0.0, 1.0, 2.0)
+        calls.clear()
+        run_single_photon_qst(p, EvolutionSpec(2.0, sample_times=times))
+        assert len(calls) == 1  # the exact job sorts H once
+        calls.clear()
+        run_single_photon_qst(p, EvolutionSpec(2.0, "trotter", 0.5, sample_times=times))
+        assert len(calls) == 3  # one per split-step factor
