@@ -17,8 +17,10 @@ All propagators share one time contract (`_check_times`) and are
 deterministic.
 
 A propagator returns its whole trajectory as one state with a leading sample
-axis: a `StateVector` of shape (T, d) or a `DensityMatrix` of shape
-(T, d, d), validated once; `traj[k]` is sample k.
+axis, validated once: a `StateVector` whose `values` (T, k) sit on the k
+indices of the sectors its start occupies, built from the sector grids with
+no (T, d) array (its dense `amplitudes` are a copy made on demand), or a
+`DensityMatrix` of shape (T, d, d); `traj[k]` is sample k.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .fock import (
     OperatorMatrix,
     StateVector,
     _check_modes,
+    _check_single,
     ladder_op,
 )
 from .model import SystemParams, build_h_detune, build_h_tms
@@ -132,37 +135,38 @@ def _sector_block(h: OperatorMatrix, idx: np.ndarray) -> np.ndarray:
 
 
 def _check_start(state, dims) -> None:
+    _check_single(state)
     if state.dims.dims != dims.dims:
         raise InvalidParameterError("state dims do not match the system's dims")
-    pure = isinstance(state, StateVector)
-    if (state.amplitudes.ndim != 1) if pure else (state.elements.ndim != 2):
-        raise InvalidParameterError("start must be a single state, not a trajectory")
 
 
 def _split_step(
     factors: Sequence[OperatorMatrix], psi: StateVector, times, dt: Optional[float] = None
 ) -> StateVector:
-    """First-order split-step trajectory of H = sum(factors), one (T, d) state.
+    """First-order split-step trajectory of H = sum(factors), one state of T
+    samples held on the sectors of H that psi occupies.
 
     A step of length s is exp(-i F_1 s) ... exp(-i F_m s): the last factor
     acts first.  Sample t = n dt + r takes n whole steps on from the previous
     sample's grid state, then one step of length r that is not carried
     forward.  With dt None there are no whole steps, and one factor is exact.
-    Each factor has one `eigh` per sector of H that psi occupies.
+    Each factor has one `eigh` per sector of H that psi occupies, and each
+    sector's grid is written straight to its place in the sorted support.
     """
     _check_start(psi, factors[0].dims)
     times = _check_times(times)
     n_steps = np.zeros(times.size, int) if dt is None else np.floor(times / dt).astype(int)
     rest = times if dt is None else times - n_steps * dt
-    d = psi.dims.total
-    out = np.zeros((times.size, d), dtype=complex)
+    start = psi.amplitudes
     # the factors' triplets together are the pattern: no operator sum is formed
     rows = np.concatenate([h.rows for h in factors])
     cols = np.concatenate([h.cols for h in factors])
-    (sectors,) = _occupied_sectors((rows, cols, d), [psi.amplitudes])
+    (sectors,) = _occupied_sectors((rows, cols, start.size), [start])
+    support = np.sort(np.concatenate(sectors))
+    values = np.empty((times.size, support.size), dtype=complex)
     for idx in sectors:
         eigs = [np.linalg.eigh(_sector_block(h, idx)) for h in factors]
-        x = grid = psi.amplitudes[idx]
+        x = grid = start[idx]
         if n_steps.any():
             step = reduce(np.matmul, [(v * np.exp(-1j * e * dt)) @ v.conj().T for e, v in eigs])
             grid = np.empty((times.size, idx.size), dtype=complex)
@@ -173,15 +177,15 @@ def _split_step(
         for evals, evecs in reversed(eigs):
             phases = np.exp(-1j * np.outer(rest, evals))
             grid = (phases * (evecs.conj().T @ grid.T).T) @ evecs.T
-        out[:, idx] = grid
-    return StateVector(out, psi.dims)
+        values[:, np.searchsorted(support, idx)] = grid
+    return StateVector._on_support(support, values, psi.dims)
 
 
 def evolve_unitary(
     H: OperatorMatrix, psi: StateVector, times: Sequence[float]
 ) -> StateVector:
     """The trajectory exp(-iHt) psi of a Hermitian H, one sample per entry of
-    `times`, as one (T, d) state.
+    `times`, as one state of T samples.
 
     Each sector of H that psi occupies has one `eigh`: a charge sector
     Q = n2 - n1 - n3 of the pair coupling, a photon-number sector of the
@@ -195,7 +199,8 @@ def evolve_unitary(
 def evolve_trotter(
     params: SystemParams, psi: StateVector, times: Sequence[float], dt: float
 ) -> StateVector:
-    """First-order split-step trajectory of the full H at `times`, one (T, d) state.
+    """First-order split-step trajectory of the full H at `times`, one state
+    of T samples.
 
     One step is exp(-i H dt) of the pair coupling S1-S2, times that of S3-S2,
     times that of the bus detuning; each conserves the charge of the full H.
@@ -584,10 +589,10 @@ def apply_jump(state, mode: int):
     """Apply single-photon loss a_mode and renormalize.
 
     Returns (state_after, weight) where weight is the pre-normalization
-    norm (pure state) or trace (density matrix).
+    norm (pure state) or trace (density matrix).  `state` is one state: a
+    trajectory is refused.
     """
-    if not isinstance(state, (StateVector, DensityMatrix)):
-        raise InvalidParameterError("state must be a StateVector or DensityMatrix")
+    _check_single(state)
     _check_modes(state.dims, [mode])
     a = ladder_op(state.dims, {mode: "a"})
     if isinstance(state, StateVector):

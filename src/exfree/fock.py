@@ -6,7 +6,9 @@ n1*N2*N3 + n2*N3 + n3.  All other modules share this convention.
 Operators are canonical COO triplets in numpy, so no dense full-space operator
 is formed unless `OperatorMatrix.elements` is read.  Every operator of the
 model is one `ladder_sum`, built from Fock indices and canonicalized once;
-`OperatorMatrix.is_hermitian` builds no operator.
+`OperatorMatrix.is_hermitian` builds no operator.  A `StateVector` is held
+on its support, the indices it may be nonzero on, so a trajectory on a few
+sectors is checked and reduced without a dense (T, d) array.
 """
 
 from __future__ import annotations
@@ -156,34 +158,68 @@ def _check_samples(arr: np.ndarray, state_ndim: int, dims: ModeDims, kind: str) 
         raise DimensionError(f"{kind} shape {arr.shape} inconsistent with dims {tuple(dims)}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class StateVector:
     """Pure state over the truncated joint Fock basis; unit norm enforced.
 
-    `amplitudes` has shape (d,), or (T, d) for a trajectory of T samples
-    that is validated once; `traj[k]` is sample k as a single state.
+    Held on its support: the sorted flat indices `support` (k,), outside
+    which every entry of every sample is zero, and `values` of shape (k,),
+    or (T, k) for a trajectory of T samples that is validated once.  The
+    constructor takes a dense array (d,) or (T, d) and keeps the indices
+    that are nonzero in some sample, a NaN or an inf included; a propagator
+    builds its trajectory on the sectors it occupies (`_on_support`).
+    `amplitudes` is a read-only dense copy, made on each read, as
+    `OperatorMatrix.elements` is.  `traj[k]` is sample k as a single state
+    on the trajectory's support.
     """
 
-    amplitudes: np.ndarray
+    support: np.ndarray
+    values: np.ndarray
     dims: ModeDims
 
-    def __post_init__(self):
-        vec = np.asarray(self.amplitudes, dtype=complex).view()  # freezes no caller's array
-        _check_samples(vec, 1, self.dims, "state")
-        re, im = vec.real, vec.imag  # views: the norms allocate no (T, d) array
+    def __init__(self, amplitudes, dims: ModeDims):
+        vec = np.asarray(amplitudes, dtype=complex)
+        _check_samples(vec, 1, dims, "state")
+        support = np.flatnonzero((vec != 0).reshape(-1, dims.total).any(axis=0))
+        self._hold(support, vec[..., support], dims)  # a new array: no caller's is frozen
+
+    @classmethod
+    def _on_support(cls, support: np.ndarray, values: np.ndarray, dims: ModeDims) -> "StateVector":
+        """The state with `values` (k,) or (T, k) on the sorted flat indices
+        `support` (k,), validated as the constructor validates; `values` is
+        frozen, not copied."""
+        state = object.__new__(cls)
+        state._hold(support, values, dims)
+        return state
+
+    def _hold(self, support: np.ndarray, values: np.ndarray, dims: ModeDims) -> None:
+        """Check the shape and each sample's norm, then freeze and store."""
+        if values.ndim not in (1, 2) or values.shape[-1] != support.size:
+            raise DimensionError(f"state values shape {values.shape} inconsistent with its support")
+        re, im = values.real, values.imag  # views: the norms allocate no (T, k) array
         nrm = np.ravel(np.sqrt(np.einsum("...i,...i", re, re) + np.einsum("...i,...i", im, im)))
         bad = ~(np.abs(nrm - 1.0) <= NORM_TOL)  # a NaN or inf entry makes its norm fail too
         if bad.any():
-            if not np.isfinite(vec).all():
+            if not np.isfinite(values).all():
                 raise InvalidParameterError("state has a non-finite entry")
             raise InvalidParameterError(f"state norm {nrm[bad][0]} deviates from 1")
-        object.__setattr__(self, "amplitudes", vec)
-        self.amplitudes.setflags(write=False)
+        for arr in (support, values):
+            arr.setflags(write=False)
+        for name, value in (("support", support), ("values", values), ("dims", dims)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """Read-only dense copy, of shape (d,) or (T, d)."""
+        out = np.zeros(self.values.shape[:-1] + (self.dims.total,), dtype=complex)
+        out[..., self.support] = self.values
+        out.setflags(write=False)
+        return out
 
     def __getitem__(self, k) -> "StateVector":
-        if self.amplitudes.ndim == 1:
+        if self.values.ndim == 1:
             raise TypeError("a single state has no samples")
-        return StateVector(self.amplitudes[k], self.dims)
+        return StateVector._on_support(self.support, self.values[k], self.dims)
 
 
 @dataclass(frozen=True)
@@ -225,6 +261,18 @@ class DensityMatrix:
         if self.elements.ndim == 2:
             raise TypeError("a single state has no samples")
         return DensityMatrix(self.elements[k], self.dims)
+
+
+def _check_single(state) -> None:
+    """Raise InvalidParameterError unless `state` is one StateVector or
+    DensityMatrix, not a trajectory."""
+    if isinstance(state, StateVector) and state.values.ndim == 1:
+        return
+    if isinstance(state, DensityMatrix) and state.elements.ndim == 2:
+        return
+    typed = isinstance(state, (StateVector, DensityMatrix))
+    kind = "a trajectory" if typed else type(state).__name__
+    raise InvalidParameterError(f"expected one StateVector or DensityMatrix, got {kind}")
 
 
 #: Per ladder factor: the shift of the mode's occupation and the matrix
@@ -315,7 +363,7 @@ def binomial_code_state(label: str, n_levels: int) -> StateVector:
 def product_state(factors: Sequence[StateVector]) -> StateVector:
     """Tensor product of single StateVectors, on the joint dims of their
     modes in order."""
-    single = [isinstance(f, StateVector) and f.amplitudes.ndim == 1 for f in factors]
+    single = [isinstance(f, StateVector) and f.values.ndim == 1 for f in factors]
     if not single or not all(single):
         raise InvalidParameterError("product_state takes one or more single StateVectors")
     joint = reduce(np.kron, [f.amplitudes for f in factors])
@@ -326,24 +374,27 @@ def product_state(factors: Sequence[StateVector]) -> StateVector:
 def fock_probabilities(state) -> np.ndarray:
     """Joint Fock-level probabilities of a StateVector or DensityMatrix,
     shaped (*dims) for one state and (T, *dims) for a trajectory."""
-    if isinstance(state, StateVector):
-        probs = np.abs(state.amplitudes) ** 2
-    else:
-        probs = np.diagonal(state.elements, axis1=-2, axis2=-1).real
+    support, held = _held_probabilities(state)
+    probs = np.zeros(held.shape[:-1] + (state.dims.total,))
+    probs[..., support] = held
     return probs.reshape(probs.shape[:-1] + tuple(state.dims))
+
+
+def _held_probabilities(state) -> tuple[np.ndarray, np.ndarray]:
+    """(support, probs): the flat indices a StateVector holds and |values|^2
+    on them, or every index and the diagonal of a DensityMatrix."""
+    if isinstance(state, StateVector):
+        return state.support, np.abs(state.values) ** 2
+    return np.arange(state.dims.total), np.diagonal(state.elements, axis1=-2, axis2=-1).real
 
 
 def mode_populations(state) -> np.ndarray:
     """Mean photon number of each mode for a StateVector or DensityMatrix:
-    shape (n_modes,) for one state, (T, n_modes) for a trajectory."""
-    occ = fock_probabilities(state)
-    dims = state.dims
-    lead = occ.ndim - dims.n_modes
-    pops = []
-    for k, n in enumerate(dims):
-        others = tuple(lead + j for j in range(dims.n_modes) if j != k)
-        pops.append(occ.sum(axis=others) @ np.arange(n))
-    return np.stack(pops, axis=-1)
+    shape (n_modes,) for one state, (T, n_modes) for a trajectory.  Only
+    the indices a StateVector holds are read."""
+    support, probs = _held_probabilities(state)
+    occupations = np.indices(tuple(state.dims)).reshape(state.dims.n_modes, -1)
+    return probs @ occupations[:, support].T.astype(float)
 
 
 def partial_trace(state, keep: Sequence[int]) -> DensityMatrix:

@@ -4,27 +4,25 @@ parity conditioning, and two-qubit Pauli expectation tables."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import lgamma
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import DimensionError, InvalidOperatorError, InvalidParameterError
-from .fock import DensityMatrix, ModeDims, StateVector, _check_modes
+from .fock import DensityMatrix, ModeDims, StateVector, _check_modes, _check_single
 
 
 def _as_matrix(state, n_modes: Optional[int] = None) -> np.ndarray:
     """Density matrix of one StateVector or DensityMatrix; with `n_modes`,
     the state must have that many modes."""
-    if isinstance(state, StateVector) and state.amplitudes.ndim == 1:
+    _check_single(state)
+    if isinstance(state, StateVector):
         v = state.amplitudes
         m = np.outer(v, v.conj())
-    elif isinstance(state, DensityMatrix) and state.elements.ndim == 2:
-        m = state.elements
     else:
-        typed = isinstance(state, (StateVector, DensityMatrix))
-        kind = "a trajectory" if typed else type(state).__name__
-        raise InvalidParameterError(f"expected one StateVector or DensityMatrix, got {kind}")
+        m = state.elements
     if n_modes is not None and state.dims.n_modes != n_modes:
         raise DimensionError(f"need a {n_modes}-mode state, got dims {tuple(state.dims)}")
     return m
@@ -238,6 +236,16 @@ PAULI_PAIRS = tuple(
 )
 
 
+@cache
+def _pauli_products() -> dict[str, np.ndarray]:
+    """The two-qubit Pauli product of each of `PAULI_PAIRS`, formed on first
+    use and read-only."""
+    products = {p: np.kron(_PAULI[p[0]], _PAULI[p[1]]) for p in PAULI_PAIRS}
+    for op in products.values():
+        op.setflags(write=False)
+    return products
+
+
 def qubit_pair_02(state) -> tuple[DensityMatrix, float]:
     """Project a two-mode state onto span{|0>,|2>} x span{|0>,|2>}.
 
@@ -263,7 +271,4 @@ def pauli_table_02(pair) -> dict[str, float]:
     qubit = _as_matrix(pair)
     if tuple(pair.dims) != (2, 2):
         raise DimensionError(f"need a qubit pair on dims (2, 2), got {tuple(pair.dims)}")
-    return {
-        p: float(np.real(np.trace(qubit @ np.kron(_PAULI[p[0]], _PAULI[p[1]]))))
-        for p in PAULI_PAIRS
-    }
+    return {p: float(np.real(np.trace(qubit @ op))) for p, op in _pauli_products().items()}

@@ -32,11 +32,14 @@ from exfree.fock import (
     ModeDims,
     OperatorMatrix,
     StateVector,
+    binomial_code_state,
+    fock_probabilities,
     fock_state,
     ladder_op,
     ladder_sum,
     mode_populations,
     partial_trace,
+    product_state,
 )
 from exfree.model import (
     CAVITY_T1_US,
@@ -281,6 +284,74 @@ class TestSparseCore:
             tracemalloc.stop()
         assert peak < 20e6
 
+
+
+def _charge(dims) -> np.ndarray:
+    """The charge Q = n2 - n1 - n3 of the pair coupling at each flat index."""
+    n1, n2, n3 = np.indices(tuple(dims)).reshape(3, -1)
+    return n2 - n1 - n3
+
+
+def _dense_populations(state: StateVector) -> tuple[np.ndarray, np.ndarray]:
+    """(probabilities, populations) from the dense amplitudes: |a|^2 on the
+    full grid, and each mode's level marginal times its occupations."""
+    probs = (np.abs(state.amplitudes) ** 2).reshape((-1, *state.dims))
+    pops = [np.moveaxis(probs, k + 1, -1).sum(axis=(1, 2)) @ np.arange(n)
+            for k, n in enumerate(state.dims)]
+    return probs, np.stack(pops, axis=-1)
+
+
+class TestHeldTrajectory:
+    """A pure trajectory is held on the sectors its start occupies."""
+
+    def test_values_span_the_occupied_sector_only(self):
+        # one (T, d) complex array here is 200 * 1728 * 16 bytes = 5.5 MB
+        p = SystemParams.from_khz(80, 80, 475, dims=(12, 12, 12))
+        H, psi = build_h_full(p), fock_state(p.dims, (1, 0, 0))
+        times = np.linspace(0.0, 2.0 * tau_st(p), 200)
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            traj = evolve_unitary(H, psi, times)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        sector = np.flatnonzero(_charge(p.dims) == -1)
+        assert sector.size == 88
+        assert np.array_equal(traj.support, sector)
+        assert traj.values.shape == (200, 88) and not traj.values.flags.writeable
+        assert peak < times.size * p.dims.total * 16
+
+    def test_sample_shares_the_trajectory_support(self, params):
+        traj = evolve_unitary(build_h_full(params), fock_state(params.dims, (1, 0, 0)), (0.0, 1.0))
+        first = traj[0]
+        assert first.support is traj.support
+        assert np.array_equal(first.values, traj.values[0])
+        assert np.array_equal(first.amplitudes, traj.amplitudes[0])
+        assert np.array_equal(traj[-1:].values, traj.values[-1:])
+
+    @pytest.mark.parametrize("run", ["binomial-two-sectors", "trotter", "exchange"])
+    def test_populations_match_the_dense_formulas(self, run):
+        p = SystemParams.from_khz(80, 80, 475, dims=(6, 5, 6))
+        times = np.linspace(0.0, 2.0 * tau_st(p), 37)
+        if run == "binomial-two-sectors":
+            vac = [fock_state((n,), (0,)) for n in p.dims[1:]]
+            psi = product_state([binomial_code_state("0L", p.dims[0]), *vac])
+            traj = evolve_unitary(build_h_full(p), psi, times)
+            expect = np.flatnonzero(np.isin(_charge(p.dims), (0, -4)))
+        elif run == "trotter":
+            psi = fock_state(p.dims, (1, 0, 0))
+            traj = evolve_trotter(p, psi, times, 0.37 * tau_st(p) / 10)
+            expect = np.flatnonzero(_charge(p.dims) == -1)
+        else:  # the exchange baseline conserves the total photon number
+            psi = fock_state(p.dims, (1, 0, 0))
+            traj = evolve_unitary(build_h_bs_reference(p), psi, times)
+            expect = np.flatnonzero(np.indices(p.dims.dims).sum(axis=0).ravel() == 1)
+        assert np.array_equal(traj.support, expect)
+        probs, pops = _dense_populations(traj)
+        assert np.array_equal(fock_probabilities(traj), probs)
+        assert np.abs(mode_populations(traj) - pops).max() < 1e-15
+        assert np.abs(mode_populations(traj[-1]) - pops[-1]).max() < 1e-15
 
 def _random_pattern(seed: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """A random symmetric edge list on n nodes; at least a third of the nodes
@@ -840,6 +911,18 @@ class TestConditioning:
         assert type(out) is type(state)
         assert np.allclose(mode_populations(out), [0, 0, 2])
         assert got == pytest.approx(weight)
+
+    @pytest.mark.parametrize("samples", [2, 4], ids=["two-samples", "samples-equal-d"])
+    @pytest.mark.parametrize("density", [False, True], ids=["vector", "density"])
+    def test_apply_jump_refuses_a_trajectory(self, density, samples):
+        # at T = d a vector trajectory is a (d, d) array, which an operator
+        # product would take along its sample axis
+        dims = ModeDims((2, 2))
+        psi = StateVector(np.full((samples, 4), 0.5), dims)
+        traj = DensityMatrix(np.full((samples, 4, 4), 0.25), dims) if density else psi
+        with pytest.raises(InvalidParameterError,
+                           match="^expected one StateVector or DensityMatrix, got a trajectory$"):
+            apply_jump(traj, 1)
 
     @pytest.mark.parametrize("density", [False, True], ids=["vector", "density"])
     def test_apply_jump_on_vacuum_fails(self, params, density):

@@ -21,6 +21,7 @@ from exfree.fock import (
     OperatorMatrix,
     StateVector,
     binomial_code_state,
+    fock_probabilities,
     fock_state,
     ladder_op,
     ladder_sum,
@@ -425,6 +426,50 @@ class TestTrajectoryValidation:
         with pytest.raises(TypeError):
             StateVector(self._rows()[0], self.DIMS)[0]
 
+
+
+class TestSupportLayout:
+    """A StateVector holds the sorted indices that are nonzero in some
+    sample and its values there; the dense amplitudes are a copy."""
+
+    DIMS = ModeDims((3, 2, 3))
+
+    def test_dense_round_trip(self):
+        v = np.zeros((3, 18), dtype=complex)
+        v[0, [2, 7]] = 0.6, 0.8j
+        v[1, 11] = -1.0
+        v[2, [7, 16]] = 0.8, 0.6
+        given = v.copy()
+        traj = StateVector(v, self.DIMS)
+        assert np.array_equal(traj.support, [2, 7, 11, 16])
+        assert np.array_equal(traj.values, v[:, [2, 7, 11, 16]])
+        dense = traj.amplitudes
+        assert np.array_equal(dense, v) and not dense.flags.writeable
+        assert not traj.values.flags.writeable and not traj.support.flags.writeable
+        assert np.array_equal(v, given) and v.flags.writeable  # the caller's array stays theirs
+        one = StateVector(v[1], self.DIMS)
+        assert np.array_equal(one.support, [11]) and np.array_equal(one.values, [-1.0])
+        assert np.array_equal(one.amplitudes, v[1])
+        # a sample keeps the trajectory's support, zeros and all
+        assert traj[1].support is traj.support
+        assert np.array_equal(traj[1].values, [0, 0, -1, 0])
+        assert np.array_equal(traj[1:].amplitudes, v[1:])
+
+    def test_populations_match_the_dense_formulas(self):
+        psi = StateVector(self._rows(), self.DIMS)
+        probs = (np.abs(psi.amplitudes) ** 2).reshape((-1, *self.DIMS))
+        pops = [np.moveaxis(probs, k + 1, -1).sum(axis=(1, 2)) @ np.arange(n)
+                for k, n in enumerate(self.DIMS)]
+        assert psi.support.size == 18
+        assert np.array_equal(fock_probabilities(psi), probs)
+        assert np.abs(mode_populations(psi) - np.stack(pops, axis=-1)).max() < 1e-15
+        assert np.abs(mode_populations(psi[0]) - np.stack(pops, axis=-1)[0]).max() < 1e-15
+
+    @staticmethod
+    def _rows():
+        rng = np.random.default_rng(5)
+        v = rng.normal(size=(4, 18)) + 1j * rng.normal(size=(4, 18))
+        return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 class TestReductions:
     def test_mode_populations_fock(self):

@@ -310,6 +310,18 @@ class TestPauliTable:
         assert table["XX"] == pytest.approx(0.0, abs=1e-12)
         assert len(table) == len(PAULI_PAIRS) == 15
 
+    def test_matches_the_kron_products_exactly(self):
+        rng = np.random.default_rng(7)
+        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        rho = m @ m.conj().T
+        pair = DensityMatrix(rho / np.trace(rho).real, ModeDims((2, 2)))
+        pauli = {"I": np.eye(2), "X": np.array([[0, 1], [1, 0]]),
+                 "Y": np.array([[0, -1j], [1j, 0]]), "Z": np.diag([1, -1])}
+        expect = {p: float(np.real(np.trace(pair.elements @ np.kron(
+            *(np.asarray(pauli[q], dtype=complex) for q in p))))) for p in PAULI_PAIRS}
+        assert pauli_table_02(pair) == expect
+        assert pauli_table_02(pair) == expect  # the products formed once are not changed
+
     def test_zero_weight_rejected(self):
         dims = ModeDims((3, 3))
         with pytest.raises(InvalidOperatorError):
