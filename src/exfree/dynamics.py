@@ -17,10 +17,8 @@ All propagators share one time contract (`_check_times`) and are
 deterministic.
 
 A propagator returns its whole trajectory as one state with a leading sample
-axis, validated once: a `StateVector` whose `values` (T, k) sit on the k
-indices of the sectors its start occupies, built from the sector grids with
-no (T, d) array (its dense `amplitudes` are a copy made on demand), or a
-`DensityMatrix` of shape (T, d, d); `traj[k]` is sample k.
+axis, checked once and held on the entries its start occupies, with no (T, d)
+or (T, d^2) array; `traj[k]` is sample k.
 """
 
 from __future__ import annotations
@@ -220,17 +218,16 @@ def evolve_lindblad(
     rtol: float = 1e-8,
 ) -> DensityMatrix:
     """Master-equation evolution, sampled at the sorted `times`, as one
-    (T, d, d) state.
+    state of T samples.
 
     drho/dt = -i[H, rho] + sum_k (L rho L^dag - {L^dag L, rho}/2), propagated
-    by `propagate_lindblad_matrix`; the trajectory holds its Hermitian part,
-    as every `DensityMatrix` does.  Raises ConvergenceError if a Chebyshev
+    by `propagate_lindblad_matrix` and held on the entries it writes, whose
+    Hermitian part is the only copy.  Raises ConvergenceError if a Chebyshev
     series does not meet its tail bound or the result is not finite.
     """
     _check_start(rho, H.dims)
-    return DensityMatrix(
-        propagate_lindblad_matrix(H, collapse_ops, [rho.elements], times, rtol)[0], rho.dims
-    )
+    (held,) = propagate_lindblad_matrix(H, collapse_ops, [rho.elements], times, rtol)
+    return DensityMatrix._on_support(*held, rho.dims)
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -537,23 +534,24 @@ def propagate_lindblad_matrix(
     rho0s: Sequence[np.ndarray],
     times: Sequence[float],
     rtol: float = 1e-8,
-) -> list[np.ndarray]:
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """Linear Lindblad propagation of arbitrary (not necessarily Hermitian)
-    matrices, used both for states and for channel inputs; returns one
-    (len(times), d, d) array per initial matrix in `rho0s`.
+    matrices, used both for states and for channel inputs; returns each image
+    of `rho0s` as (support, values): the sorted flat indices i*d + j written
+    and the image there, of shape (len(times), k).
 
     Only the components of the generator that an initial matrix occupies
     are assembled, one of each mirror pair (`_lindblad_blocks`); every other
-    entry stays zero.  With collapse operators a, a^dag and n a component is
-    a set of coherence sectors (Q, Q') of the charge Q; with cavity T1 each
-    channel input occupies one.  A start x puts two columns on a component
-    C: x on C, and x^dag on C, whose image is the conjugate transpose of
-    that of x on the mirror image of C; on a component that is its own
-    mirror image the first is enough.  A zero column is dropped, and a
-    column equal to the one before it shares it, as x^dag does with x for a
-    Hermitian x.  The columns of a component are propagated at once, by a
-    Chebyshev series of its generator (`_chebyshev`) whose tail bound is
-    below rtol * 1e-2 times the norm of the start, and scattered back.
+    entry stays zero and is not written.  With collapse operators a, a^dag
+    and n a component is a set of coherence sectors (Q, Q') of the charge Q;
+    with cavity T1 each channel input occupies one.  A start x puts two
+    columns on a component C: x on C, and x^dag on C, whose image is the
+    conjugate transpose of that of x on the mirror image of C; on a
+    component that is its own mirror image the first is enough.  A zero
+    column is dropped, and a column equal to the one before it shares it,
+    as x^dag does with x for a Hermitian x.  The columns of a component are
+    propagated at once, by a Chebyshev series of its generator (`_chebyshev`)
+    whose tail bound is below rtol * 1e-2 times the norm of the start.
     """
     if not H.is_hermitian(tol=1e-10):
         raise InvalidOperatorError("Hamiltonian must be Hermitian")
@@ -562,9 +560,9 @@ def propagate_lindblad_matrix(
     d = H.dims.total
     rho0s = [np.asarray(rho0, dtype=complex) for rho0 in rho0s]
     times = _check_times(times)
-    if not times.any():  # no sample after t = 0
-        return [np.repeat(rho0[None], times.size, axis=0) for rho0 in rho0s]
-    out = [np.zeros((times.size, d * d), dtype=complex) for _ in rho0s]
+    if not times.any():  # no sample after t = 0: each start on its nonzero entries
+        return [(np.flatnonzero(x), np.tile(x[x != 0], (times.size, 1))) for x in rho0s]
+    images = [[] for _ in rho0s]  # per start: (entries, image, whether conjugated)
     # a zero matrix occupies no component and stays zero
     for keep, block, box, owners in _lindblad_blocks(H, collapse_ops, rho0s):
         flip = (keep % d) * d + keep // d  # the entry (j, i) of each (i, j)
@@ -580,9 +578,14 @@ def propagate_lindblad_matrix(
                 writes.append((k, len(columns) - 1, dag))
         moved = _chebyshev(block, np.stack(columns, axis=1), times, rtol, box)
         for k, col, dag in writes:
-            image = moved[:, :, col]
-            out[k][:, flip if dag else keep] = image.conj() if dag else image
-    return [full.reshape(-1, d, d) for full in out]
+            images[k].append((flip if dag else keep, moved[:, :, col], dag))
+    supports = [np.sort(np.concatenate([np.zeros(0, np.intp), *(i for i, _, _ in held)]))
+                for held in images]
+    out = [(support, np.empty((times.size, support.size), dtype=complex)) for support in supports]
+    for (support, values), held in zip(out, images):
+        for i, image, dag in held:
+            values[:, np.searchsorted(support, i)] = image.conj() if dag else image
+    return out
 
 
 def apply_jump(state, mode: int):

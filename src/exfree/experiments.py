@@ -191,18 +191,20 @@ def transfer_choi(params: SystemParams, spec: EvolutionSpec) -> tuple[np.ndarray
         [np.outer(a, a) + 1j * np.outer(b, b), np.outer(a, b)], t, spec.rtol,
     )
 
-    def traced(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The S3 {|0>,|1>} blocks, raw and on the bus vacuum, of one
-        propagated matrix: axes (n1, n2, n3, n1', n2', n3'), n3, n3' < 2."""
-        m = m[0].reshape(tuple(dims) * 2)[:, :, :2, :, :, :2]
-        return np.einsum("abkabl->kl", m), np.einsum("akal->kl", m[:, 0, :, :, 0, :])
+    def traced(support: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """The raw and bus-vacuum S3 {|0>,|1>} blocks of one held image, in support order."""
+        a, b, k, a2, b2, l = np.unravel_index(support, tuple(dims) * 2)
+        on, blocks = (a == a2) & (b == b2) & (k < 2) & (l < 2), np.zeros((2, 4), dtype=complex)
+        for row, kept in zip(blocks, (on, on & (b == 0))):
+            np.add.at(row, 2 * k[kept] + l[kept], values[0, kept])
+        return blocks.reshape(2, 2, 2)
 
     # the map and the partial trace keep Hermiticity: the images of u00 and
     # u11 are the Hermitian and anti-Hermitian parts of that of u00 + i u11,
     # and unit (1,0) is (0,1)^dag
     raw, conditioned = (
         np.block([[0.5 * (p + p.conj().T), u01], [u01.conj().T, -0.5j * (p - p.conj().T)]])
-        for p, u01 in zip(*map(traced, mats))
+        for p, u01 in zip(*(traced(*held) for held in mats))
     )
     return raw, conditioned
 
@@ -293,12 +295,15 @@ def run_hom(
     traj = _evolve_trajectory(params, fock_state(dims, (1, 0, 1)), spec, all_times)
     sampled = np.searchsorted(all_times, times)
     pops = mode_populations(traj)[sampled]
-    joint = fock_probabilities(traj).sum(axis=2)[sampled]  # marginal over the bus
-    series = {"P11": joint[:, 1, 1], "P20": joint[:, 2, 0], "P02": joint[:, 0, 2]}
+    index, probs = traj._held_probabilities()  # the bus marginal, over n2 in support order
+    n1, _, n3 = np.unravel_index(index, tuple(dims))
+    joint = np.zeros((all_times.size, dims[0], dims[2]))
+    np.add.at(joint, (slice(None), n1, n3), probs)
+    series = {"P11": joint[sampled, 1, 1], "P20": joint[sampled, 2, 0], "P02": joint[sampled, 0, 2]}
 
     # entanglement analysis at the requested time
     rho13 = partial_trace(traj[k_a], keep=[0, 2])
-    r13, dims13 = rho13.elements, rho13.dims
+    dims13 = rho13.dims
 
     target = np.zeros(dims13.total, dtype=complex)
     target[dims13.flat_index((0, 2))] = 1.0 / sqrt(2.0)
@@ -307,7 +312,7 @@ def run_hom(
 
     qubit_pair, weight = qubit_pair_02(rho13)
 
-    diag_a = np.real(np.diag(r13)).reshape(tuple(dims13))
+    diag_a = fock_probabilities(rho13)
     scalars = {
         "analysis_time": float(analysis_time),
         "P11": float(diag_a[1, 1]),

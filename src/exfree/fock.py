@@ -6,9 +6,9 @@ n1*N2*N3 + n2*N3 + n3.  All other modules share this convention.
 Operators are canonical COO triplets in numpy, so no dense full-space operator
 is formed unless `OperatorMatrix.elements` is read.  Every operator of the
 model is one `ladder_sum`, built from Fock indices and canonicalized once;
-`OperatorMatrix.is_hermitian` builds no operator.  A `StateVector` is held
-on its support, the indices it may be nonzero on, so a trajectory on a few
-sectors is checked and reduced without a dense (T, d) array.
+`OperatorMatrix.is_hermitian` builds no operator.  Every state is held on
+its support, the flat indices it may be nonzero on, so a trajectory on a few
+sectors is checked and reduced without a dense (T, d) or (T, d, d) array.
 """
 
 from __future__ import annotations
@@ -150,129 +150,129 @@ class OperatorMatrix:
         return out
 
 
-def _check_samples(arr: np.ndarray, state_ndim: int, dims: ModeDims, kind: str) -> None:
-    """Raise unless `arr` is one state or a stack of them along one leading
-    sample axis: each state has `state_ndim` axes of length dims.total."""
-    shape = (dims.total,) * state_ndim
-    if arr.ndim not in (state_ndim, state_ndim + 1) or arr.shape[-state_ndim:] != shape:
-        raise DimensionError(f"{kind} shape {arr.shape} inconsistent with dims {tuple(dims)}")
-
-
 @dataclass(frozen=True, init=False, eq=False)
-class StateVector:
-    """Pure state over the truncated joint Fock basis; unit norm enforced.
-
-    Held on its support: the sorted flat indices `support` (k,), outside
-    which every entry of every sample is zero, and `values` of shape (k,),
-    or (T, k) for a trajectory of T samples that is validated once.  The
-    constructor takes a dense array (d,) or (T, d) and keeps the indices
-    that are nonzero in some sample, a NaN or an inf included; a propagator
-    builds its trajectory on the sectors it occupies (`_on_support`).
-    `amplitudes` is a read-only dense copy, made on each read, as
-    `OperatorMatrix.elements` is.  `traj[k]` is sample k as a single state
-    on the trajectory's support.
-    """
+class _Held:
+    """A state, or a trajectory of T states, held on its support: the sorted flat
+    indices `support` (k,), outside which every sample is zero, and `values` (k,)
+    or (T, k), checked once by the type's `_checked`.  A dense state or stack of
+    them (`_axes` axes of d) is held on its entries nonzero in some sample and their transposes."""
 
     support: np.ndarray
     values: np.ndarray
     dims: ModeDims
 
-    def __init__(self, amplitudes, dims: ModeDims):
-        vec = np.asarray(amplitudes, dtype=complex)
-        _check_samples(vec, 1, dims, "state")
-        support = np.flatnonzero((vec != 0).reshape(-1, dims.total).any(axis=0))
-        self._hold(support, vec[..., support], dims)  # a new array: no caller's is frozen
+    def __init__(self, dense, dims: ModeDims):
+        arr = np.asarray(dense, dtype=complex)
+        shape = (dims.total,) * self._axes
+        if arr.ndim not in (self._axes, self._axes + 1) or arr.shape[-self._axes:] != shape:
+            raise DimensionError(f"{self._kind} shape {arr.shape} inconsistent with dims {tuple(dims)}")
+        nonzero = (arr != 0).reshape((-1,) + shape).any(axis=0)  # a NaN or inf counts
+        support = np.flatnonzero(nonzero | nonzero.T)  # a vector is its own transpose
+        flat = arr.reshape(arr.shape[: arr.ndim - self._axes] + (nonzero.size,))
+        self._hold(support, flat.take(support, axis=-1), dims)  # a new array: no caller's is frozen
 
     @classmethod
-    def _on_support(cls, support: np.ndarray, values: np.ndarray, dims: ModeDims) -> "StateVector":
-        """The state with `values` (k,) or (T, k) on the sorted flat indices
-        `support` (k,), validated as the constructor validates; `values` is
-        frozen, not copied."""
+    def _on_support(cls, support: np.ndarray, values: np.ndarray, dims: ModeDims):
+        """The state with `values` on the sorted `support`, held as `_checked` returns it."""
         state = object.__new__(cls)
         state._hold(support, values, dims)
         return state
 
     def _hold(self, support: np.ndarray, values: np.ndarray, dims: ModeDims) -> None:
-        """Check the shape and each sample's norm, then freeze and store."""
         if values.ndim not in (1, 2) or values.shape[-1] != support.size:
-            raise DimensionError(f"state values shape {values.shape} inconsistent with its support")
-        re, im = values.real, values.imag  # views: the norms allocate no (T, k) array
-        nrm = np.ravel(np.sqrt(np.einsum("...i,...i", re, re) + np.einsum("...i,...i", im, im)))
+            raise DimensionError(f"{self._kind} values shape {values.shape} inconsistent with its support")
+        for name, arr in (("support", support), ("values", self._checked(support, values, dims))):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "dims", dims)
+
+    def _dense(self) -> np.ndarray:
+        """Read-only dense copy, made on each read as `OperatorMatrix.elements` is."""
+        lead = self.values.shape[:-1]
+        out = np.zeros(lead + (self.dims.total ** self._axes,), dtype=complex)
+        out[..., self.support] = self.values
+        out.setflags(write=False)
+        return out.reshape(lead + (self.dims.total,) * self._axes)
+
+    def __getitem__(self, k):
+        if self.values.ndim == 1:
+            raise TypeError("a single state has no samples")
+        return self._on_support(self.support, self.values[k], self.dims)
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """The norm of each sample of `x` (..., k), from views: no array of x's size."""
+    re, im = x.real, x.imag
+    return np.sqrt(np.einsum("...i,...i", re, re) + np.einsum("...i,...i", im, im))
+
+
+class StateVector(_Held):
+    """Pure state over the truncated joint Fock basis; unit norm enforced.
+    Held on its support (`_Held`); `amplitudes` (d,) or (T, d) is a dense copy."""
+
+    _kind, _axes = "state", 1
+
+    def _checked(self, support, values, dims):
+        nrm = np.ravel(_norms(values))
         bad = ~(np.abs(nrm - 1.0) <= NORM_TOL)  # a NaN or inf entry makes its norm fail too
         if bad.any():
             if not np.isfinite(values).all():
                 raise InvalidParameterError("state has a non-finite entry")
             raise InvalidParameterError(f"state norm {nrm[bad][0]} deviates from 1")
-        for arr in (support, values):
-            arr.setflags(write=False)
-        for name, value in (("support", support), ("values", values), ("dims", dims)):
-            object.__setattr__(self, name, value)
+        return values
 
-    @property
-    def amplitudes(self) -> np.ndarray:
-        """Read-only dense copy, of shape (d,) or (T, d)."""
-        out = np.zeros(self.values.shape[:-1] + (self.dims.total,), dtype=complex)
-        out[..., self.support] = self.values
-        out.setflags(write=False)
-        return out
+    amplitudes = property(_Held._dense)
 
-    def __getitem__(self, k) -> "StateVector":
-        if self.values.ndim == 1:
-            raise TypeError("a single state has no samples")
-        return StateVector._on_support(self.support, self.values[k], self.dims)
+    def _held_probabilities(self) -> tuple[np.ndarray, np.ndarray]:
+        """(basis indices, probabilities) of the entries held."""
+        return self.support, np.abs(self.values) ** 2
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Mixed state; checked finite, Hermitian and of unit trace, but not
-    positive, which would cost an eigendecomposition per sample.
+class DensityMatrix(_Held):
+    """Mixed state; checked finite, Hermitian and of unit trace, but not positive,
+    which would cost an eigendecomposition per sample.  Held (`_Held`) as the exact
+    Hermitian part (m + m^dag) / 2 of m; `elements` (d, d) or (T, d, d) is a dense copy."""
 
-    `elements` has shape (d, d), or (T, d, d) for a trajectory of T samples
-    that is checked one sample at a time; `traj[k]` is sample k as a single
-    state.  It holds the exact Hermitian part (m + m^dag) / 2 of the given
-    m, in a new read-only array: m itself is neither changed nor frozen,
-    and no caller needs to symmetrize what it passes.
-    """
+    _kind, _axes = "density matrix", 2
 
-    elements: np.ndarray
-    dims: ModeDims
+    def _checked(self, support, values, dims):
+        """The Hermitian part, if each sample is finite, Hermitian to 1e-9 relative
+        and of trace 1 to 1e-6, in that order; j*d + i is found by binary search."""
+        row, col = np.divmod(support, dims.total)
+        mirror = col * dims.total + row
+        at = np.searchsorted(support, mirror)
+        if (support.take(at, mode="clip") != mirror).any():
+            raise DimensionError("density matrix support is not closed under transposition")
+        dag = values.take(at, axis=-1)
+        np.conjugate(dag, out=dag)
+        hermitian = values + dag
+        hermitian *= 0.5
+        np.subtract(values, dag, out=dag)  # the defect m - m^dag
+        trace = values.compress(row == col, axis=-1).sum(axis=-1).real
+        failed = np.array([~np.isfinite(values).all(axis=-1),
+                           _norms(dag) > 1e-9 * np.maximum(1.0, _norms(values)),
+                           np.abs(trace - 1.0) > 1e-6]).reshape(3, -1)
+        if failed.any():
+            k = failed.any(axis=0).argmax()  # the first bad sample, and its first failed check
+            raise InvalidParameterError((
+                "density matrix has a non-finite entry", "density matrix is not Hermitian",
+                f"density matrix trace {np.ravel(trace)[k]} deviates from 1")[failed[:, k].argmax()])
+        return hermitian
 
-    def __post_init__(self):
-        given = np.asarray(self.elements)
-        _check_samples(given, 2, self.dims, "density matrix")
-        d = self.dims.total
-        mat = np.empty(given.shape, dtype=complex)
-        # per sample, so that no scratch array is the size of a trajectory
-        for m, out in zip(given.reshape(-1, d, d), mat.reshape(-1, d, d)):
-            if not np.isfinite(m).all():
-                raise InvalidParameterError("density matrix has a non-finite entry")
-            dag = m.conj().T
-            np.add(m, dag, out=out)
-            out *= 0.5
-            if np.linalg.norm(m - dag) > 1e-9 * max(1.0, np.linalg.norm(m)):
-                raise InvalidParameterError("density matrix is not Hermitian")
-            tr = np.trace(m).real
-            if abs(tr - 1.0) > 1e-6:
-                raise InvalidParameterError(f"density matrix trace {tr} deviates from 1")
-        mat.setflags(write=False)
-        object.__setattr__(self, "elements", mat)
+    elements = property(_Held._dense)
 
-    def __getitem__(self, k) -> "DensityMatrix":
-        if self.elements.ndim == 2:
-            raise TypeError("a single state has no samples")
-        return DensityMatrix(self.elements[k], self.dims)
+    def _held_probabilities(self) -> tuple[np.ndarray, np.ndarray]:
+        """(basis indices, probabilities) of the diagonal entries held."""
+        diagonal = self.support % (self.dims.total + 1) == 0  # entry (i, i) is i * (d + 1)
+        return self.support[diagonal] // (self.dims.total + 1), self.values[..., diagonal].real
 
 
 def _check_single(state) -> None:
     """Raise InvalidParameterError unless `state` is one StateVector or
     DensityMatrix, not a trajectory."""
-    if isinstance(state, StateVector) and state.values.ndim == 1:
-        return
-    if isinstance(state, DensityMatrix) and state.elements.ndim == 2:
-        return
-    typed = isinstance(state, (StateVector, DensityMatrix))
-    kind = "a trajectory" if typed else type(state).__name__
-    raise InvalidParameterError(f"expected one StateVector or DensityMatrix, got {kind}")
+    if not (isinstance(state, _Held) and state.values.ndim == 1):
+        kind = "a trajectory" if isinstance(state, _Held) else type(state).__name__
+        raise InvalidParameterError(f"expected one StateVector or DensityMatrix, got {kind}")
 
 
 #: Per ladder factor: the shift of the mode's occupation and the matrix
@@ -374,25 +374,17 @@ def product_state(factors: Sequence[StateVector]) -> StateVector:
 def fock_probabilities(state) -> np.ndarray:
     """Joint Fock-level probabilities of a StateVector or DensityMatrix,
     shaped (*dims) for one state and (T, *dims) for a trajectory."""
-    support, held = _held_probabilities(state)
+    support, held = state._held_probabilities()
     probs = np.zeros(held.shape[:-1] + (state.dims.total,))
     probs[..., support] = held
     return probs.reshape(probs.shape[:-1] + tuple(state.dims))
 
 
-def _held_probabilities(state) -> tuple[np.ndarray, np.ndarray]:
-    """(support, probs): the flat indices a StateVector holds and |values|^2
-    on them, or every index and the diagonal of a DensityMatrix."""
-    if isinstance(state, StateVector):
-        return state.support, np.abs(state.values) ** 2
-    return np.arange(state.dims.total), np.diagonal(state.elements, axis1=-2, axis2=-1).real
-
-
 def mode_populations(state) -> np.ndarray:
     """Mean photon number of each mode for a StateVector or DensityMatrix:
     shape (n_modes,) for one state, (T, n_modes) for a trajectory.  Only
-    the indices a StateVector holds are read."""
-    support, probs = _held_probabilities(state)
+    the entries a state holds are read."""
+    support, probs = state._held_probabilities()
     occupations = np.indices(tuple(state.dims)).reshape(state.dims.n_modes, -1)
     return probs @ occupations[:, support].T.astype(float)
 
@@ -411,13 +403,12 @@ def partial_trace(state, keep: Sequence[int]) -> DensityMatrix:
     kept = ModeDims(dims[k] for k in keep)
     nm = dims.n_modes
     drop = [k for k in range(nm) if k not in keep]
+    lead = state.values.shape[:-1]  # each dense copy is read once
     if isinstance(state, StateVector):
-        lead = state.amplitudes.shape[:-1]
         psi = state.amplitudes.reshape(lead + tuple(dims))
         order = [*range(len(lead)), *(len(lead) + k for k in keep + drop)]
         x = psi.transpose(order).reshape(lead + (kept.total, -1))
         return DensityMatrix(x @ x.conj().swapaxes(-2, -1), kept)
-    lead = state.elements.shape[:-2]
     shaped = state.elements.reshape(lead + tuple(dims) * 2)
     for offset, k in enumerate(drop):
         ax = len(lead) + k - offset

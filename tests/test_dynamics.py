@@ -606,7 +606,7 @@ class TestLindblad:
         H, c_ops = build_h_full(p), collapse_operators(p)
         assembled = _count_assembled(monkeypatch, p.dims.total)
         general = _spread_start(p.dims) + np.triu(np.ones((p.dims.total,) * 2), 1)
-        (out,) = propagate_lindblad_matrix(H, c_ops, [general], (0.0,))
+        (out,) = _propagated(H, c_ops, [general], (0.0,))
         assert out.shape == (1, *general.shape) and np.array_equal(out[0], general)
         rho0 = DensityMatrix(_spread_start(p.dims), p.dims)
         traj = evolve_lindblad(H, c_ops, rho0, (0.0,))
@@ -624,7 +624,7 @@ class TestLindblad:
         H = build_h_full(p)
         rho0 = _spread_start(p.dims)
         times = (0.0, 1.3, 4.0)
-        out = propagate_lindblad_matrix(H, c_ops, [rho0], times, rtol=1e-8)[0]
+        out = _propagated(H, c_ops, [rho0], times, rtol=1e-8)[0]
         gen = _dense_generator(H.elements, [c.elements for c in c_ops])
         for t, rho in zip(times, out):
             ref = (expm(gen * t) @ rho0.ravel()).reshape(rho0.shape)
@@ -686,17 +686,63 @@ class TestLindblad:
         p = SystemParams.from_khz(80, 80, 475, dims=(3, 2, 3), t1=(20.0, 15.0, 25.0))
         d = p.dims.total
         one = pure_density(fock_state(p.dims, (1, 0, 0))).elements
-        zero, moved = propagate_lindblad_matrix(
+        zero, moved = _propagated(
             build_h_full(p), collapse_operators(p), [np.zeros((d, d)), one], (0.5, 1.0)
         )
         assert all(np.array_equal(rho, np.zeros((d, d))) for rho in zero)
         assert all(np.trace(rho).real == pytest.approx(1.0, abs=1e-6) for rho in moved)
+
+    def test_trajectory_is_held_once(self):
+        # the 101-sample qst trajectory occupies 1,196 of the 10,000 entries
+        # per sample; a dense (T, d^2) result and its Hermitian part would
+        # take 17 of its (T, k) arrays
+        p = SystemParams.from_khz(80, 80, 475, dims=(5, 4, 5), t1=(20.0,) * 3)
+        rho0 = pure_density(fock_state(p.dims, (1, 0, 0)))
+        H, c_ops = build_h_full(p), collapse_operators(p)
+        times = np.linspace(0.0, 2.0 * tau_st(p), 101)
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            traj = evolve_lindblad(H, c_ops, rho0, times)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held = 101 * 1196 * 16  # bytes of one (T, k) complex array
+        assert peak < 4 * held
+        assert traj.values.nbytes == held
+
+    def test_non_hermitian_start_is_held_on_its_own_components(self):
+        # u01 = |000><100| occupies one component; its mirror image, where
+        # u10 would go, is neither propagated nor held
+        p = SystemParams.from_khz(80, 80, 475, dims=(3, 2, 3), t1=(20.0, 15.0, 25.0))
+        H, c_ops = build_h_full(p), collapse_operators(p)
+        d, u01 = p.dims.total, _channel_starts(p.dims)[1]
+        times = (0.0, 2.0, 4.0)
+        ((support, values),) = propagate_lindblad_matrix(H, c_ops, [u01], times)
+        row, col = np.divmod(support, d)
+        assert support.size and not np.isin(col * d + row, support).any()
+        gen = _dense_generator(H.elements, [c.elements for c in c_ops])
+        for t, held in zip(times, values):
+            ref = expm(gen * t) @ u01.ravel()
+            assert np.abs(held - ref[support]).max() < 1e-6
+            assert np.abs(np.delete(ref, support)).max() < 1e-12
 
     def test_reduces_to_unitary_without_collapse(self, params):
         psi = fock_state(params.dims, (1, 0, 0))
         rho = evolve_lindblad(build_h_full(params), [], pure_density(psi), (2.0,))[-1]
         expect = pure_density(evolve_unitary(build_h_full(params), psi, (2.0,))[0])
         assert np.max(np.abs(rho.elements - expect.elements)) < 1e-6
+
+
+def _propagated(H: OperatorMatrix, *args, **kwargs) -> list[np.ndarray]:
+    """`propagate_lindblad_matrix`, each held image (support, values)
+    scattered into a dense (T, d, d) array."""
+    d, out = H.dims.total, []
+    for support, values in propagate_lindblad_matrix(H, *args, **kwargs):
+        dense = np.zeros((values.shape[0], d * d), dtype=complex)
+        dense[:, support] = values
+        out.append(dense.reshape(-1, d, d))
+    return out
 
 
 def _spread_start(dims: ModeDims) -> np.ndarray:
@@ -753,7 +799,7 @@ class TestChebyshev:
         ref = np.array([expm(gen * t) @ rho0.ravel() for t in times])
         errs = []
         for rtol in (1e-4, 1e-6, 1e-8, 1e-10):
-            out = propagate_lindblad_matrix(H, c_ops, [rho0], times, rtol=rtol)[0]
+            out = _propagated(H, c_ops, [rho0], times, rtol=rtol)[0]
             errs.append(np.abs(out.reshape(times.size, -1) - ref).max())
             assert errs[-1] < rtol, rtol
         assert errs[-1] < 1e-9
@@ -771,7 +817,7 @@ class TestChebyshev:
         dims = ModeDims((3, 2))
         rho0 = np.outer(np.arange(6.0), np.arange(6.0) + 1j)
         H = OperatorMatrix(np.zeros((6, 6), dtype=complex), dims)
-        (out,) = propagate_lindblad_matrix(H, [], [rho0], (0.0, 2.0, 50.0))
+        (out,) = _propagated(H, [], [rho0], (0.0, 2.0, 50.0))
         assert np.array_equal(out, np.repeat(rho0[None], 3, axis=0))
 
     def test_non_finite_coefficients_raise_convergence_error(self, monkeypatch):
@@ -798,7 +844,7 @@ class TestChebyshev:
         assembled = _count_assembled(monkeypatch, p.dims.total)
         got = evolve_lindblad(H, c_ops, rho, times, rtol=1e-10).elements
         by_state, assembled[:] = assembled[:], []
-        full = propagate_lindblad_matrix(H, c_ops, [rho.elements], times, rtol=1e-10)[0]
+        full = _propagated(H, c_ops, [rho.elements], times, rtol=1e-10)[0]
         # one path: both entry points assemble the diagonal component and
         # one of the +-4 pair
         assert sorted(by_state) == sorted(assembled) == [False, True]
@@ -829,7 +875,7 @@ class TestChebyshev:
 
         monkeypatch.setattr(dynamics, "_chebyshev", counted)
         times = np.array(IRREGULAR)
-        (out,) = propagate_lindblad_matrix(H, c_ops, [rho0], times, rtol=1e-10)
+        (out,) = _propagated(H, c_ops, [rho0], times, rtol=1e-10)
         # one block per mirror pair; the (0, 1) one carries x and x^dag
         assert sorted(assembled) == [False, True] and sorted(columns) == [1, 2]
         gen = _dense_generator(H.elements, [c.elements for c in c_ops])

@@ -1,3 +1,4 @@
+import copy
 import re
 import tracemalloc
 from functools import reduce
@@ -470,6 +471,104 @@ class TestSupportLayout:
         rng = np.random.default_rng(5)
         v = rng.normal(size=(4, 18)) + 1j * rng.normal(size=(4, 18))
         return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+class TestHeldDensity:
+    """A DensityMatrix holds the sorted flat indices i*d + j that are
+    nonzero in some sample, with their mirrors j*d + i, and the Hermitian
+    part there; the dense elements are a copy."""
+
+    DIMS = ModeDims((3, 2, 3))
+
+    def _trajectory(self):
+        m = np.zeros((3, 18, 18), dtype=complex)
+        m[0, [2, 7], [2, 7]] = 0.5
+        m[0, 2, 7], m[0, 7, 2] = 0.25j, -0.25j
+        m[1, 11, 11] = 1.0
+        m[2, [2, 16], [2, 16]] = 0.25, 0.75
+        return m
+
+    def test_dense_round_trip(self):
+        m = self._trajectory()
+        given = m.copy()
+        traj = DensityMatrix(m, self.DIMS)
+        held = [2 * 18 + 2, 2 * 18 + 7, 7 * 18 + 2, 7 * 18 + 7, 11 * 18 + 11, 16 * 18 + 16]
+        assert np.array_equal(traj.support, held)
+        assert np.array_equal(traj.values, m.reshape(3, -1)[:, held])
+        dense = traj.elements
+        assert np.array_equal(dense, m) and not dense.flags.writeable
+        assert not traj.values.flags.writeable and not traj.support.flags.writeable
+        assert np.array_equal(m, given) and m.flags.writeable  # the caller's array stays theirs
+        one = DensityMatrix(m[1], self.DIMS)
+        assert np.array_equal(one.support, [11 * 18 + 11]) and np.array_equal(one.values, [1.0])
+        assert np.array_equal(one.elements, m[1])
+
+    def test_an_entry_is_held_with_its_zero_mirror(self):
+        m = np.eye(18, dtype=complex) / 18
+        m[0, 1] = 1e-11  # within the Hermiticity tolerance; m[1, 0] is zero
+        rho = DensityMatrix(m, self.DIMS)
+        assert {1, 18} <= set(rho.support.tolist())
+        assert rho.elements[0, 1] == rho.elements[1, 0] == 0.5e-11
+        assert np.array_equal(rho.elements, 0.5 * (m + m.conj().T))
+
+    @pytest.mark.parametrize(
+        "defect, message",
+        [("nan", "density matrix has a non-finite entry"),
+         ("skew", "density matrix is not Hermitian"),
+         ("trace", "density matrix trace 2.0 deviates from 1")],
+    )
+    def test_only_the_last_sample_bad(self, defect, message):
+        m = self._trajectory()
+        if defect == "nan":
+            m[2, 2, 2] = np.nan
+        elif defect == "skew":
+            m[2, 2, 16] = 1e-3
+        else:
+            m[2, 16, 16] = 1.75
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+            DensityMatrix(m, self.DIMS)
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+            DensityMatrix(m[2], self.DIMS)
+
+    def test_the_first_bad_sample_names_its_first_failed_check(self):
+        m = self._trajectory()
+        m[1, 11, 11] = 1.5  # its trace is off
+        m[2, 2, 2] = np.nan  # non-finite, but later
+        with pytest.raises(InvalidParameterError, match="^density matrix trace 1.5 deviates"):
+            DensityMatrix(m, self.DIMS)
+
+    def test_a_sample_shares_the_trajectory_support(self):
+        traj = DensityMatrix(self._trajectory(), self.DIMS)
+        for k in range(3):
+            assert traj[k].support is traj.support
+            assert np.array_equal(traj[k].elements, self._trajectory()[k])
+        assert np.array_equal(traj[1:].values, traj.values[1:])
+        with pytest.raises(TypeError):
+            traj[0][0]
+
+    def test_deepcopy_keeps_the_state(self):
+        for state in (DensityMatrix(self._trajectory(), self.DIMS),
+                      DensityMatrix(self._trajectory()[0], self.DIMS)):
+            copied = copy.deepcopy(state)
+            assert type(copied) is DensityMatrix and copied.dims == state.dims
+            assert np.array_equal(copied.support, state.support)
+            assert np.array_equal(copied.elements, state.elements)
+
+    def test_only_a_pure_state_has_amplitudes(self):
+        # the two state types are told apart by this attribute
+        rho = DensityMatrix(self._trajectory()[1], self.DIMS)
+        psi = fock_state(self.DIMS, (1, 0, 2))
+        assert not hasattr(rho, "amplitudes") and hasattr(psi, "amplitudes")
+        assert not hasattr(psi, "elements")
+
+    def test_populations_read_the_held_diagonal(self):
+        m = self._trajectory()
+        traj = DensityMatrix(m, self.DIMS)
+        probs = np.diagonal(m, axis1=-2, axis2=-1).real.reshape((-1, *self.DIMS))
+        pops = [np.moveaxis(probs, k + 1, -1).sum(axis=(1, 2)) @ np.arange(n)
+                for k, n in enumerate(self.DIMS)]
+        assert np.array_equal(fock_probabilities(traj), probs)
+        assert np.abs(mode_populations(traj) - np.stack(pops, axis=-1)).max() < 1e-15
+
 
 class TestReductions:
     def test_mode_populations_fock(self):
