@@ -271,8 +271,33 @@ def generate_tmsv_trace(
 _TMS_MIN_SAMPLES = 8
 
 
+#: The scatter of pair-strength data, amplified by the condition number of
+#: the scaled Jacobian at the start, may reach this many times the data's rms
+#: before the data are flagged "degenerate-data".
+_TMS_UNRESOLVED = 10.0
+
+
+def _unresolved(residual_fn, x0: np.ndarray, y: np.ndarray) -> bool:
+    """Whether the data `y` cannot tell the parameters apart near the start
+    `x0`: the condition number of the Jacobian there, its columns scaled to
+    unit norm, times the scatter of y, which for white noise is the rms of
+    its second differences over sqrt 6, exceeds _TMS_UNRESOLVED times the
+    rms of y.  Noiseless data, which have no scatter, are never flagged."""
+    f0 = residual_fn(x0)
+    scatter = np.sqrt(np.mean(np.diff(y, 2) ** 2) / 6.0)
+    if not (np.all(np.isfinite(f0)) and scatter > 0):
+        return False
+    jac = _jacobian(residual_fn, x0, f0)
+    norms = np.linalg.norm(jac, axis=0)
+    cond = np.linalg.cond(jac / np.where(norms > 0, norms, 1.0))
+    return bool(cond * scatter > _TMS_UNRESOLVED * np.sqrt(np.mean(y ** 2)))
+
+
 def fit_tms_strength(t, p0) -> FitResult:
-    """Fit P0 = a/cosh^2(g t) + b; recovers the pair-interaction strength g."""
+    """Fit P0 = a/cosh^2(g t) + b; recovers the pair-interaction strength g.
+
+    Data that cannot resolve (a, b, g) (`_unresolved`), or whose window is
+    too short for g, are flagged "degenerate-data" and not converged."""
     t, p0 = _samples(t, p0)
     if t.size < _TMS_MIN_SAMPLES:
         raise InvalidParameterError(f"need at least {_TMS_MIN_SAMPLES} samples to fit (a, b, g)")
@@ -288,8 +313,11 @@ def fit_tms_strength(t, p0) -> FitResult:
     # amplitude at rounding level, far below the resolution of b, so the
     # Jacobian's g column vanishes and the fit reports "singular-jacobian"
     k, a, b = _profile(1.0 / _cosh2(np.outer(g_grid, t)), p0)
-    fit = _polish(residual, (a, b, g_grid[k]), ("a", "b", "g"))
-    if fit.converged and abs(fit.estimates.get("g", 0.0)) * t_span < 1e-6:
+    x0 = np.array([a, b, g_grid[k]])
+    fit = _polish(residual, x0, ("a", "b", "g"))
+    if _unresolved(residual, x0, p0) or (
+        fit.converged and abs(fit.estimates.get("g", 0.0)) * t_span < 1e-6
+    ):
         fit = replace(fit, converged=False, flags=fit.flags + ("degenerate-data",))
     # sign ambiguity: cosh is even in g
     if fit.estimates.get("g", 0.0) < 0:

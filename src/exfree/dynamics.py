@@ -1,9 +1,9 @@
 """Numerical time evolution: exact unitary, first-order split-step, Lindblad.
 
-Operators are sparse and no dense full-space operator is formed.  Each
-propagator works only on the sectors its start occupies: the connected
-components of a sparse nonzero pattern on which the start is nonzero,
-labelled in numpy (`_occupied_sectors`).  The exact path is the one-factor
+Operators are sparse, and no dense full-space operator or state is formed.
+Each propagator reads its start's held entries, and works only on the
+sectors it occupies: the connected components of a sparse nonzero pattern
+that hold a nonzero entry, labelled in numpy (`_occupied_sectors`).  The exact path is the one-factor
 case of the Trotter split-step kernel, which samples off its dt grid by a
 remainder step; both read the operators' numpy triplets and import no scipy.
 The Lindblad path, one for states and channel inputs alike, assembles the
@@ -25,24 +25,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from math import prod
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    ImpossibleOutcomeError,
-    InvalidOperatorError,
-    InvalidParameterError,
-)
-from .fock import (
-    DensityMatrix,
-    OperatorMatrix,
-    StateVector,
-    _check_modes,
-    _check_single,
-    ladder_op,
-)
+from .errors import (ConvergenceError, ImpossibleOutcomeError, InvalidOperatorError,
+                     InvalidParameterError)
+from .fock import DensityMatrix, OperatorMatrix, StateVector, _check_modes, _check_single, _gather
 from .model import SystemParams, build_h_detune, build_h_tms
 
 
@@ -89,10 +79,10 @@ class EvolutionSpec:
 def _occupied_sectors(
     edges: tuple[np.ndarray, np.ndarray, int], starts: Sequence[np.ndarray]
 ) -> list[list[np.ndarray]]:
-    """For each start (a state vector or a flattened matrix), the sorted index
-    arrays of the connected components of the undirected graph on n nodes
-    with edges (rows[k], cols[k]), `edges` = (rows, cols, n), on which the
-    start is nonzero.
+    """For each start, given as the indices of the nodes it is nonzero on, the
+    sorted index arrays of the connected components of the undirected graph
+    on n nodes with edges (rows[k], cols[k]), `edges` = (rows, cols, n), that
+    hold one of those nodes.
 
     Evolution under a matrix with that nonzero pattern never leaves these
     components, and every other entry stays zero.  The components are
@@ -116,7 +106,8 @@ def _occupied_sectors(
     order = np.argsort(labels, kind="stable")
     blocks = np.split(order, np.cumsum(np.bincount(labels))[:-1])
     # bincount, not np.unique, whose masked-array check imports numpy.ma
-    return [[blocks[k] for k in np.flatnonzero(np.bincount(labels, x != 0))] for x in starts]
+    return [[blocks[k] for k in np.flatnonzero(np.bincount(labels[x], minlength=len(blocks)))]
+            for x in starts]
 
 
 def _sector_block(h: OperatorMatrix, idx: np.ndarray) -> np.ndarray:
@@ -155,16 +146,15 @@ def _split_step(
     times = _check_times(times)
     n_steps = np.zeros(times.size, int) if dt is None else np.floor(times / dt).astype(int)
     rest = times if dt is None else times - n_steps * dt
-    start = psi.amplitudes
     # the factors' triplets together are the pattern: no operator sum is formed
     rows = np.concatenate([h.rows for h in factors])
     cols = np.concatenate([h.cols for h in factors])
-    (sectors,) = _occupied_sectors((rows, cols, start.size), [start])
+    (sectors,) = _occupied_sectors((rows, cols, psi.dims.total), [psi.support[psi.values != 0]])
     support = np.sort(np.concatenate(sectors))
     values = np.empty((times.size, support.size), dtype=complex)
     for idx in sectors:
         eigs = [np.linalg.eigh(_sector_block(h, idx)) for h in factors]
-        x = grid = start[idx]
+        x = grid = _gather(psi.support, psi.values, idx)
         if n_steps.any():
             step = reduce(np.matmul, [(v * np.exp(-1j * e * dt)) @ v.conj().T for e, v in eigs])
             grid = np.empty((times.size, idx.size), dtype=complex)
@@ -226,7 +216,7 @@ def evolve_lindblad(
     series does not meet its tail bound or the result is not finite.
     """
     _check_start(rho, H.dims)
-    (held,) = propagate_lindblad_matrix(H, collapse_ops, [rho.elements], times, rtol)
+    (held,) = propagate_lindblad_matrix(H, collapse_ops, [(rho.support, rho.values)], times, rtol)
     return DensityMatrix._on_support(*held, rho.dims)
 
 
@@ -246,8 +236,9 @@ def _row_entries(op: OperatorMatrix, which: np.ndarray) -> tuple[np.ndarray, np.
 def _lindblad_blocks(
     H: OperatorMatrix, collapse_ops: Sequence[OperatorMatrix], starts: Sequence[np.ndarray]
 ) -> Iterator[tuple[np.ndarray, "scipy.sparse.csr_matrix", tuple, list[int]]]:
-    """The components of the Lindblad generator that the starts (d x d
-    matrices) occupy, one of each mirror pair, in the order of their
+    """The components of the Lindblad generator that the starts occupy, each
+    given as the flat indices i*d + j it is nonzero on, one of each mirror
+    pair, in the order of their
     smallest sector pair, as (keep, block, box, owners): the row-major flat
     indices i*d + j of the component, the generator on them as CSR, a
     `_field_box` that holds the block's field of values, and the indices of
@@ -275,19 +266,18 @@ def _lindblad_blocks(
         parts.append((c.cols[e], c.cols[f], -0.5 * c.vals[e].conj() * c.vals[f]))
     # one canonicalization: an entry's terms are summed in the order of parts
     K = OperatorMatrix(tuple(map(np.concatenate, zip(*parts))), H.dims)
-    sectors = _occupied_sectors((K.rows, K.cols, d), [np.ones(d)])[0]
+    sectors = _occupied_sectors((K.rows, K.cols, d), [np.arange(d)])[0]
     ns = len(sectors)
-    sec = np.empty(d, dtype=np.intp)
-    for k, idx in enumerate(sectors):
-        sec[idx] = k
+    sec, pos = np.empty(d, dtype=np.intp), np.empty(d, dtype=np.intp)
+    for k, idx in enumerate(sectors):  # the sector of each index, and its place there
+        sec[idx], pos[idx] = k, np.arange(idx.size)
     joins = [np.zeros(0, dtype=np.intp)] * 2
     for c in collapse_ops:
         edge = np.zeros((ns, ns), dtype=bool)
         edge[sec[c.rows], sec[c.cols]] = True
         a, b = np.nonzero(edge)
         joins = [np.r_[j, np.add.outer(x * ns, x).ravel()] for j, x in zip(joins, (a, b))]
-    occupied = [np.bincount(sec[r] * ns + sec[s], minlength=ns * ns)
-                for r, s in (np.nonzero(x) for x in starts)]
+    occupied = [sec[r] * ns + sec[s] for r, s in (np.divmod(x, d) for x in starts)]
     owners = {}
     for k, components in enumerate(_occupied_sectors((*joins, ns * ns), occupied)):
         for pairs in components:
@@ -309,29 +299,32 @@ def _lindblad_blocks(
             spread[s] = evals[0], evals[-1]
         im_lo = min(spread[y][0] - spread[x][1] for x, y in zip(a, b)) - jumps
         im_hi = max(spread[y][1] - spread[x][0] for x, y in zip(a, b)) + jumps
-        keep, block = _assemble(K, collapse_ops, sectors, pairs)
+        keep, block = _assemble(K, collapse_ops, sectors, sec, pos, pairs)
         yield keep, block, _field_box(block, im_lo, im_hi), starts_in
 
 
 def _assemble(
     K: OperatorMatrix, collapse_ops: Sequence[OperatorMatrix], sectors: list[np.ndarray],
-    pairs: np.ndarray,
+    sec: np.ndarray, pos: np.ndarray, pairs: np.ndarray,
 ) -> tuple[np.ndarray, "scipy.sparse.csr_matrix"]:
     """(keep, block) of the component made of the sector pairs `pairs`
     (node a * len(sectors) + b for the pair (S_a, S_b)), the pairs one
-    after another in `keep`."""
+    after another in `keep`, where `sec` and `pos` give the sector of each
+    index and its place there: entry (i, j) of the pair (S_a, S_b) sits at
+    the pair's offset plus pos(i) |S_b| + pos(j)."""
     from scipy import sparse
 
-    d = K.dims.total
-    a, b = np.divmod(pairs, len(sectors))
+    d, ns = K.dims.total, len(sectors)
+    a, b = np.divmod(pairs, ns)
     i = np.concatenate([np.repeat(sectors[x], sectors[y].size) for x, y in zip(a, b)])
     j = np.concatenate([np.tile(sectors[y], sectors[x].size) for x, y in zip(a, b)])
     keep = i * d + j
-    at = np.empty(d * d, dtype=np.int32)  # the place in keep of each kept entry
-    at[keep] = np.arange(keep.size)
+    size = np.array([idx.size for idx in sectors])
+    offset = np.zeros(ns * ns, dtype=np.intp)  # of each pair of the component in keep
+    offset[pairs] = np.cumsum(size[a] * size[b]) - size[a] * size[b]
 
     def place(k, l):
-        return at[k * d + l]
+        return offset[sec[k] * ns + sec[l]] + pos[k] * size[sec[l]] + pos[l]
 
     def terms():
         # K rho: (i, j) <- (k, j); rho K^dag: (i, j) <- (i, l)
@@ -531,14 +524,16 @@ def _chebyshev(
 def propagate_lindblad_matrix(
     H: OperatorMatrix,
     collapse_ops: Sequence[OperatorMatrix],
-    rho0s: Sequence[np.ndarray],
+    rho0s: Sequence[tuple[np.ndarray, np.ndarray]],
     times: Sequence[float],
     rtol: float = 1e-8,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Linear Lindblad propagation of arbitrary (not necessarily Hermitian)
-    matrices, used both for states and for channel inputs; returns each image
-    of `rho0s` as (support, values): the sorted flat indices i*d + j written
-    and the image there, of shape (len(times), k).
+    matrices, used both for states and for channel inputs.  A start and its
+    image are held alike, as (support, values): the sorted flat indices
+    i*d + j and the matrix there, of shape (k,) for a start, as a
+    DensityMatrix holds one, and (len(times), k) for its image, written only
+    where it may be nonzero.
 
     Only the components of the generator that an initial matrix occupies
     are assembled, one of each mirror pair (`_lindblad_blocks`); every other
@@ -558,25 +553,28 @@ def propagate_lindblad_matrix(
     if not 0 < rtol < np.inf:
         raise InvalidParameterError("integrator tolerance must be positive and finite")
     d = H.dims.total
-    rho0s = [np.asarray(rho0, dtype=complex) for rho0 in rho0s]
+    rho0s = [(np.asarray(support), np.asarray(values, dtype=complex)) for support, values in rho0s]
     times = _check_times(times)
+    nonzero = [(support[x != 0], x[x != 0]) for support, x in rho0s]
     if not times.any():  # no sample after t = 0: each start on its nonzero entries
-        return [(np.flatnonzero(x), np.tile(x[x != 0], (times.size, 1))) for x in rho0s]
+        return [(support, np.tile(x, (times.size, 1))) for support, x in nonzero]
     images = [[] for _ in rho0s]  # per start: (entries, image, whether conjugated)
     # a zero matrix occupies no component and stays zero
-    for keep, block, box, owners in _lindblad_blocks(H, collapse_ops, rho0s):
+    for keep, block, box, owners in _lindblad_blocks(H, collapse_ops, [s for s, _ in nonzero]):
         flip = (keep % d) * d + keep // d  # the entry (j, i) of each (i, j)
         own = (keep == flip[0]).any()  # the component is its own mirror image
         columns, writes = [], []  # (start, column, whether it fills the mirror)
         for k in owners:
-            x = rho0s[k].ravel()
-            for dag, col in enumerate([x[keep]] if own else [x[keep], x[flip].conj()]):
+            held = rho0s[k]
+            for dag, col in enumerate([_gather(*held, keep)] if own
+                                      else [_gather(*held, keep), _gather(*held, flip).conj()]):
                 if not col.any():
                     continue  # a zero column stays zero
                 if not (columns and np.array_equal(col, columns[-1])):
                     columns.append(col)
                 writes.append((k, len(columns) - 1, dag))
         moved = _chebyshev(block, np.stack(columns, axis=1), times, rtol, box)
+        del block  # freed before the next component is assembled
         for k, col, dag in writes:
             images[k].append((flip if dag else keep, moved[:, :, col], dag))
     supports = [np.sort(np.concatenate([np.zeros(0, np.intp), *(i for i, _, _ in held)]))
@@ -593,17 +591,20 @@ def apply_jump(state, mode: int):
 
     Returns (state_after, weight) where weight is the pre-normalization
     norm (pure state) or trace (density matrix).  `state` is one state: a
-    trajectory is refused.
+    trajectory is refused.  The held entries with a photon in `mode` move
+    down one level, and the rest are dropped.
     """
     _check_single(state)
     _check_modes(state.dims, [mode])
-    a = ladder_op(state.dims, {mode: "a"})
-    if isinstance(state, StateVector):
-        out = a @ state.amplitudes
-        weight = float(np.linalg.norm(out))
-    else:
-        out = (a @ (a @ state.elements).conj().T).conj().T  # a rho a^dag
-        weight = float(np.trace(out).real)
+    d, stride, pure = state.dims.total, prod(state.dims[mode + 1:]), isinstance(state, StateVector)
+    n = [end // stride % state.dims[mode]  # of the row, then of the column
+         for end in ([state.support] if pure else np.divmod(state.support, d))]
+    on = np.logical_and.reduce([k > 0 for k in n])
+    values = reduce(lambda x, k: x * np.sqrt(k[on]), n, state.values[on])  # a rho a^dag: row first
+    support = state.support[on] - stride * (1 if pure else d + 1)
+    # a trace summed over the dense diagonal, in its order
+    weight = float(np.linalg.norm(values) if pure
+                   else _gather(support, values, np.arange(d) * (d + 1)).sum().real)
     if weight <= 1e-12:
         raise ImpossibleOutcomeError("annihilation of a vacuum-supported state")
-    return type(state)(out / weight, state.dims), weight
+    return type(state)._on_support(support, values / weight, state.dims), weight

@@ -13,49 +13,18 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .analytic import (
-    bs_reference_timing,
-    n2_amplitude,
-    tau_st,
-)
+from .analytic import bs_reference_timing, n2_amplitude, tau_st
 from .calibration import _uniform_trace
-from .dynamics import (
-    EvolutionSpec,
-    apply_jump,
-    evolve_lindblad,
-    evolve_trotter,
-    evolve_unitary,
-    propagate_lindblad_matrix,
-)
+from .dynamics import (EvolutionSpec, apply_jump, evolve_lindblad, evolve_trotter,
+                       evolve_unitary, propagate_lindblad_matrix)
 from .errors import InvalidParameterError
-from .fock import (
-    DensityMatrix,
-    StateVector,
-    binomial_code_state,
-    fock_probabilities,
-    fock_state,
-    mode_populations,
-    partial_trace,
-    product_state,
-)
-from .metrics import (
-    depolarizing_budget,
-    negativity,
-    optimize_mode_phase,
-    parity_split,
-    pauli_table_02,
-    process_fidelity_qubit_subspace,
-    process_matrix,
-    qubit_pair_02,
-    wigner,
-)
-from .model import (
-    SystemParams,
-    build_h_full,
-    collapse_operators,
-    is_oscillatory,
-    with_cavity_decoherence,
-)
+from .fock import (DensityMatrix, StateVector, binomial_code_state, fock_probabilities,
+                   fock_state, mode_populations, partial_trace, product_state)
+from .metrics import (depolarizing_budget, negativity, optimize_mode_phase, parity_split,
+                      pauli_table_02, process_fidelity_qubit_subspace, process_matrix,
+                      qubit_pair_02, wigner)
+from .model import (SystemParams, build_h_full, collapse_operators, is_oscillatory,
+                    with_cavity_decoherence)
 
 #: Effective discard rate (1/us) of the auxiliary-qubit herald; the failure
 #: probability of that purification stage over a pump of length t is
@@ -89,6 +58,17 @@ def _sample_grid(spec: EvolutionSpec) -> np.ndarray:
     return np.linspace(0.0, spec.total_time, 801)
 
 
+def _outer(psi: StateVector, phi: StateVector) -> tuple[np.ndarray, np.ndarray]:
+    """psi phi^dag of two single states, held on the flat indices i*d + j of
+    their supports' products, row by row.  Each product is formed from real
+    parts, unfused, as einsum forms it: psi psi^dag is Hermitian to the bit."""
+    x, y = psi.values, phi.values.conj()
+    values = np.empty((x.size, y.size), dtype=complex)
+    values.real = np.multiply.outer(x.real, y.real) - np.multiply.outer(x.imag, y.imag)
+    values.imag = np.multiply.outer(x.real, y.imag) + np.multiply.outer(x.imag, y.real)
+    return np.add.outer(psi.support * psi.dims.total, phi.support).ravel(), values.ravel()
+
+
 def _evolve_trajectory(
     params: SystemParams, psi0: StateVector, spec: EvolutionSpec, times: np.ndarray
 ):
@@ -98,8 +78,8 @@ def _evolve_trajectory(
         return evolve_unitary(build_h_full(params), psi0, times)
     if spec.method == "trotter":
         return evolve_trotter(params, psi0, times, spec.trotter_dt)
-    a = psi0.amplitudes  # "lindblad": EvolutionSpec admits no other method
-    rho0 = DensityMatrix(np.outer(a, a.conj()), psi0.dims)
+    # "lindblad": EvolutionSpec admits no other method; psi psi^dag on psi's support
+    rho0 = DensityMatrix._on_support(*_outer(psi0, psi0), psi0.dims)
     return evolve_lindblad(
         build_h_full(params), collapse_operators(params), rho0, times, spec.rtol
     )
@@ -168,35 +148,30 @@ def transfer_choi(params: SystemParams, spec: EvolutionSpec) -> tuple[np.ndarray
     propagating |i00><j00|; `conditioned` keeps only the bus-vacuum (n2 = 0)
     rows and columns of the propagated matrix.  Traces below 2 measure
     leakage and, with conditioning, the discarded bus-occupied branch.
-    The exact and Trotter methods propagate the two inputs; "lindblad"
-    propagates two matrices at `spec.rtol`: |000><100| and
-    |000><000| + i |100><100|.
+    The channel is linear, so two held images serve every method, those of
+    u = |000><000| + i |100><100| and of |000><100|: "lindblad" propagates
+    the two at `spec.rtol`, and the exact and Trotter methods form them from
+    the propagated |000> and |100>.  All are reduced to S3 alike.
     """
     dims = params.dims
     t = np.array([spec.total_time])
-    inputs = [fock_state(dims, (i, 0, 0)) for i in range(2)]
+    psi = [fock_state(dims, (i, 0, 0)) for i in range(2)]
     if spec.method != "lindblad":
-        # the two inputs occupy one sector each; block (i, j) sums
-        # psi_i[n1, n2, k] psi_j*[n1, n2, l] over the traced modes, so no
-        # full-space matrix is formed.  Axes (i, n1, n2, n3), n3 < 2.
-        psi = np.array([_evolve_trajectory(params, s, spec, t).amplitudes[0] for s in inputs])
-        psi = psi.reshape((2,) + tuple(dims))[..., :2]
-        raw = np.einsum("iabk,jabl->ikjl", psi, psi.conj()).reshape(4, 4)
-        vac = psi[:, :, 0]
-        conditioned = np.einsum("iak,jal->ikjl", vac, vac.conj()).reshape(4, 4)
-        return raw, conditioned
-    a, b = (psi.amplitudes for psi in inputs)
-    mats = propagate_lindblad_matrix(
-        build_h_full(params), collapse_operators(params),
-        [np.outer(a, a) + 1j * np.outer(b, b), np.outer(a, b)], t, spec.rtol,
-    )
+        psi = [_evolve_trajectory(params, s, spec, t)[-1] for s in psi]
+    pure, mixed = _outer(psi[0], psi[0]), _outer(psi[1], psi[1])
+    # the two occupy different charge sectors: u holds them apart, in this order
+    images = [tuple(np.concatenate(x) for x in zip(pure, (mixed[0], 1j * mixed[1]))),
+              _outer(psi[0], psi[1])]
+    if spec.method == "lindblad":
+        images = [(support, values[-1]) for support, values in propagate_lindblad_matrix(
+            build_h_full(params), collapse_operators(params), images, t, spec.rtol)]
 
     def traced(support: np.ndarray, values: np.ndarray) -> np.ndarray:
         """The raw and bus-vacuum S3 {|0>,|1>} blocks of one held image, in support order."""
         a, b, k, a2, b2, l = np.unravel_index(support, tuple(dims) * 2)
         on, blocks = (a == a2) & (b == b2) & (k < 2) & (l < 2), np.zeros((2, 4), dtype=complex)
         for row, kept in zip(blocks, (on, on & (b == 0))):
-            np.add.at(row, 2 * k[kept] + l[kept], values[0, kept])
+            np.add.at(row, 2 * k[kept] + l[kept], values[kept])
         return blocks.reshape(2, 2, 2)
 
     # the map and the partial trace keep Hermiticity: the images of u00 and
@@ -204,7 +179,7 @@ def transfer_choi(params: SystemParams, spec: EvolutionSpec) -> tuple[np.ndarray
     # and unit (1,0) is (0,1)^dag
     raw, conditioned = (
         np.block([[0.5 * (p + p.conj().T), u01], [u01.conj().T, -0.5j * (p - p.conj().T)]])
-        for p, u01 in zip(*(traced(*held) for held in mats))
+        for p, u01 in zip(*(traced(*held) for held in images))
     )
     return raw, conditioned
 

@@ -7,8 +7,9 @@ Operators are canonical COO triplets in numpy, so no dense full-space operator
 is formed unless `OperatorMatrix.elements` is read.  Every operator of the
 model is one `ladder_sum`, built from Fock indices and canonicalized once;
 `OperatorMatrix.is_hermitian` builds no operator.  Every state is held on
-its support, the flat indices it may be nonzero on, so a trajectory on a few
-sectors is checked and reduced without a dense (T, d) or (T, d, d) array.
+its support, the flat indices it may be nonzero on, and is built, joined and
+reduced from the entries it holds (`_gather` reads them at given indices):
+no dense (d,) or (d, d) copy, and no (T, d) or (T, d, d) one, is formed.
 """
 
 from __future__ import annotations
@@ -188,16 +189,25 @@ class _Held:
 
     def _dense(self) -> np.ndarray:
         """Read-only dense copy, made on each read as `OperatorMatrix.elements` is."""
-        lead = self.values.shape[:-1]
-        out = np.zeros(lead + (self.dims.total ** self._axes,), dtype=complex)
-        out[..., self.support] = self.values
+        out = _gather(self.support, self.values, np.arange(self.dims.total ** self._axes))
         out.setflags(write=False)
-        return out.reshape(lead + (self.dims.total,) * self._axes)
+        return out.reshape(self.values.shape[:-1] + (self.dims.total,) * self._axes)
 
     def __getitem__(self, k):
         if self.values.ndim == 1:
             raise TypeError("a single state has no samples")
         return self._on_support(self.support, self.values[k], self.dims)
+
+
+def _gather(support: np.ndarray, values: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """`values` (..., k), held on the sorted `support`, at the flat indices
+    `idx`: zero where not held."""
+    at = np.searchsorted(support, idx)
+    held = at < support.size
+    held[held] = support[at[held]] == idx[held]
+    out = np.zeros(values.shape[:-1] + idx.shape, dtype=complex)
+    out[..., held] = values[..., at[held]]
+    return out
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
@@ -326,9 +336,8 @@ def fock_state(dims, occupations: Sequence[int]) -> StateVector:
     for occ, n in zip(occupations, dims):
         if not 0 <= occ < n:
             raise TruncationError(f"occupation {occ} outside truncation {n}")
-    vec = np.zeros(dims.total, dtype=complex)
-    vec[dims.flat_index(occupations)] = 1.0
-    return StateVector(vec, dims)
+    flat = np.array([dims.flat_index(occupations)])
+    return StateVector._on_support(flat, np.ones(1, dtype=complex), dims)
 
 
 BINOMIAL_LABELS = ("0L", "1L", "+iL", "0E", "+iE")
@@ -366,9 +375,12 @@ def product_state(factors: Sequence[StateVector]) -> StateVector:
     single = [isinstance(f, StateVector) and f.values.ndim == 1 for f in factors]
     if not single or not all(single):
         raise InvalidParameterError("product_state takes one or more single StateVectors")
-    joint = reduce(np.kron, [f.amplitudes for f in factors])
-    joint = joint / np.linalg.norm(joint)
-    return StateVector(joint, ModeDims(n for f in factors for n in f.dims))
+    support, values = factors[0].support, factors[0].values
+    for f in factors[1:]:  # the products of held entries, in the order of np.kron
+        support = np.add.outer(support * f.dims.total, f.support).ravel()
+        values = np.multiply.outer(values, f.values).ravel()
+    dims = ModeDims(n for f in factors for n in f.dims)
+    return StateVector._on_support(support, values / np.linalg.norm(values), dims)
 
 
 def fock_probabilities(state) -> np.ndarray:
@@ -394,23 +406,35 @@ def partial_trace(state, keep: Sequence[int]) -> DensityMatrix:
     DensityMatrix: a DensityMatrix on the kept modes' dims, of shape
     (d_keep, d_keep) for one state and (T, d_keep, d_keep) for a trajectory.
 
-    A pure state is contracted from its amplitude tensor, so no full-space
-    density matrix is formed.
+    Only the held entries are read.  A pure state contracts the rows and
+    columns it holds, of its kept and its dropped occupations.  A mixed state
+    scatters, one dropped mode after another, the held entries whose
+    occupations of that mode agree.
     """
     dims = state.dims
     keep = sorted(keep)
     _check_modes(dims, keep)
     kept = ModeDims(dims[k] for k in keep)
-    nm = dims.n_modes
-    drop = [k for k in range(nm) if k not in keep]
-    lead = state.values.shape[:-1]  # each dense copy is read once
+    drop = [k for k in range(dims.n_modes) if k not in keep]
+    lead = state.values.shape[:-1]
+    out = np.zeros(lead + (kept.total ** 2,), dtype=complex)
     if isinstance(state, StateVector):
-        psi = state.amplitudes.reshape(lead + tuple(dims))
-        order = [*range(len(lead)), *(len(lead) + k for k in keep + drop)]
-        x = psi.transpose(order).reshape(lead + (kept.total, -1))
-        return DensityMatrix(x @ x.conj().swapaxes(-2, -1), kept)
-    shaped = state.elements.reshape(lead + tuple(dims) * 2)
-    for offset, k in enumerate(drop):
-        ax = len(lead) + k - offset
-        shaped = np.trace(shaped, axis1=ax, axis2=ax + (nm - offset))
-    return DensityMatrix(shaped.reshape(lead + (kept.total,) * 2), kept)
+        occ = np.unravel_index(state.support, tuple(dims))
+        row, col = (reduce(lambda flat, k: flat * dims[k] + occ[k], modes, 0 * state.support)
+                    for modes in (keep, drop))
+        rows, cols = (np.flatnonzero(np.bincount(x)) for x in (row, col))
+        x = np.zeros(lead + (rows.size, cols.size), dtype=complex)
+        x[..., np.searchsorted(rows, row), np.searchsorted(cols, col)] = state.values
+        out[..., np.add.outer(rows * kept.total, rows)] = x @ x.conj().swapaxes(-2, -1)
+    else:
+        support, values, now = state.support, state.values, tuple(dims)
+        for m in (k - offset for offset, k in enumerate(drop)):  # mode k is the m-th left
+            occ = np.unravel_index(support, now * 2)
+            on = occ[m] == occ[m + len(now)]
+            left = [o[on] for q, o in enumerate(occ) if q % len(now) != m]
+            now = now[:m] + now[m + 1:]
+            summed = np.zeros(lead + (prod(now) ** 2,), dtype=complex)
+            np.add.at(summed, (..., np.ravel_multi_index(left, now * 2)), values[..., on])
+            support, values = np.arange(summed.shape[-1]), summed
+        out[..., support] = values
+    return DensityMatrix(out.reshape(lead + (kept.total,) * 2), kept)

@@ -60,6 +60,16 @@ class TestTmsStrengthFit:
         assert not fit.converged
         assert fit.flags == ("degenerate-data",)
 
+    @pytest.mark.parametrize("seed, noise", [(4, 1e-5), (1, 1e-3)])
+    def test_noisy_window_far_from_origin_flagged_degenerate(self, seed, noise):
+        # g * span is 0.008: the noise, amplified by a scaled Jacobian of
+        # condition number 7e4 to 3e5, swamps a, b and g; the polish ended
+        # at a = 786 (seed 4) and a = 7.6e24 (seed 1) with no such flag
+        t = np.linspace(1000.0, 1004.0, 64)
+        fit = fit_tms_strength(t, generate_tmsv_trace(0.002, t, noise_sigma=noise, seed=seed))
+        assert not fit.converged
+        assert "degenerate-data" in fit.flags
+
     def test_negative_g_of_the_polish_reported_positive(self, monkeypatch):
         # cosh is even in g, so -g fits as well as g: the polish may land on either
         polish = calibration._polish

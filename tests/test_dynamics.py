@@ -427,7 +427,7 @@ class TestSectorLabelling:
         rows, cols, n = edges
         graph = coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
         count, labels = connected_components(graph, directed=False)
-        (got,) = _occupied_sectors(edges, [np.ones(n)])
+        (got,) = _occupied_sectors(edges, [np.arange(n)])
         assert len(got) == count
         for k, block in enumerate(got):
             assert np.array_equal(block, np.flatnonzero(labels == k))
@@ -436,7 +436,7 @@ class TestSectorLabelling:
     def test_only_occupied_sectors_returned(self):
         # edges 0-1 and 3-4: the start on node 4 occupies {3, 4} only
         edges = (np.array([0, 3]), np.array([1, 4]), 5)
-        ((block,),) = _occupied_sectors(edges, [np.eye(5)[4]])
+        ((block,),) = _occupied_sectors(edges, [np.array([4])])
         assert block.tolist() == [3, 4]
 
 
@@ -472,7 +472,7 @@ class TestLindbladBlocks:
         H = build_h_full(p)
         d = p.dims.total
         starts = _channel_starts(p.dims)
-        blocks = list(_lindblad_blocks(H, c_ops, starts))
+        blocks = list(_lindblad_blocks(H, c_ops, [np.flatnonzero(x) for x in starts]))
         gen = _kron_liouvillian(H, c_ops)
         _, labels = connected_components(gen != 0, directed=False)
 
@@ -673,14 +673,14 @@ class TestLindblad:
     def test_rejects_nonpositive_rtol(self, params):
         rho0 = pure_density(fock_state(params.dims, (1, 0, 0))).elements
         with pytest.raises(InvalidParameterError):
-            propagate_lindblad_matrix(build_h_full(params), [], [rho0], (1.0,), rtol=0.0)
+            propagate_lindblad_matrix(build_h_full(params), [], [_held(rho0)], (1.0,), rtol=0.0)
 
     @pytest.mark.parametrize("rtol", [np.nan, np.inf])
     def test_rejects_non_finite_rtol(self, params, rtol):
         # a NaN rtol passed `rtol <= 0` and left RK45 stepping without end
         rho0 = pure_density(fock_state(params.dims, (1, 0, 0))).elements
         with pytest.raises(InvalidParameterError):
-            propagate_lindblad_matrix(build_h_full(params), [], [rho0], (1.0,), rtol=rtol)
+            propagate_lindblad_matrix(build_h_full(params), [], [_held(rho0)], (1.0,), rtol=rtol)
 
     def test_zero_matrix_stays_zero(self):
         p = SystemParams.from_khz(80, 80, 475, dims=(3, 2, 3), t1=(20.0, 15.0, 25.0))
@@ -718,7 +718,7 @@ class TestLindblad:
         H, c_ops = build_h_full(p), collapse_operators(p)
         d, u01 = p.dims.total, _channel_starts(p.dims)[1]
         times = (0.0, 2.0, 4.0)
-        ((support, values),) = propagate_lindblad_matrix(H, c_ops, [u01], times)
+        ((support, values),) = propagate_lindblad_matrix(H, c_ops, [_held(u01)], times)
         row, col = np.divmod(support, d)
         assert support.size and not np.isin(col * d + row, support).any()
         gen = _dense_generator(H.elements, [c.elements for c in c_ops])
@@ -734,11 +734,19 @@ class TestLindblad:
         assert np.max(np.abs(rho.elements - expect.elements)) < 1e-6
 
 
-def _propagated(H: OperatorMatrix, *args, **kwargs) -> list[np.ndarray]:
-    """`propagate_lindblad_matrix`, each held image (support, values)
-    scattered into a dense (T, d, d) array."""
+def _held(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A dense d x d start held as `propagate_lindblad_matrix` takes it: the
+    flat indices i*d + j of its nonzero entries, and those entries."""
+    flat = np.asarray(matrix, dtype=complex).ravel()
+    return np.flatnonzero(flat), flat[flat != 0]
+
+
+def _propagated(H: OperatorMatrix, c_ops, starts, *args, **kwargs) -> list[np.ndarray]:
+    """`propagate_lindblad_matrix` of dense starts, each held image (support,
+    values) scattered into a dense (T, d, d) array."""
     d, out = H.dims.total, []
-    for support, values in propagate_lindblad_matrix(H, *args, **kwargs):
+    for support, values in propagate_lindblad_matrix(H, c_ops, [_held(x) for x in starts],
+                                                     *args, **kwargs):
         dense = np.zeros((values.shape[0], d * d), dtype=complex)
         dense[:, support] = values
         out.append(dense.reshape(-1, d, d))
@@ -778,7 +786,7 @@ class TestChebyshev:
         # symmetric about the real axis
         p, c_ops = _collapse_set(collapse, dims)
         H = build_h_full(p)
-        ((_, block, box, _),) = _lindblad_blocks(H, c_ops, _channel_starts(p.dims)[1:2])
+        ((_, block, box, _),) = _lindblad_blocks(H, c_ops, [np.flatnonzero(_channel_starts(p.dims)[1])])
         evals = np.linalg.eigvals(block.toarray())
         slack = 1e-12 * np.abs(evals).max()  # the rounding of eigvals
         assert box[0] - slack <= evals.real.min() and evals.real.max() <= box[1] + slack
@@ -806,7 +814,7 @@ class TestChebyshev:
         assert errs[0] > errs[1] > errs[2], errs
         # the grid is what it claims: several windows, and the last gap
         # is one window of its own that spans several
-        for _, _, box, _ in _lindblad_blocks(H, c_ops, [rho0]):
+        for _, _, box, _ in _lindblad_blocks(H, c_ops, [np.flatnonzero(rho0)]):
             height = dynamics._half_height(box)
             windows = _windows(times, height)
             assert len(windows) >= 4 and windows[-1] == (times.size - 1, times.size, times[-2])
@@ -825,7 +833,7 @@ class TestChebyshev:
         monkeypatch.setattr(dynamics, "_bessel_j", lambda x, n: np.full((n + 1, x.size), np.nan))
         with pytest.raises(ConvergenceError):
             propagate_lindblad_matrix(
-                build_h_full(p), collapse_operators(p), [_spread_start(p.dims)], (1.0,)
+                build_h_full(p), collapse_operators(p), [_held(_spread_start(p.dims))], (1.0,)
             )
 
     def test_hermitian_start_propagates_one_of_each_mirrored_pair(self, monkeypatch):

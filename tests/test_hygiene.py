@@ -84,6 +84,7 @@ REFERENCE = {
         "the two-mode squeezed-vacuum statistics of the paper's pair coupling",
     "calibration.fit_damped_oscillation":
         "the fit of damped population oscillations, a calibration on its own",
+    "fock.ladder_op": "one ladder product, whose matrix elements the tests check",
     "model.angular_to_khz": "the inverse of khz_to_angular: reports detunings in kHz",
     "model.build_h_bs_reference":
         "the excitation-exchanging baseline Hamiltonian of criterion 10",
@@ -102,6 +103,47 @@ def test_every_reference_entry_is_an_unread_export():
     assert all(reason.strip() for reason in REFERENCE.values())
     assert sorted(set(REFERENCE) - set(names)) == []
     assert sorted(name for name in REFERENCE if names.get(name)) == []
+
+
+#: The functions that may read a dense copy of a state, `.amplitudes` or
+#: `.elements`, each with why.  Everything else reads the held support.
+DENSE_READS = {
+    "metrics._as_matrix": "the figures of merit take one- or two-mode reduced states, small enough",
+}
+
+
+class DenseReads(ast.NodeVisitor):
+    """Where a module reads `.amplitudes` or `.elements`: "module.function"
+    for the innermost function around the read, "module" outside them all."""
+
+    def __init__(self, module: str):
+        self.where, self.found = [module], set()
+
+    def visit_FunctionDef(self, node):
+        self.where.append(f"{self.where[0]}.{node.name}")
+        self.generic_visit(node)
+        self.where.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Attribute(self, node):
+        if node.attr in ("amplitudes", "elements") and isinstance(node.ctx, ast.Load):
+            self.found.add(self.where[-1])
+        self.generic_visit(node)
+
+
+def dense_reads() -> set[str]:
+    found = set()
+    for path in MODULES:
+        reads = DenseReads(path.stem)
+        reads.visit(ast.parse(path.read_text()))
+        found |= reads.found
+    return found
+
+
+def test_only_the_figures_of_merit_read_a_dense_state():
+    assert all(reason.strip() for reason in DENSE_READS.values())
+    assert dense_reads() == set(DENSE_READS)
 
 
 def test_package_init_imports_nothing():
