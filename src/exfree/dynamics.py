@@ -1,11 +1,11 @@
 """Numerical time evolution: exact unitary, first-order split-step, Lindblad.
 
-Operators are sparse, and no dense full-space operator or state is formed.
-Each propagator reads its start's held entries, and works only on the
-sectors it occupies: the connected components of a sparse nonzero pattern
-that hold a nonzero entry, labelled in numpy (`_occupied_sectors`).  The exact path is the one-factor
-case of the Trotter split-step kernel, which samples off its dt grid by a
-remainder step; both read the operators' numpy triplets and import no scipy.
+No dense full-space operator or state is formed.  Each propagator reads
+its start's held entries and works only on the sectors they occupy: the
+components of a sparse nonzero pattern, labelled in numpy
+(`_occupied_sectors`).  The exact path is the one-factor case of the Trotter
+split-step kernel, which samples off its dt grid by a remainder step; both
+read the operators' numpy triplets and import no scipy.
 The Lindblad path, one for states and channel inputs alike, assembles the
 Liouvillian only on the components its starts occupy, never the d^2 x d^2
 one, and of a component and its mirror image (the coherences (S', S) of its

@@ -158,9 +158,9 @@ def transfer_choi(params: SystemParams, spec: EvolutionSpec) -> tuple[np.ndarray
     psi = [fock_state(dims, (i, 0, 0)) for i in range(2)]
     if spec.method != "lindblad":
         psi = [_evolve_trajectory(params, s, spec, t)[-1] for s in psi]
-    pure, mixed = _outer(psi[0], psi[0]), _outer(psi[1], psi[1])
-    # the two occupy different charge sectors: u holds them apart, in this order
-    images = [tuple(np.concatenate(x) for x in zip(pure, (mixed[0], 1j * mixed[1]))),
+    u00, u11 = _outer(psi[0], psi[0]), _outer(psi[1], psi[1])
+    # in different charge sectors, side by side in u: sorted at t = 0, |000> first
+    images = [tuple(np.concatenate(x) for x in zip(u00, (u11[0], 1j * u11[1]))),
               _outer(psi[0], psi[1])]
     if spec.method == "lindblad":
         images = [(support, values[-1]) for support, values in propagate_lindblad_matrix(

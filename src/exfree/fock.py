@@ -420,7 +420,7 @@ def partial_trace(state, keep: Sequence[int]) -> DensityMatrix:
     out = np.zeros(lead + (kept.total ** 2,), dtype=complex)
     if isinstance(state, StateVector):
         occ = np.unravel_index(state.support, tuple(dims))
-        row, col = (reduce(lambda flat, k: flat * dims[k] + occ[k], modes, 0 * state.support)
+        row, col = (reduce(lambda flat, k: flat * dims[k] + occ[k], modes, np.zeros_like(occ[0]))
                     for modes in (keep, drop))
         rows, cols = (np.flatnonzero(np.bincount(x)) for x in (row, col))
         x = np.zeros(lead + (rows.size, cols.size), dtype=complex)
