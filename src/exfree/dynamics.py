@@ -268,9 +268,9 @@ def _lindblad_blocks(
     K = OperatorMatrix(tuple(map(np.concatenate, zip(*parts))), H.dims)
     sectors = _occupied_sectors((K.rows, K.cols, d), [np.arange(d)])[0]
     ns = len(sectors)
-    sec, pos = np.empty(d, dtype=np.intp), np.empty(d, dtype=np.intp)
-    for k, idx in enumerate(sectors):  # the sector of each index, and its place there
-        sec[idx], pos[idx] = k, np.arange(idx.size)
+    sec = np.empty(d, dtype=np.intp)  # the sector of each index
+    for k, idx in enumerate(sectors):
+        sec[idx] = k
     joins = [np.zeros(0, dtype=np.intp)] * 2
     for c in collapse_ops:
         edge = np.zeros((ns, ns), dtype=bool)
@@ -299,32 +299,27 @@ def _lindblad_blocks(
             spread[s] = evals[0], evals[-1]
         im_lo = min(spread[y][0] - spread[x][1] for x, y in zip(a, b)) - jumps
         im_hi = max(spread[y][1] - spread[x][0] for x, y in zip(a, b)) + jumps
-        keep, block = _assemble(K, collapse_ops, sectors, sec, pos, pairs)
+        # the entries of the pairs one after another, each pair row-major
+        keep = np.concatenate([np.add.outer(sectors[x] * d, sectors[y]).ravel()
+                               for x, y in zip(a, b)])
+        block = _assemble(K, collapse_ops, keep)
         yield keep, block, _field_box(block, im_lo, im_hi), starts_in
 
 
 def _assemble(
-    K: OperatorMatrix, collapse_ops: Sequence[OperatorMatrix], sectors: list[np.ndarray],
-    sec: np.ndarray, pos: np.ndarray, pairs: np.ndarray,
-) -> tuple[np.ndarray, "scipy.sparse.csr_matrix"]:
-    """(keep, block) of the component made of the sector pairs `pairs`
-    (node a * len(sectors) + b for the pair (S_a, S_b)), the pairs one
-    after another in `keep`, where `sec` and `pos` give the sector of each
-    index and its place there: entry (i, j) of the pair (S_a, S_b) sits at
-    the pair's offset plus pos(i) |S_b| + pos(j)."""
+    K: OperatorMatrix, collapse_ops: Sequence[OperatorMatrix], keep: np.ndarray
+) -> "scipy.sparse.csr_matrix":
+    """The generator as CSR on the component of the flat indices `keep`,
+    i*d + j in any order: entry (k, l) is found in `keep` by binary search."""
     from scipy import sparse
 
-    d, ns = K.dims.total, len(sectors)
-    a, b = np.divmod(pairs, ns)
-    i = np.concatenate([np.repeat(sectors[x], sectors[y].size) for x, y in zip(a, b)])
-    j = np.concatenate([np.tile(sectors[y], sectors[x].size) for x, y in zip(a, b)])
-    keep = i * d + j
-    size = np.array([idx.size for idx in sectors])
-    offset = np.zeros(ns * ns, dtype=np.intp)  # of each pair of the component in keep
-    offset[pairs] = np.cumsum(size[a] * size[b]) - size[a] * size[b]
+    d = K.dims.total
+    i, j = np.divmod(keep, d)
+    order = np.argsort(keep)
+    ascending = keep[order]
 
     def place(k, l):
-        return offset[sec[k] * ns + sec[l]] + pos[k] * size[sec[l]] + pos[l]
+        return order[np.searchsorted(ascending, k * d + l)]
 
     def terms():
         # K rho: (i, j) <- (k, j); rho K^dag: (i, j) <- (i, l)
@@ -350,7 +345,7 @@ def _assemble(
         free += count
     block = sparse.csr_matrix((data, indices, indptr), shape=(i.size, i.size))
     block.sum_duplicates()
-    return keep, block
+    return block
 
 
 def _bessel_j(x: np.ndarray, n: int) -> np.ndarray:

@@ -18,8 +18,9 @@ from .calibration import _uniform_trace
 from .dynamics import (EvolutionSpec, apply_jump, evolve_lindblad, evolve_trotter,
                        evolve_unitary, propagate_lindblad_matrix)
 from .errors import InvalidParameterError
-from .fock import (DensityMatrix, StateVector, binomial_code_state, fock_probabilities,
-                   fock_state, mode_populations, partial_trace, product_state)
+from .fock import (DensityMatrix, StateVector, _outer, binomial_code_state,
+                   fock_probabilities, fock_state, mode_populations, partial_trace,
+                   product_state)
 from .metrics import (depolarizing_budget, negativity, optimize_mode_phase, parity_split,
                       pauli_table_02, process_fidelity_qubit_subspace, process_matrix,
                       qubit_pair_02, wigner)
@@ -56,17 +57,6 @@ def _sample_grid(spec: EvolutionSpec) -> np.ndarray:
     if spec.sample_times:
         return np.asarray(spec.sample_times, dtype=float)
     return np.linspace(0.0, spec.total_time, 801)
-
-
-def _outer(psi: StateVector, phi: StateVector) -> tuple[np.ndarray, np.ndarray]:
-    """psi phi^dag of two single states, held on the flat indices i*d + j of
-    their supports' products, row by row.  Each product is formed from real
-    parts, unfused, as einsum forms it: psi psi^dag is Hermitian to the bit."""
-    x, y = psi.values, phi.values.conj()
-    values = np.empty((x.size, y.size), dtype=complex)
-    values.real = np.multiply.outer(x.real, y.real) - np.multiply.outer(x.imag, y.imag)
-    values.imag = np.multiply.outer(x.real, y.imag) + np.multiply.outer(x.imag, y.real)
-    return np.add.outer(psi.support * psi.dims.total, phi.support).ravel(), values.ravel()
 
 
 def _evolve_trajectory(
@@ -280,10 +270,10 @@ def run_hom(
     rho13 = partial_trace(traj[k_a], keep=[0, 2])
     dims13 = rho13.dims
 
-    target = np.zeros(dims13.total, dtype=complex)
-    target[dims13.flat_index((0, 2))] = 1.0 / sqrt(2.0)
-    target[dims13.flat_index((2, 0))] = 1j / sqrt(2.0)
-    fid, phi = optimize_mode_phase(rho13, StateVector(target, dims13), mode=0)
+    # (|02> + i|20>)/sqrt2 on its two entries, |02> first
+    flat = np.array([dims13.flat_index(occ) for occ in ((0, 2), (2, 0))])
+    target = StateVector._on_support(flat, np.array([1.0, 1j]) / sqrt(2.0), dims13)
+    fid, phi = optimize_mode_phase(rho13, target, mode=0)
 
     qubit_pair, weight = qubit_pair_02(rho13)
 

@@ -8,8 +8,10 @@ is formed unless `OperatorMatrix.elements` is read.  Every operator of the
 model is one `ladder_sum`, built from Fock indices and canonicalized once;
 `OperatorMatrix.is_hermitian` builds no operator.  Every state is held on
 its support, the flat indices it may be nonzero on, and is built, joined and
-reduced from the entries it holds (`_gather` reads them at given indices):
-no dense (d,) or (d, d) copy, and no (T, d) or (T, d, d) one, is formed.
+reduced from the entries it holds (`_gather` reads them at given indices,
+`_outer` forms psi phi^dag on two supports, `partial_trace` returns the
+entries it computes): no dense (d,) or (d, d) copy, and no (T, d) or
+(T, d, d) one, is formed unless `.amplitudes` or `.elements` is read.
 """
 
 from __future__ import annotations
@@ -100,7 +102,7 @@ class OperatorMatrix:
     Stored as canonical COO triplets `rows`, `cols`, `vals` (`_canonical`),
     so the stored pattern is the operator's structure.  The constructor takes
     a dense array or a triplet tuple (rows, cols, vals); a sum of ladder
-    products is one `ladder_sum`, and `@` applies the matrix to an array.
+    products is one `ladder_sum`.  The propagators read the triplets.
     """
 
     rows: np.ndarray
@@ -140,15 +142,6 @@ class OperatorMatrix:
         at = np.minimum(np.searchsorted(key, mirror), key.size - 1)
         diff = np.where(key[at] == mirror, self.vals - self.vals[at].conj(), np.sqrt(2) * self.vals)
         return np.linalg.norm(diff) < tol
-
-    def __matmul__(self, other):
-        """Product with a vector (d,) or a matrix (d, k)."""
-        x = np.asarray(other)
-        if x.ndim not in (1, 2) or x.shape[0] != self.dims.total:
-            raise DimensionError(f"operand shape {x.shape} inconsistent with {tuple(self.dims)}")
-        out = np.zeros(x.shape, dtype=np.result_type(complex, x))
-        np.add.at(out, self.rows, self.vals.reshape((-1,) + (1,) * (x.ndim - 1)) * x[self.cols])
-        return out
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -275,6 +268,17 @@ class DensityMatrix(_Held):
         """(basis indices, probabilities) of the diagonal entries held."""
         diagonal = self.support % (self.dims.total + 1) == 0  # entry (i, i) is i * (d + 1)
         return self.support[diagonal] // (self.dims.total + 1), self.values[..., diagonal].real
+
+
+def _outer(psi: StateVector, phi: StateVector) -> tuple[np.ndarray, np.ndarray]:
+    """psi phi^dag of two single states, held on the flat indices i*d + j of
+    their supports' products, row by row.  Each product is formed from real
+    parts, unfused, as einsum forms it: psi psi^dag is Hermitian to the bit."""
+    x, y = psi.values, phi.values.conj()
+    values = np.empty((x.size, y.size), dtype=complex)
+    values.real = np.multiply.outer(x.real, y.real) - np.multiply.outer(x.imag, y.imag)
+    values.imag = np.multiply.outer(x.real, y.imag) + np.multiply.outer(x.imag, y.real)
+    return np.add.outer(psi.support * psi.dims.total, phi.support).ravel(), values.ravel()
 
 
 def _check_single(state) -> None:
@@ -417,7 +421,6 @@ def partial_trace(state, keep: Sequence[int]) -> DensityMatrix:
     kept = ModeDims(dims[k] for k in keep)
     drop = [k for k in range(dims.n_modes) if k not in keep]
     lead = state.values.shape[:-1]
-    out = np.zeros(lead + (kept.total ** 2,), dtype=complex)
     if isinstance(state, StateVector):
         occ = np.unravel_index(state.support, tuple(dims))
         row, col = (reduce(lambda flat, k: flat * dims[k] + occ[k], modes, np.zeros_like(occ[0]))
@@ -425,7 +428,8 @@ def partial_trace(state, keep: Sequence[int]) -> DensityMatrix:
         rows, cols = (np.flatnonzero(np.bincount(x)) for x in (row, col))
         x = np.zeros(lead + (rows.size, cols.size), dtype=complex)
         x[..., np.searchsorted(rows, row), np.searchsorted(cols, col)] = state.values
-        out[..., np.add.outer(rows * kept.total, rows)] = x @ x.conj().swapaxes(-2, -1)
+        support = np.add.outer(rows * kept.total, rows).ravel()
+        values = (x @ x.conj().swapaxes(-2, -1)).reshape(lead + support.shape)
     else:
         support, values, now = state.support, state.values, tuple(dims)
         for m in (k - offset for offset, k in enumerate(drop)):  # mode k is the m-th left
@@ -436,5 +440,4 @@ def partial_trace(state, keep: Sequence[int]) -> DensityMatrix:
             summed = np.zeros(lead + (prod(now) ** 2,), dtype=complex)
             np.add.at(summed, (..., np.ravel_multi_index(left, now * 2)), values[..., on])
             support, values = np.arange(summed.shape[-1]), summed
-        out[..., support] = values
-    return DensityMatrix(out.reshape(lead + (kept.total,) * 2), kept)
+    return DensityMatrix._on_support(support, values, kept)

@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DimensionError, InvalidOperatorError, InvalidParameterError
-from .fock import DensityMatrix, ModeDims, StateVector, _check_modes, _check_single
+from .fock import DensityMatrix, ModeDims, StateVector, _check_modes, _check_single, _outer
 
 
 def _as_matrix(state, n_modes: Optional[int] = None) -> np.ndarray:
@@ -19,13 +19,10 @@ def _as_matrix(state, n_modes: Optional[int] = None) -> np.ndarray:
     the state must have that many modes."""
     _check_single(state)
     if isinstance(state, StateVector):
-        v = state.amplitudes
-        m = np.outer(v, v.conj())
-    else:
-        m = state.elements
+        state = DensityMatrix._on_support(*_outer(state, state), state.dims)
     if n_modes is not None and state.dims.n_modes != n_modes:
         raise DimensionError(f"need a {n_modes}-mode state, got dims {tuple(state.dims)}")
-    return m
+    return state.elements
 
 
 def _best_phase(ks, coeffs) -> tuple[float, float]:

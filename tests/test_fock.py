@@ -154,8 +154,8 @@ def _sparse_complex(dims: ModeDims, rng, density=0.4) -> np.ndarray:
 
 
 class TestOperatorMatrix:
-    """The triplets, the Hermiticity check and the products against the same
-    operations on dense arrays."""
+    """The triplets and the Hermiticity check against the same operations on
+    dense arrays."""
 
     dims = ModeDims((2, 3))
 
@@ -181,13 +181,6 @@ class TestOperatorMatrix:
         # (0, 1) cancels to zero and (2, 2) is zero: one entry is left
         assert op.rows.tolist() == [1] and op.cols.tolist() == [0]
         assert op.vals.tolist() == [2 + 3j]
-
-    def test_product_with_vector_and_matrix(self, pair):
-        m, n = pair
-        a = OperatorMatrix(m, self.dims)
-        vec = n[:, 1]
-        assert np.allclose(a @ vec, m @ vec, rtol=0, atol=1e-12)
-        assert np.allclose(a @ n, m @ n, rtol=0, atol=1e-12)
 
     def test_is_hermitian(self, pair):
         m, _ = pair
@@ -232,14 +225,8 @@ class TestOperatorMatrix:
             lambda op: OperatorMatrix(np.zeros((5, 5)), op.dims),
             lambda op: OperatorMatrix(np.zeros(6), op.dims),
             lambda op: OperatorMatrix(([0], [6], [1.0]), op.dims),
-            lambda op: op @ np.zeros(5),
-            lambda op: op @ np.zeros((5, 6)),
-            lambda op: op @ np.zeros((6, 6, 6)),
-            lambda op: op @ ladder_op((5,), {0: "n"}),
-            lambda op: op @ op,
         ],
-        ids=["dense", "vector", "triplet-index", "short-vector", "short-matrix",
-             "three-axes", "product", "operator-product"],
+        ids=["dense", "vector", "triplet-index"],
     )
     def test_wrong_shape_raises(self, pair, build):
         with pytest.raises(DimensionError):

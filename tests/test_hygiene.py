@@ -113,8 +113,9 @@ DENSE_READS = {
 
 
 class DenseReads(ast.NodeVisitor):
-    """Where a module reads `.amplitudes` or `.elements`: "module.function"
-    for the innermost function around the read, "module" outside them all."""
+    """Where a module reads `.amplitudes` or `.elements`: ("module.function",
+    attribute) for the innermost function around the read, "module" outside
+    them all."""
 
     def __init__(self, module: str):
         self.where, self.found = [module], set()
@@ -128,11 +129,11 @@ class DenseReads(ast.NodeVisitor):
 
     def visit_Attribute(self, node):
         if node.attr in ("amplitudes", "elements") and isinstance(node.ctx, ast.Load):
-            self.found.add(self.where[-1])
+            self.found.add((self.where[-1], node.attr))
         self.generic_visit(node)
 
 
-def dense_reads() -> set[str]:
+def dense_reads() -> set[tuple[str, str]]:
     found = set()
     for path in MODULES:
         reads = DenseReads(path.stem)
@@ -143,7 +144,12 @@ def dense_reads() -> set[str]:
 
 def test_only_the_figures_of_merit_read_a_dense_state():
     assert all(reason.strip() for reason in DENSE_READS.values())
-    assert dense_reads() == set(DENSE_READS)
+    assert {where for where, _ in dense_reads()} == set(DENSE_READS)
+
+
+def test_a_pure_state_is_read_as_its_density_matrix():
+    # _as_matrix forms psi psi^dag on psi's support: nothing reads .amplitudes
+    assert dense_reads() == {("metrics._as_matrix", "elements")}
 
 
 def test_package_init_imports_nothing():
