@@ -30,8 +30,8 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import (ConvergenceError, ImpossibleOutcomeError, InvalidOperatorError,
-                     InvalidParameterError)
+from .errors import (ConvergenceError, DimensionError, ImpossibleOutcomeError,
+                     InvalidOperatorError, InvalidParameterError)
 from .fock import DensityMatrix, OperatorMatrix, StateVector, _check_modes, _check_single, _gather
 from .model import SystemParams, build_h_detune, build_h_tms
 
@@ -542,13 +542,24 @@ def propagate_lindblad_matrix(
     as x^dag does with x for a Hermitian x.  The columns of a component are
     propagated at once, by a Chebyshev series of its generator (`_chebyshev`)
     whose tail bound is below rtol * 1e-2 times the norm of the start.
+    A collapse operator on other dims than H, or a start whose support is not
+    strictly increasing within [0, d^2) or does not match its values, raises
+    DimensionError.
     """
     if not H.is_hermitian(tol=1e-10):
         raise InvalidOperatorError("Hamiltonian must be Hermitian")
     if not 0 < rtol < np.inf:
         raise InvalidParameterError("integrator tolerance must be positive and finite")
+    if any(c.dims != H.dims for c in collapse_ops):
+        raise DimensionError(f"a collapse operator's dims differ from H's {tuple(H.dims)}")
     d = H.dims.total
     rho0s = [(np.asarray(support), np.asarray(values, dtype=complex)) for support, values in rho0s]
+    for support, values in rho0s:
+        increasing = support.ndim == 1 and np.all(np.diff(support) > 0)
+        if not (increasing and np.all((support >= 0) & (support < d * d))):
+            raise DimensionError(f"a start's support is not strictly increasing within [0, {d * d})")
+        if values.shape != support.shape:
+            raise DimensionError(f"start values of shape {values.shape} do not match its support")
     times = _check_times(times)
     nonzero = [(support[x != 0], x[x != 0]) for support, x in rho0s]
     if not times.any():  # no sample after t = 0: each start on its nonzero entries

@@ -17,7 +17,7 @@ from .analytic import bs_reference_timing, n2_amplitude, tau_st
 from .calibration import _uniform_trace
 from .dynamics import (EvolutionSpec, apply_jump, evolve_lindblad, evolve_trotter,
                        evolve_unitary, propagate_lindblad_matrix)
-from .errors import InvalidParameterError
+from .errors import DimensionError, InvalidParameterError
 from .fock import (DensityMatrix, StateVector, _outer, binomial_code_state,
                    fock_probabilities, fock_state, mode_populations, partial_trace,
                    product_state)
@@ -81,10 +81,15 @@ def dominant_period(times, values) -> float:
     Detrends, applies a Hann window, zero-pads 16x, and refines the peak bin
     by parabolic interpolation of the log magnitude.  Robust against the
     fast ripple that makes naive peak picking unreliable on these
-    trajectories.
+    trajectories.  A flat trace, whose detrended values are no more than
+    the rounding of its mean, has no line: InvalidParameterError.
     """
-    _, y, dt = _uniform_trace(times, values)
-    y = (y - y.mean()) * np.hanning(y.size)
+    _, trace, dt = _uniform_trace(times, values)
+    y = trace - trace.mean()
+    # a flat trace leaves only the rounding of its mean: no weight at k >= 1
+    if not np.abs(y).max() > y.size * np.finfo(float).eps * np.abs(trace).max():
+        raise InvalidParameterError("no oscillation found in trace")
+    y *= np.hanning(y.size)
     n_pad = int(2 ** np.ceil(np.log2(16 * y.size)))
     mag = np.abs(np.fft.rfft(y, n=n_pad))
     k = int(np.argmax(mag[1:])) + 1
@@ -245,13 +250,16 @@ def run_hom(
     (|02> + i|20>)/sqrt(2) (phase-optimized), the negativity of the
     {|0>,|2>}-encoded qubit pair, and its full Pauli expectation table.
     """
+    dims = params.dims
+    if min(dims[0], dims[2]) < 3:
+        raise DimensionError(f"P20, P02 and the {{|0>,|2>}} pair need 3 levels in S1 and S3, "
+                             f"got dims {tuple(dims)}")
     t_swap = tau_st(params)
     if spec is None:
         spec = EvolutionSpec(total_time=2.0 * t_swap)
     if analysis_time is None:
         analysis_time = 0.5 * t_swap
     times = _sample_grid(spec)
-    dims = params.dims
     # one propagation serves the sampled trajectory and the analysis time,
     # inserted unless it is a sample (np.union1d would import numpy.ma)
     k_a = int(np.searchsorted(times, analysis_time))

@@ -162,6 +162,27 @@ class TestAuxiliaryQuantities:
         assert t_swap == pytest.approx(np.pi / (np.sqrt(2.0) * g), rel=1e-12)
         assert leak == pytest.approx(0.5, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: mean_photon_numbers(params_khz(475), 1.0, n1_0=-1),
+             "initial photon number must be nonnegative"),
+            (lambda: sweet_point_detuning_numeric(0.0, 4), "need g > 0 and k >= 1"),
+            (lambda: sweet_point_detuning_numeric(0.5, 0), "need g > 0 and k >= 1"),
+            (lambda: g_eff(SystemParams(g1=0.5, g2=0.5, delta=0.0)),
+             "g_eff undefined at delta = 0"),
+            (lambda: tmsv_joint_population(-0.1, 0), "squeezing degree must be nonnegative"),
+            (lambda: tmsv_joint_population(0.5, -1), "photon number must be nonnegative"),
+            (lambda: bs_reference_timing(SystemParams(g1=0.5, g2=0.5, delta=-1.0)),
+             "delta must be nonnegative for the comparison"),
+        ],
+        ids=["negative-photons", "numeric-sweet-g", "numeric-sweet-k", "g-eff-resonant",
+             "negative-squeezing", "negative-n", "negative-exchange-detuning"],
+    )
+    def test_invalid_inputs(self, call, message):
+        with pytest.raises(InvalidParameterError, match=f"^{message}$"):
+            call()
+
     def test_bs_has_no_regime_restriction(self):
         # the exchange baseline works below the pair-coupling threshold
         t_swap, _ = bs_reference_timing(params_khz(100))

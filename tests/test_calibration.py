@@ -24,6 +24,11 @@ G_TRUE = khz_to_angular(80.0)
 
 
 class TestTmsStrengthFit:
+    @pytest.mark.parametrize("g", [0.0, -G_TRUE])
+    def test_trace_needs_a_positive_coupling(self, g):
+        with pytest.raises(InvalidParameterError, match="^coupling must be positive$"):
+            generate_tmsv_trace(g, np.linspace(0.0, 4.0, 64))
+
     def test_noiseless_roundtrip(self):
         t = np.linspace(0.0, 4.0, 64)
         fit = fit_tms_strength(t, generate_tmsv_trace(G_TRUE, t))

@@ -213,6 +213,18 @@ class TestLoadConfig:
 
 
 class TestDispatch:
+    @pytest.mark.parametrize("dims", ["3,2,2", "2,2,2", "2,3,3"])
+    def test_hom_with_a_two_level_end_mode_refused(self, tmp_path, dims):
+        config = next(p for p in CONFIGS if p.stem == "hom")
+        out = tmp_path / "runs"
+        res = CliRunner().invoke(
+            main, ["hom", "--config", str(config), "--out", str(out), "--dims", dims]
+        )
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert ("config error: P20, P02 and the {|0>,|2>} pair need 3 levels in S1 and S3, "
+                f"got dims ({dims.replace(',', ', ')})") in res.output
+        assert not out.exists()
+
     def test_qst_artifacts(self, tmp_path):
         cfg_path = write(tmp_path, "c.yaml", BASE)
         res = CliRunner().invoke(

@@ -1,4 +1,6 @@
+import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from exfree.dynamics import (
 )
 from exfree.errors import (
     ConvergenceError,
+    DimensionError,
     ImpossibleOutcomeError,
     InvalidOperatorError,
     InvalidParameterError,
@@ -732,6 +735,60 @@ class TestLindblad:
         rho = evolve_lindblad(build_h_full(params), [], pure_density(psi), (2.0,))[-1]
         expect = pure_density(evolve_unitary(build_h_full(params), psi, (2.0,))[0])
         assert np.max(np.abs(rho.elements - expect.elements)) < 1e-6
+
+
+class TestLindbladInputs:
+    """`propagate_lindblad_matrix`, and `evolve_lindblad` through it, refuse
+    a bad input with a typed error before propagating."""
+
+    p = SystemParams.from_khz(80, 80, 475, dims=(3, 2, 3), t1=(20.0, 15.0, 25.0))
+
+    @pytest.fixture()
+    def start(self):
+        return pure_density(fock_state(self.p.dims, (1, 0, 0)))
+
+    @pytest.mark.parametrize("dims", [(2, 2, 3), (4, 2, 3)])
+    def test_collapse_operator_on_other_dims(self, start, dims):
+        H = build_h_full(self.p)
+        c_ops = collapse_operators(replace(self.p, dims=dims))
+        message = re.escape("a collapse operator's dims differ from H's (3, 2, 3)")
+        with pytest.raises(DimensionError, match=message):
+            propagate_lindblad_matrix(H, c_ops, [(start.support, start.values)], (1.0,))
+        with pytest.raises(DimensionError, match=message):
+            evolve_lindblad(H, c_ops, start, (1.0,))
+
+    @pytest.mark.parametrize("support", [[3, 1], [400], [1, 1], [-1, 4], [324], [[0, 1]]],
+                             ids=["decreasing", "outside", "repeated", "negative", "d-squared",
+                                  "two-axes"])
+    def test_support_strictly_increasing_within_the_space(self, support):
+        values = np.ones(np.shape(support), dtype=complex)
+        with pytest.raises(DimensionError, match=re.escape(
+                "a start's support is not strictly increasing within [0, 324)")):
+            propagate_lindblad_matrix(build_h_full(self.p), collapse_operators(self.p),
+                                      [(np.array(support), values)], (1.0,))
+
+    @pytest.mark.parametrize("shape", [(1,), (3,), (1, 2), ()])
+    def test_values_match_the_support(self, shape):
+        with pytest.raises(DimensionError, match=re.escape(
+                f"start values of shape {shape} do not match its support")):
+            propagate_lindblad_matrix(build_h_full(self.p), collapse_operators(self.p),
+                                      [(np.array([0, 19]), np.ones(shape, dtype=complex))], (1.0,))
+
+    def test_non_hermitian_hamiltonian(self, start):
+        H = build_h_full(self.p)
+        skewed = OperatorMatrix((H.rows, H.cols, H.vals * (1 + 1j * (H.rows < H.cols))), H.dims)
+        with pytest.raises(InvalidOperatorError, match="^Hamiltonian must be Hermitian$"):
+            propagate_lindblad_matrix(skewed, collapse_operators(self.p),
+                                      [(start.support, start.values)], (1.0,))
+
+    def test_overflowing_start_raises_convergence_error(self, start):
+        # a start near the largest float overflows on the first Chebyshev
+        # terms; numpy's own overflow warnings are silenced here
+        huge = start.values * 1e308
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                ConvergenceError, match="^Lindblad propagation produced non-finite values$"):
+            propagate_lindblad_matrix(build_h_full(self.p), collapse_operators(self.p),
+                                      [(start.support, huge)], (1.0,))
 
 
 def _held(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

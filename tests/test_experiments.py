@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from exfree import dynamics, experiments
 from exfree.analytic import sweet_point_detuning, tau_st
 from exfree.dynamics import METHODS, EvolutionSpec
-from exfree.errors import InvalidParameterError
+from exfree.errors import DimensionError, InvalidParameterError
 from exfree.dynamics import evolve_trotter, evolve_unitary
 from exfree.fock import DensityMatrix, fock_probabilities, fock_state, partial_trace
 from exfree.experiments import (
@@ -49,6 +51,14 @@ class TestDominantPeriod:
         slow, fast = 12.0, 1.1
         y = np.cos(2 * np.pi * t / slow) + 0.3 * np.cos(2 * np.pi * t / fast)
         assert dominant_period(t, y) == pytest.approx(slow, rel=1e-3)
+
+    @pytest.mark.parametrize("level", [0.0, 1.0, 0.7, 0.1], ids=["zero", "one", "0.7", "0.1"])
+    @pytest.mark.parametrize("estimate", [dominant_period, estimate_swap_time])
+    def test_flat_trace_has_no_period(self, estimate, level):
+        # 0.7 and 0.1 leave a nonzero rounding of the mean, 0 and 1 none
+        t = np.linspace(0.0, 10.0, 64)
+        with pytest.raises(InvalidParameterError, match="^no oscillation found in trace$"):
+            estimate(t, np.full(t.size, level))
 
     def test_rejects_nonuniform_grid(self):
         t = np.array([0.0, 1.0, 2.0, 4.0] + list(range(5, 21)))
@@ -255,6 +265,15 @@ def hom_result():
 
 
 class TestHom:
+    @pytest.mark.parametrize("dims", [(2, 3, 3), (3, 3, 2)])
+    def test_two_level_end_mode_refused_before_propagating(self, monkeypatch, dims):
+        monkeypatch.setattr(experiments, "_evolve_trajectory",
+                            lambda *args: pytest.fail("propagated"))
+        p = SystemParams.from_khz(80, 80, 475, dims=dims)
+        with pytest.raises(DimensionError, match=re.escape(
+                f"P20, P02 and the {{|0>,|2>}} pair need 3 levels in S1 and S3, got dims {dims}")):
+            run_hom(p)
+
     def test_coincidences_suppressed(self, hom_result):
         s = hom_result.scalars
         assert s["P11"] < 0.01

@@ -41,6 +41,11 @@ def pure_density(psi: StateVector) -> DensityMatrix:
 
 
 class TestModeDims:
+    @pytest.mark.parametrize("occupations", [(1, 0), (1, 0, 0, 0), ()])
+    def test_flat_index_needs_one_occupation_per_mode(self, occupations):
+        with pytest.raises(DimensionError, match="^occupation list does not match mode count$"):
+            DIMS.flat_index(occupations)
+
     def test_total_and_len(self):
         assert DIMS.total == 180
         assert len(DIMS) == 3
@@ -294,6 +299,12 @@ class TestStates:
         z1 = binomial_code_state("1L", 6)
         assert abs(np.vdot(z0.amplitudes, z1.amplitudes)) < 1e-12
 
+    @pytest.mark.parametrize("label", ["2L", "1E", "0l", ""])
+    def test_binomial_unknown_label(self, label):
+        with pytest.raises(InvalidParameterError, match=re.escape(
+                f"unknown code label {label!r}; use one of ('0L', '1L', '+iL', '0E', '+iE')")):
+            binomial_code_state(label, 6)
+
     def test_binomial_needs_five_levels(self):
         with pytest.raises(DimensionError):
             binomial_code_state("0L", 4)
@@ -417,6 +428,21 @@ class TestTrajectoryValidation:
 
 
 class TestSupportLayout:
+    @pytest.mark.parametrize("kind", [StateVector, DensityMatrix])
+    @pytest.mark.parametrize("shape", [(3,), (1,), (2, 3), (2, 1, 2)])
+    def test_values_must_fit_their_support(self, kind, shape):
+        name = "state" if kind is StateVector else "density matrix"
+        with pytest.raises(DimensionError, match=re.escape(
+                f"{name} values shape {shape} inconsistent with its support")):
+            kind._on_support(np.array([0, 7]), np.ones(shape, dtype=complex), ModeDims((2, 4)))
+
+    def test_density_support_must_hold_each_mirror(self):
+        # (0, 1) is held and (1, 0) is not
+        with pytest.raises(DimensionError,
+                           match="^density matrix support is not closed under transposition$"):
+            DensityMatrix._on_support(np.array([0, 1, 3]), np.array([0.5, 0.1, 0.5 + 0j]),
+                                      ModeDims((2,)))
+
     """A StateVector holds the sorted indices that are nonzero in some
     sample and its values there; the dense amplitudes are a copy."""
 

@@ -140,6 +140,12 @@ class TestHamiltonians:
     def params(self):
         return SystemParams.from_khz(80, 80, 475)
 
+    @pytest.mark.parametrize("pair", ["S1S3", "S2S1", ""])
+    def test_unknown_pump_pair_refused(self, params, pair):
+        with pytest.raises(InvalidParameterError,
+                           match=f"^pair must be 'S1S2' or 'S3S2', got '{pair}'$"):
+            build_h_tms(params, pair)
+
     def test_all_hermitian(self, params):
         for h in (
             build_h_tms(params, "S1S2"),
